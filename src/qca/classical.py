@@ -61,25 +61,36 @@ def _rank(f: dict) -> int:
 
 
 def cl_div_exact(num: dict, den: dict) -> dict:
-    """num / den by lex leading-term peeling; ValueError if not exact."""
+    """num / den by lex leading-term peeling; ValueError if not exact.
+
+    Z[x^{+-1}] is a domain, so a quotient s with den * s = num has, in each
+    variable x_i, degrees running exactly from (lowest x_i-degree of num) -
+    (lowest of den) to (highest of num) - (highest of den).  A peeled
+    exponent outside those ranges refutes divisibility, and the peeled
+    exponents fall in lex order, so the loop is finite.
+    """
     if not den:
         raise ZeroDivisionError("classical division by zero")
     if not num:
         return {}
+    ranges = [
+        (min(nc) - min(dc), max(nc) - max(dc))
+        for nc, dc in zip(zip(*num), zip(*den))
+    ]
     lt_d = max(den)
     cd = den[lt_d]
     rem = dict(num)
     out: dict = {}
-    bound = 16 * len(num) + 1024
     while rem:
-        bound -= 1
-        if bound < 0:
-            raise ValueError("classical division does not terminate")
         lt_r = max(rem)
+        key = tuple(x - y for x, y in zip(lt_r, lt_d))
+        for x, (lo, hi) in zip(key, ranges):
+            if x < lo or x > hi:
+                raise ValueError(
+                    "classical division is not exact (quotient degree out of range)")
         q, r = divmod(rem[lt_r], cd)
         if r:
             raise ValueError("classical division is not exact")
-        key = tuple(x - y for x, y in zip(lt_r, lt_d))
         out[key] = q
         for b, c in den.items():
             k2 = tuple(x + y for x, y in zip(b, key))

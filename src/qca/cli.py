@@ -9,6 +9,7 @@ input / parse / IO / unknown names.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -146,12 +147,20 @@ def cmd_mutate(args) -> int:
     key = _cache_key(key_payload)
     cache_path = os.path.join(_cache_dir(), key + ".json")
     if not args.no_cache and os.path.exists(cache_path):
-        with open(cache_path) as fh:
-            text = fh.read()
-        seed_from_json(json.loads(text))  # corrupt cache must not be served
-        _emit(text, args.out)
-        _say("cache hit %s" % key[:16])
-        return 0
+        try:
+            with open(cache_path) as fh:
+                text = fh.read()
+            seed_from_json(json.loads(text))  # corrupt cache must not be served
+        except (OSError, ValueError, LookupError, TypeError, AttributeError) as e:
+            # an entry that cannot be read back is a miss, never an error
+            _say("cache entry %s in %s is unreadable (%s: %s); evicted"
+                 % (key[:16], _cache_dir(), type(e).__name__, e))
+            with contextlib.suppress(OSError):
+                os.remove(cache_path)
+        else:
+            _emit(text, args.out)
+            _say("cache hit %s" % key[:16])
+            return 0
 
     result = mutate_seq(start, tuple(k - 1 for k in seq))
     text = pretty_dumps(seed_to_json(result))
@@ -219,7 +228,8 @@ def cmd_export(args) -> int:
 
 def cmd_info(args) -> int:
     _say("qca %s" % __version__)
-    _say("kernel backend: %s" % KERNEL_BACKEND)
+    _say("arithmetic: %s; Z[v^+-1] coefficients packed into integers "
+         "(Kronecker substitution, digit width from a proven L1 bound)" % KERNEL_BACKEND)
     _say("cache dir: %s" % _cache_dir())
     if getattr(args, "seed", None):
         seed = seed_from_json(_load_json(args.seed))

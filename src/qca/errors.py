@@ -26,12 +26,12 @@ class NotDivisibleError(Exception):
     """Exact left division failed.
 
     ``reason`` is "coefficient" (a forced leading-coefficient division left
-    Z[v^{+-1}]) or "step_bound" (the peeling loop exhausted its step budget,
-    which is how a non-terminating division is detected).
+    Z[v^{+-1}]) or "newton_box" (a forced quotient exponent lies outside
+    the box that the Newton polytopes of divisor and dividend allow).
     """
 
     def __init__(self, reason: str, detail: str = ""):
-        assert reason in ("coefficient", "step_bound")
+        assert reason in ("coefficient", "newton_box")
         self.reason = reason
         msg = "not exactly divisible (%s)" % reason
         if detail:

@@ -365,10 +365,13 @@ def _realize_monomial(lcur: LMatrix, vars, a) -> TorusElem:
             for j in range(i):
                 if a[j]:
                     prefac += a[i] * a[j] * lcur.entry(i, j)
-    prod = TorusElem.one(vars[0].ambient)
+    prod = None
     for i, ai in enumerate(a):
         if ai:
-            prod = prod * vars[i].pow(ai)
+            pw = vars[i].pow(ai)
+            prod = pw if prod is None else prod * pw
+    if prod is None:
+        prod = TorusElem.one(vars[0].ambient)
     return prod.v_shift(prefac)
 
 

@@ -10,32 +10,42 @@ in which products close up as X^a X^b = v^{aT L b} X^{a+b} (the v-exponent
 aT L b = sum_{i,j} lambda_ij a_i b_j is always an integer).  Everything in
 this module is exact: coefficients are maps v-exponent -> Python int.
 
-Elements are value-like; treat them as immutable.  The hot kernels
-(products and the subtract-multiply inside exact division) live in a
-compiled extension when it is available, with a pure-Python fallback chosen
-at import time; set QCA_PURE_PYTHON=1 to force the fallback.
+Elements are value-like; treat them as immutable.  ``terms`` is the
+canonical form (a dict of coefficient dicts).  Products and exact division
+work on a packed copy of it (``qca.coeffs``): each coefficient becomes one
+Python int holding its balanced base-2^W digits (Kronecker substitution),
+so a coefficient convolution is a single bigint multiply.  The digit width
+W always comes from a proven bound on the result, so the packing is exact
+for every input.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
+from math import gcd
+from operator import add, mul, sub
 
+from .coeffs import (
+    add_piece,
+    collect,
+    digit_width,
+    norm_and_stride,
+    pack,
+    qc_bar,
+    qc_const,
+    qc_div_exact,
+    qc_is_nonneg,
+    qc_mul,
+    qc_neg,
+    qc_shift,
+    qc_str,
+    qc_v,
+)
 from .errors import NotDivisibleError
 
-if os.environ.get("QCA_PURE_PYTHON") == "1":
-    from . import _kernels_py as _k
-
-    KERNEL_BACKEND = "python"
-else:
-    try:
-        from . import _kernels_cy as _k  # type: ignore[no-redef]
-
-        KERNEL_BACKEND = "cython"
-    except ImportError:
-        from . import _kernels_py as _k  # type: ignore[no-redef]
-
-        KERNEL_BACKEND = "python"
+# the only arithmetic implementation; kept as a constant for callers that
+# stamp results with it
+KERNEL_BACKEND = "python"
 
 __all__ = [
     "KERNEL_BACKEND",
@@ -52,122 +62,43 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# coefficients: Z[v^{+-1}] as dict {v_exponent: nonzero int}
+# products on packed coefficients
 
-def qc_const(n: int) -> dict:
-    """The constant coefficient n.
+def _twist_row(lam, a) -> list:
+    """aT L as a list, so that aT L b = sum(map(mul, row, b))."""
+    row = [0] * len(lam)
+    for ai, li in zip(a, lam):
+        if ai:
+            row = [r + ai * x for r, x in zip(row, li)]
+    return row
 
-    >>> qc_const(3)
-    {0: 3}
-    >>> qc_const(0)
-    {}
+
+def _mul_terms(xt: dict, yt: dict, lam) -> dict:
+    """Product of two term dicts: (c X^a)(d X^b) = c d v^{aT L b} X^{a+b}.
+
+    Each pair of runs contributes one bigint product, added into the runs
+    of its output monomial.  An output coefficient is a sum of products of
+    input coefficients, so every partial sum is at most ||x||_1 ||y||_1 in
+    absolute value; that fixes W.
     """
-    return {0: n} if n else {}
-
-
-def qc_v(e: int, n: int = 1) -> dict:
-    """n * v^e."""
-    return {e: n} if n else {}
-
-
-def qc_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for e, cv in b.items():
-        nv = out.get(e, 0) + cv
-        if nv:
-            out[e] = nv
-        else:
-            out.pop(e, None)
-    return out
-
-
-def qc_neg(a: dict) -> dict:
-    return {e: -cv for e, cv in a.items()}
-
-
-def qc_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for e, cv in a.items():
-        for f, dv in b.items():
-            g = e + f
-            nv = out.get(g, 0) + cv * dv
-            if nv:
-                out[g] = nv
-            else:
-                out.pop(g, None)
-    return out
-
-
-def qc_shift(a: dict, k: int) -> dict:
-    """Multiply by v^k."""
-    if k == 0:
-        return dict(a)
-    return {e + k: cv for e, cv in a.items()}
-
-
-def qc_bar(a: dict) -> dict:
-    """v -> v^{-1}."""
-    return {-e: cv for e, cv in a.items()}
-
-
-def qc_div_exact(num: dict, den: dict) -> dict | None:
-    """num / den in Z[v^{+-1}] if the division is exact, else None.
-
-    Top-down long division; the quotient is forced term by term, so the
-    division is exact iff every forced leading coefficient divides and the
-    quotient's lowest exponent min(num) - min(den) is reached cleanly.
-
-    >>> qc_div_exact({3: 2, 1: 2}, {1: 2})
-    {2: 1, 0: 1}
-    >>> qc_div_exact({0: 1}, {0: 2}) is None
-    True
-    >>> qc_div_exact({0: 1}, {1: 1, 0: -1}) is None
-    True
-    """
-    if not den:
-        raise ZeroDivisionError("coefficient division by zero")
-    if not num:
-        return {}
-    dmax = max(den)
-    dc = den[dmax]
-    emin = min(num) - min(den)
-    nd = dict(num)
+    x_l1, x_g = norm_and_stride(xt)
+    y_l1, y_g = norm_and_stride(yt)
+    g = gcd(x_g, y_g) or 1
+    w = digit_width(x_l1 * y_l1)
+    xs = [(a, _twist_row(lam, a), lo, n)
+          for a, cf in xt.items() for lo, _, n in pack(cf, w, g)]
+    ys = [(b, lo, n) for b, cf in yt.items() for lo, _, n in pack(cf, w, g)]
+    acc: dict = {}
+    for a, row, la, na in xs:
+        for b, lb, nb in ys:
+            s = la + lb + sum(map(mul, row, b))
+            add_piece(acc.setdefault(tuple(map(add, a, b)), []), s, na * nb, w, g)
     out = {}
-    while nd:
-        t = max(nd)
-        e = t - dmax
-        if e < emin:
-            return None
-        c, r = divmod(nd[t], dc)
-        if r:
-            return None
-        out[e] = c
-        for de, dv in den.items():
-            g = de + e
-            nv = nd.get(g, 0) - dv * c
-            if nv:
-                nd[g] = nv
-            else:
-                nd.pop(g, None)
+    for key, runs in acc.items():
+        cf = collect(runs, w, g)
+        if cf:
+            out[key] = cf
     return out
-
-
-def qc_is_nonneg(a: dict) -> bool:
-    return all(cv >= 0 for cv in a.values())
-
-
-def _qc_str(a: dict) -> str:
-    if not a:
-        return "0"
-    parts = []
-    for e in sorted(a, reverse=True):
-        cv = a[e]
-        if e == 0:
-            parts.append("%d" % cv)
-        else:
-            head = "" if cv == 1 else ("-" if cv == -1 else "%d*" % cv)
-            parts.append("%sv^%d" % (head, e))
-    return " + ".join(parts).replace("+ -", "- ")
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +212,7 @@ class TorusElem:
             return "TorusElem(0)"
         bits = []
         for a in sorted(self.terms, reverse=True):
-            bits.append("(%s)*X^%s" % (_qc_str(self.terms[a]), str(a)))
+            bits.append("(%s)*X^%s" % (qc_str(self.terms[a]), str(a)))
         return "TorusElem(%s)" % " + ".join(bits)
 
     # -- ring operations ---------------------------------------------------
@@ -317,7 +248,7 @@ class TorusElem:
 
     def __mul__(self, other: "TorusElem") -> "TorusElem":
         self._require_same(other)
-        prod = _k.mul_terms(self.terms, other.terms, self.ambient.rows)
+        prod = _mul_terms(self.terms, other.terms, self.ambient.rows)
         return TorusElem(self.ambient, prod, _trusted=True)
 
     def scaled(self, coeff) -> "TorusElem":
@@ -359,8 +290,10 @@ class TorusElem:
             if inv is None:
                 raise ValueError("negative powers only exist for invertible monomials")
             return inv.pow(-n)
-        acc = TorusElem.one(self.ambient)
-        for _ in range(n):
+        if n == 0:
+            return TorusElem.one(self.ambient)
+        acc = self
+        for _ in range(n - 1):
             acc = acc * self
         return acc
 
@@ -385,14 +318,24 @@ class TorusElem:
         return all(qc_is_nonneg(cf) for cf in self.terms.values())
 
 
-def exact_left_div(p: TorusElem, q: TorusElem, step_bound: int | None = None) -> TorusElem:
+def exact_left_div(p: TorusElem, q: TorusElem) -> TorusElem:
     """The unique s with p * s = q, if it exists in the torus.
 
     Peels the lex-leading term of the remainder: lex order on exponent
     vectors is a group order, so LT(p * s) = LT(p) * LT(s) and each quotient
     term is forced.  Raises NotDivisibleError with reason "coefficient" when
-    a forced coefficient division leaves Z[v^{+-1}], or "step_bound" when the
-    step budget is exhausted (no exact quotient can take that many terms).
+    a forced coefficient division leaves Z[v^{+-1}], or "newton_box" when a
+    forced quotient exponent leaves the Newton box below.
+
+    The torus is a domain, so the Newton polytope of p * s is the Minkowski
+    sum of those of p and s: in every coordinate i, min_i q = min_i p +
+    min_i s and max_i q = max_i p + max_i s.  Every exponent of s therefore
+    lies in the box [min q - min p, max q - max p].  The peeled exponents
+    strictly decrease in lex order inside that finite box, so the loop ends.
+
+    The remainder stays packed; only its leading coefficient is unpacked,
+    once per peel.  Every partial sum of a remainder coefficient is bounded
+    by ||q||_1 + ||p||_1 ||s_partial||_1, and W is widened when that grows.
 
     >>> L = LMatrix.from_rows([[0, 1], [-1, 0]])
     >>> q = TorusElem.monomial(L, (2, 1), qc_v(3))
@@ -405,32 +348,69 @@ def exact_left_div(p: TorusElem, q: TorusElem, step_bound: int | None = None) ->
         raise ZeroDivisionError("left division by zero")
     if q.is_zero():
         return TorusElem.zero(p.ambient)
-    if step_bound is None:
-        step_bound = 16 * len(q.terms) + 1024
     lam = p.ambient.rows
-    ap = max(p.terms)
-    cp = p.terms[ap]
-    rem = {a: dict(cf) for a, cf in q.terms.items()}
+    pt, qt = p.terms, q.terms
+    box = [(min(qi) - min(pi), max(qi) - max(pi))
+           for qi, pi in zip(zip(*qt), zip(*pt))]
+    ap = max(pt)
+    cp = pt[ap]
+    lead_row = _twist_row(lam, ap)
+    # the leading term of p is left out: its product with each quotient
+    # term cancels the remainder's leading coefficient, which is popped
+    p_rest = [(b, _twist_row(lam, b), cf) for b, cf in pt.items() if b != ap]
+    (p_l1, p_g), (q_l1, q_g) = norm_and_stride(pt), norm_and_stride(qt)
+    s_l1 = 0
+    g = gcd(p_g, q_g) or 1
+    # the bound reached at the end when p * s has no cancellation, as for
+    # cluster variables; more cancellation only means widening below
+    w = digit_width(2 * q_l1)
+    pp = [(b, row, lo, n) for b, row, cf in p_rest for lo, _, n in pack(cf, w, g)]
+    rem = {a: pack(cf, w, g) for a, cf in qt.items()}  # exponent -> runs
     out: dict = {}
-    steps = 0
     while rem:
-        steps += 1
-        if steps > step_bound:
-            raise NotDivisibleError(
-                "step_bound", "no exact quotient within %d peeling steps" % step_bound
-            )
         ar = max(rem)
-        aq = tuple(x - y for x, y in zip(ar, ap))
-        shift = _k.lform(lam, ap, aq)
-        c = qc_div_exact(qc_shift(rem[ar], -shift), cp)
+        lead = collect(rem.pop(ar), w, g)
+        if not lead:
+            continue
+        aq = tuple(map(sub, ar, ap))
+        for x, (lo, hi) in zip(aq, box):
+            if not lo <= x <= hi:
+                raise NotDivisibleError(
+                    "newton_box",
+                    "quotient exponent %s leaves the Newton box %s"
+                    % (aq, [list(b) for b in box]),
+                )
+        c = qc_div_exact(qc_shift(lead, -sum(map(mul, lead_row, aq))), cp)
         if c is None:
             raise NotDivisibleError(
                 "coefficient",
                 "leading coefficient at X^%s is not divisible" % (ar,),
             )
         out[aq] = c
-        _k.submul_monomial(rem, p.terms, aq, c, lam)
+        s_l1 += sum(map(abs, c.values()))
+        need = digit_width(q_l1 + p_l1 * s_l1)
+        if need > w:
+            # repack at a width with headroom, so a growing quotient
+            # repacks only O(log) times; entries that cancelled are dropped
+            wider = max(need, 2 * w)
+            rem = {a: pack(cf, wider, g)
+                   for a, runs in rem.items() if (cf := collect(runs, w, g))}
+            pp = [(b, row, lo, n)
+                  for b, row, cf in p_rest for lo, _, n in pack(cf, wider, g)]
+            w = wider
+        for lc, _, nc in pack(c, w, g):
+            for b, row, lb, nb in pp:
+                s = lb + lc + sum(map(mul, row, aq))
+                add_piece(rem.setdefault(tuple(map(add, b, aq)), []), s, -nb * nc, w, g)
     return TorusElem(p.ambient, out, _trusted=True)
+
+
+def _is_bar_invariant(x: TorusElem) -> bool:
+    for cf in x.terms.values():
+        for e, c in cf.items():
+            if cf.get(-e) != c:
+                return False
+    return True
 
 
 def q_commute_exponent(x: TorusElem, y: TorusElem) -> int | None:
@@ -441,11 +421,23 @@ def q_commute_exponent(x: TorusElem, y: TorusElem) -> int | None:
     the uniform v-exponent comes out odd (a genuine half-integer q-power,
     which the engine treats as not q-commuting since gamma must be an
     integer).
+
+    Coefficients are central, so that relation settles every pair of
+    single-term elements without a product.  Otherwise, bar is an
+    anti-automorphism, so when x and y are both bar-invariant (every quantum
+    cluster variable is), y x = bar(x y) and one product suffices; if not,
+    y x is computed as a second product.
     """
     if x.is_zero() or y.is_zero():
         raise ValueError("q-commutation is defined for nonzero elements")
-    xy = (x * y).terms
-    yx = (y * x).terms
+    x._require_same(y)
+    if len(x.terms) == 1 and len(y.terms) == 1:
+        ((a,), (b,)) = (x.terms, y.terms)
+        return sum(map(mul, _twist_row(x.ambient.rows, a), b))
+    both_bar = _is_bar_invariant(x) and _is_bar_invariant(y)
+    prod = x * y
+    xy = prod.terms
+    yx = prod.bar().terms if both_bar else (y * x).terms
     if set(xy) != set(yx):
         return None
     a = next(iter(xy))

@@ -184,7 +184,7 @@ def test_fault_laurent(a2_seed):
     assert not report.passed
     entry = first_failure(report, "laurent")
     assert entry.sequence == (1,)
-    assert "step_bound" in entry.witness
+    assert "newton_box" in entry.witness
 
 
 def test_fault_positivity(a2_seed):

@@ -57,6 +57,16 @@ def test_cl_div_roundtrip():
         assert cl_div_exact(cl_mul(f, g), g) == f
 
 
+def test_cl_div_long_quotient():
+    # (1 - x1) * (1 + x1 + ... + x1^1200) = 1 - x1^1201: a two-term dividend
+    # with a 1201-term quotient
+    den = {(0, 0): 1, (1, 0): -1}
+    quo = {(e, 0): 1 for e in range(1201)}
+    num = cl_mul(den, quo)
+    assert num == {(0, 0): 1, (1201, 0): -1}
+    assert cl_div_exact(num, den) == quo
+
+
 def test_cl_div_failure():
     with pytest.raises(ValueError):
         cl_div_exact({(1, 0): 1}, {(1, 0): 2})

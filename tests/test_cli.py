@@ -102,6 +102,26 @@ def test_mutate_cache_hit_is_identical(tmp_path, capsys):
     assert "cache hit" in err2
 
 
+def test_mutate_corrupt_cache_entry_is_a_miss(tmp_path, capsys):
+    inp = write_input(tmp_path, *SEED_CASES["aff"])
+    argv = ["mutate", "--cartan", inp, "--seq", "1,2,1"]
+    code1, out1, _ = run(capsys, argv)
+    assert code1 == 0
+    (entry,) = (tmp_path / "cache").iterdir()
+    entry.write_text(entry.read_text()[: len(out1) // 2])
+    code2, out2, err2 = run(capsys, argv)
+    assert code2 == 0
+    assert out2 == out1
+    evicted = [line for line in err2.splitlines() if "unreadable" in line]
+    assert len(evicted) == 1
+    assert str(tmp_path / "cache") in evicted[0]
+    # the entry was recomputed and stored again, so the next run hits
+    assert entry.read_text() == out1
+    code3, out3, err3 = run(capsys, argv)
+    assert (code3, out3) == (0, out1)
+    assert "cache hit" in err3
+
+
 def test_mutate_no_cache_skips_store(tmp_path, capsys):
     inp = write_input(tmp_path, *SEED_CASES["a2"])
     argv = ["mutate", "--cartan", inp, "--seq", "1", "--no-cache"]
@@ -200,7 +220,7 @@ def test_info(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert qca.__version__ in err
-    assert "backend" in err
+    assert "arithmetic" in err and "packed" in err
     seed_path = tmp_path / "seed.json"
     seed_path.write_text(json.dumps(seed_to_json(make_seed("aff"))))
     code, _, err = run(capsys, ["info", "--seed", str(seed_path)])

@@ -7,6 +7,7 @@ import pytest
 import qca.cartan
 import qca.classical
 import qca.checks
+import qca.coeffs
 import qca.gls
 import qca.seeds
 import qca.serialize
@@ -14,6 +15,7 @@ import qca.torus
 
 MODULES = [
     qca.cartan,
+    qca.coeffs,
     qca.torus,
     qca.seeds,
     qca.gls,

@@ -1,107 +1,8 @@
-"""The compiled kernels must agree with the pure-Python ones exactly."""
+"""The torus arithmetic names its one implementation."""
 
-import copy
-import os
-import random
-import subprocess
-import sys
-
-import pytest
-
-from qca import _kernels_py as kp
 from qca.torus import KERNEL_BACKEND
-
-try:
-    from qca import _kernels_cy as kc
-except ImportError:
-    kc = None
-
-needs_cython = pytest.mark.skipif(kc is None, reason="compiled extension not built")
-
-
-def rand_rows(rng, r, bound=5):
-    rows = [[0] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(i):
-            e = rng.randint(-bound, bound)
-            rows[i][j], rows[j][i] = e, -e
-    return tuple(tuple(row) for row in rows)
-
-
-def rand_terms(rng, r, n_terms=4, span=4, vspan=5):
-    terms = {}
-    for _ in range(rng.randint(1, n_terms)):
-        a = tuple(rng.randint(-span, span) for _ in range(r))
-        cf = terms.setdefault(a, {})
-        k = rng.randint(-vspan, vspan)
-        cf[k] = cf.get(k, 0) + rng.choice([-3, -1, 1, 2])
-    for a in list(terms):
-        terms[a] = {k: v for k, v in terms[a].items() if v}
-        if not terms[a]:
-            del terms[a]
-    return terms or {(0,) * r: {0: 1}}
-
-
-@needs_cython
-def test_lform_agreement():
-    rng = random.Random(20)
-    for _ in range(300):
-        r = rng.randint(1, 6)
-        lam = rand_rows(rng, r)
-        a = tuple(rng.randint(-9, 9) for _ in range(r))
-        b = tuple(rng.randint(-9, 9) for _ in range(r))
-        assert kp.lform(lam, a, b) == kc.lform(lam, a, b)
-
-
-@needs_cython
-def test_mul_terms_agreement():
-    rng = random.Random(21)
-    for _ in range(200):
-        r = rng.randint(1, 5)
-        lam = rand_rows(rng, r)
-        x = rand_terms(rng, r)
-        y = rand_terms(rng, r)
-        assert kp.mul_terms(x, y, lam) == kc.mul_terms(x, y, lam)
-
-
-@needs_cython
-def test_submul_monomial_agreement():
-    rng = random.Random(22)
-    for _ in range(200):
-        r = rng.randint(1, 5)
-        lam = rand_rows(rng, r)
-        rem_a = rand_terms(rng, r)
-        rem_b = copy.deepcopy(rem_a)
-        p = rand_terms(rng, r)
-        aexp = tuple(rng.randint(-4, 4) for _ in range(r))
-        coeff = {rng.randint(-4, 4): rng.choice([-2, 1, 3])}
-        kp.submul_monomial(rem_a, p, aexp, coeff, lam)
-        kc.submul_monomial(rem_b, p, aexp, coeff, lam)
-        assert rem_a == rem_b
-
-
-@needs_cython
-def test_cython_big_integers_stay_exact():
-    # products overflowing 64-bit coefficients must still come out exact
-    lam = ((0, 1), (-1, 0))
-    big = 2**72 + 3
-    x = {(1, 0): {0: big}}
-    y = {(0, 1): {0: big}}
-    assert kc.mul_terms(x, y, lam) == kp.mul_terms(x, y, lam)
-    assert kp.mul_terms(x, y, lam)[(1, 1)] == {1: big * big}
-
-
-def test_backend_selection_env(tmp_path):
-    code = "from qca.torus import KERNEL_BACKEND; print(KERNEL_BACKEND)"
-    env = dict(os.environ, QCA_PURE_PYTHON="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0
-    assert out.stdout.strip() == "python"
 
 
 def test_active_backend_is_known():
     assert KERNEL_BACKEND in ("python", "cython")
-    if kc is not None:
-        assert KERNEL_BACKEND == "cython" or os.environ.get("QCA_PURE_PYTHON") == "1"
+    assert KERNEL_BACKEND == "python"

@@ -1,0 +1,294 @@
+"""Exactness of the packed torus arithmetic against a schoolbook oracle.
+
+Products, exact division and q-commutation pack every Z[v^{+-1}]
+coefficient into one integer (Kronecker substitution).  These tests compare
+them with a plain dict-of-dicts product written out here, on inputs chosen
+to break a packing whose digit width or span is wrong: coefficients at
+machine-word boundaries, cancellation, digits at the edge of the width,
+sparse and wide v-spans, and ranks above 64.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qca.coeffs import collect, digit_width, pack, unpack
+from qca.seeds import mutate_seq
+from qca.torus import LMatrix, TorusElem, exact_left_div, q_commute_exponent
+
+from conftest import make_seed
+
+PROFILE = settings(
+    max_examples=30,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+# values that a fixed-width kernel wraps or truncates
+WORD_EDGES = (
+    2**31, -2**31, 2**31 - 1, 2**63, -2**63, 2**63 - 1,
+    2**64 - 1, 2**64 + 1, -(2**64 + 1),
+)
+
+
+def schoolbook_mul(x: TorusElem, y: TorusElem) -> dict:
+    """(c X^a)(d X^b) = c d v^{aT L b} X^{a+b}, one coefficient pair at a time."""
+    rows = x.ambient.rows
+    out: dict = {}
+    for a, ca in x.terms.items():
+        for b, cb in y.terms.items():
+            twist = sum(
+                ai * rows[i][j] * bj
+                for i, ai in enumerate(a) if ai
+                for j, bj in enumerate(b) if bj
+            )
+            acc = out.setdefault(tuple(ai + bi for ai, bi in zip(a, b)), {})
+            for e, c in ca.items():
+                for f, d in cb.items():
+                    acc[e + f + twist] = acc.get(e + f + twist, 0) + c * d
+    out = {a: {e: c for e, c in cf.items() if c} for a, cf in out.items()}
+    return {a: cf for a, cf in out.items() if cf}
+
+
+def two_product_gamma(x: TorusElem, y: TorusElem):
+    """The definition: gamma with xy = v^{2 gamma} yx, from both products."""
+    xy, yx = schoolbook_mul(x, y), schoolbook_mul(y, x)
+    if set(xy) != set(yx):
+        return None
+    shifts = set()
+    for a, cf in xy.items():
+        other = yx[a]
+        c = min(cf) - min(other)
+        if {e + c: v for e, v in other.items()} != cf:
+            return None
+        shifts.add(c)
+    if len(shifts) != 1:
+        return None
+    (c,) = shifts
+    return c // 2 if c % 2 == 0 else None
+
+
+def skew(rows_lower, k):
+    rows = [[0] * k for _ in range(k)]
+    for (i, j), e in rows_lower.items():
+        rows[i][j], rows[j][i] = e, -e
+    return LMatrix.from_rows(rows)
+
+
+@st.composite
+def ambients(draw):
+    k = draw(st.sampled_from((1, 2, 3, 4, 66)))
+    entries = st.one_of(st.integers(-3, 3), st.sampled_from((2**31, -2**33)))
+    pairs = [(i, j) for i in range(k) for j in range(i)]
+    if k > 4:
+        pairs = draw(st.lists(st.sampled_from(pairs), max_size=6, unique=True))
+    return skew({ij: draw(entries) for ij in pairs}, k)
+
+
+coeff_values = st.one_of(
+    st.sampled_from(WORD_EDGES),
+    st.integers(-3, 3),
+    st.integers(-2**80, 2**80),
+)
+coeff_dicts = st.dictionaries(
+    st.one_of(st.integers(-5, 5), st.integers(-200, 200)),
+    coeff_values,
+    min_size=1,
+    max_size=5,
+)
+
+
+@st.composite
+def elems(draw, lam, max_terms=4, span=3):
+    k = lam.k
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        if k > 4:
+            exp = [0] * k
+            for i in draw(st.lists(st.integers(0, k - 1), max_size=3)):
+                exp[i] = draw(st.integers(-span, span))
+        else:
+            exp = [draw(st.integers(-span, span)) for _ in range(k)]
+        terms[tuple(exp)] = draw(coeff_dicts)
+    return TorusElem(lam, terms)
+
+
+@st.composite
+def elem_pairs(draw):
+    lam = draw(ambients())
+    return draw(elems(lam)), draw(elems(lam))
+
+
+@PROFILE
+@given(elem_pairs())
+def test_product_matches_schoolbook(pair):
+    x, y = pair
+    assert (x * y).terms == schoolbook_mul(x, y)
+    assert (y * x).terms == schoolbook_mul(y, x)
+
+
+@PROFILE
+@given(elem_pairs())
+def test_division_recovers_factor(pair):
+    p, s = pair
+    if p.is_zero():
+        return
+    assert exact_left_div(p, p * s) == s
+
+
+@PROFILE
+@given(elem_pairs())
+def test_q_commute_matches_two_product_definition(pair):
+    x, y = pair
+    if x.is_zero() or y.is_zero():
+        return
+    # as drawn (rarely bar-invariant), and symmetrized (always bar-invariant)
+    assert q_commute_exponent(x, y) == two_product_gamma(x, y)
+    xb, yb = x + x.bar(), y + y.bar()
+    if xb.is_zero() or yb.is_zero():
+        return
+    assert xb.bar() == xb and yb.bar() == yb
+    assert q_commute_exponent(xb, yb) == two_product_gamma(xb, yb)
+    # bar-invariant monomials do q-commute, with gamma = aT L b
+    (a, ca), (b, cb) = next(iter(x.terms.items())), next(iter(y.terms.items()))
+    mx = TorusElem.monomial(x.ambient, a, ca) + TorusElem.monomial(x.ambient, a, ca).bar()
+    my = TorusElem.monomial(y.ambient, b, cb) + TorusElem.monomial(y.ambient, b, cb).bar()
+    if mx.is_zero() or my.is_zero():
+        return
+    assert mx.bar() == mx and my.bar() == my
+    gamma = two_product_gamma(mx, my)
+    assert gamma == sum(ai * x.ambient.rows[i][j] * bj
+                        for i, ai in enumerate(a) for j, bj in enumerate(b))
+    assert q_commute_exponent(mx, my) == gamma
+
+
+def test_q_commute_on_cluster_variables():
+    # cluster variables are bar-invariant, so only one product is made
+    seed = mutate_seq(make_seed("aff"), (0, 1, 0, 1, 0))
+    for i, x in enumerate(seed.vars):
+        assert x.bar() == x
+        for j, y in enumerate(seed.vars):
+            if i != j:
+                gamma = q_commute_exponent(x, y)
+                assert gamma == seed.lmat.entry(i, j)
+                assert gamma == two_product_gamma(x, y)
+
+
+@pytest.mark.parametrize("c", WORD_EDGES)
+def test_word_boundary_coefficients(c):
+    lam = LMatrix.from_rows([[0, 2**31], [-(2**31), 0]])
+    x = TorusElem.monomial(lam, (2**31, 1), {0: c, 1: -c, 70: c})
+    y = TorusElem.monomial(lam, (-3, 2**31), {-1: c, 5: 1})
+    assert (x * y).terms == schoolbook_mul(x, y)
+    # the twist alone is far outside 64 bits
+    m = TorusElem.monomial(lam, (2**31, 0)) * TorusElem.monomial(lam, (0, 2**31))
+    assert m.terms == {(2**31, 2**31): {2**93: 1}}
+    assert exact_left_div(x, x * y) == y
+
+
+def test_cancellation():
+    lam = LMatrix.from_rows([[0, 1], [-1, 0]])
+    one = TorusElem.one(lam)
+    x1 = TorusElem.monomial(lam, (1, 0))
+    # (1 + X1)(1 - X1) = 1 - X1^2: the cross terms cancel monomial-wise
+    assert (one + x1) * (one - x1) == one - x1 * x1
+    # (v + v^-1)(v - v^-1) = v^2 - v^-2: the middle digit cancels
+    a = TorusElem.monomial(lam, (0, 0), {1: 1, -1: 1})
+    b = TorusElem.monomial(lam, (0, 0), {1: 1, -1: -1})
+    assert (a * b).terms == {(0, 0): {2: 1, -2: -1}}
+    # everything cancels: x * 0 after regrouping
+    big = TorusElem.monomial(lam, (1, 1), {0: 2**64 + 1, 3: -(2**63)})
+    assert (big * (one - one)).is_zero()
+    assert (big * one - one * big).is_zero()
+
+
+@PROFILE
+@given(coeff_dicts, st.sampled_from((1, 2, 3, 4, 1000)))
+def test_pack_collect_roundtrip(cf, g):
+    # any stride: exponents off the stride, or too far apart, go to own runs
+    cf = {e: c for e, c in cf.items() if c}
+    if not cf:
+        return
+    w = digit_width(max(abs(c) for c in cf.values()))
+    assert collect(pack(cf, w, g), w, g) == cf
+
+
+def test_digits_at_the_width_boundary():
+    for w in (8, 16, 64, 72):
+        half = 1 << (w - 1)
+        for digits in ({0: half - 1, 1: -half, 2: half - 1},
+                       {0: -half, 3: -half},
+                       {5: half - 1, 6: 1 - half}):
+            ((lo, _, n),) = pack(digits, w, 1)
+            assert unpack(lo, n, w, 1) == digits
+    # a product whose coefficient is exactly ||x||_1 ||y||_1 = 2^(W-1) - 1,
+    # the largest value the chosen width holds
+    lam = LMatrix.from_rows([[0, 1], [-1, 0]])
+    for bits in (7, 31, 63, 64):
+        c = (1 << bits) - 1
+        x = TorusElem.monomial(lam, (1, 0), c)
+        y = TorusElem.monomial(lam, (0, 1), 1)
+        assert digit_width(c) == (bits + 8) & ~7
+        assert (x * y).terms == {(1, 1): {1: c}}
+        assert (x.scaled(-1) * y).terms == {(1, 1): {1: -c}}
+    # all contributions with one sign add up to the L1 bound itself
+    x = TorusElem.monomial(lam, (0, 0), {0: 2**40 - 1, 1: 2**40 - 1})
+    assert (x * x).terms == {(0, 0): {0: (2**40 - 1) ** 2, 1: 2 * (2**40 - 1) ** 2,
+                                      2: (2**40 - 1) ** 2}}
+
+
+def test_division_widens_for_large_quotients():
+    # q = (1 - X1^41)^3 has L1 norm 8, but its quotient by (1 - X1)^3 is
+    # (1 + X1 + ... + X1^40)^3, with coefficients up to 1261: the digit width
+    # chosen from q alone is too narrow and has to grow during the division
+    lam = LMatrix.from_rows([[0, 1], [-1, 0]])
+    one = TorusElem.one(lam)
+    x1 = TorusElem.monomial(lam, (1, 0))
+    p = (one - x1).pow(3)
+    s = TorusElem(lam, {(e, 0): {0: 1} for e in range(41)}).pow(3)
+    q = p * s
+    assert q == (one - x1.pow(41)).pow(3)
+    assert max(c for cf in s.terms.values() for c in cf.values()) == 1261
+    assert exact_left_div(p, q) == s
+
+
+def test_division_widens_past_a_cancelled_entry():
+    # p = X^2 + X + 1, q = p * 20 (X^2 - X + 1) = 20 (X^4 + X^2 + 1): the first
+    # peel cancels the remainder at X^2, and the second peel widens the digit
+    # width while that zero entry is still in the remainder
+    lam = LMatrix.from_rows([[0]])
+    p = TorusElem(lam, {(2,): {0: 1}, (1,): {0: 1}, (0,): {0: 1}})
+    s = TorusElem(lam, {(2,): {0: 20}, (1,): {0: -20}, (0,): {0: 20}})
+    q = p * s
+    assert q == TorusElem(lam, {(4,): {0: 20}, (2,): {0: 20}, (0,): {0: 20}})
+    assert exact_left_div(p, q) == s
+
+
+def test_wide_and_sparse_v_spans():
+    lam = LMatrix.from_rows([[0, 3], [-3, 0]])
+    # 161 consecutive v-exponents; gaps far beyond one run; runs of
+    # different residues mod the stride 4 of the first coefficient
+    dense = TorusElem.monomial(lam, (1, 0), {e: (-1) ** e * (e + 1) for e in range(-80, 81)})
+    sparse = TorusElem.monomial(lam, (0, 1), {0: 1, 10**6: -2, -(10**9): 3})
+    mixed = (TorusElem.monomial(lam, (1, 1), {0: 5, 4: -1, 2000: 2})
+             + TorusElem.monomial(lam, (0, 1), {1: 7})
+             + TorusElem.monomial(lam, (1, 0), {-3: 1}))
+    cases = [(x, y) for x in (dense, sparse, mixed) for y in (dense, sparse, mixed)]
+    for x, y in cases:
+        assert (x * y).terms == schoolbook_mul(x, y)
+        assert exact_left_div(x, x * y) == y
+
+
+def test_rank_above_64():
+    k = 70
+    lam = skew({(69, 0): 5, (65, 3): -2, (40, 39): 1}, k)
+    e = [0] * k
+    e[0], e[3], e[39] = 2, -1, 4
+    f = [0] * k
+    f[69], f[65], f[40] = 1, 3, -2
+    x = TorusElem.monomial(lam, e, {0: 2**64 + 1, 2: -1}) + TorusElem.monomial(lam, f, 7)
+    y = TorusElem.monomial(lam, f, {-1: 3}) + TorusElem.one(lam)
+    assert (x * y).terms == schoolbook_mul(x, y)
+    assert exact_left_div(x, x * y) == y
+    assert q_commute_exponent(x, y) == two_product_gamma(x, y)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import qca
 from qca.classical import cl_mul
 from qca.errors import NotDivisibleError
 from qca.serialize import torus_from_json, torus_to_json
@@ -223,14 +224,15 @@ def test_division_failure_coefficient():
     assert "coefficient" in str(info.value)
 
 
-def test_division_failure_step_bound():
+def test_division_failure_newton_box():
     # (X^{e1} + X^{e2}) divides no single monomial: the leading term forces
-    # quotient exponent 0 while the trailing term forces e1 - e2.
+    # quotient exponent 0 while the trailing term forces e1 - e2.  The Newton
+    # box [min q - min p, max q - max p] = [(1, 0), (0, -1)] is empty.
     p = TorusElem.monomial(LAM2, (1, 0)) + TorusElem.monomial(LAM2, (0, 1))
     q = TorusElem.monomial(LAM2, (1, 0))
     with pytest.raises(NotDivisibleError) as info:
         exact_left_div(p, q)
-    assert info.value.reason == "step_bound"
+    assert info.value.reason == "newton_box"
     # exhaustive refutation over small single-term candidates
     for a0 in range(-3, 4):
         for a1 in range(-3, 4):
@@ -238,6 +240,20 @@ def test_division_failure_step_bound():
                 for c in (-2, -1, 1, 2):
                     s = TorusElem.monomial(LAM2, (a0, a1), {k: c})
                     assert p * s != q
+
+
+def test_division_long_quotient():
+    # a true quotient with many more terms than the dividend must be found:
+    # (1 - X1) * (1 + X1 + ... + X1^1200) = 1 - X1^1201
+    one = TorusElem.one(LAM2)
+    x1 = TorusElem.monomial(LAM2, (1, 0))
+    p = one - x1
+    s = TorusElem(LAM2, {(e, 0): {0: 1} for e in range(1201)})
+    q = p * s
+    assert q.n_terms() == 2
+    got = exact_left_div(p, q)
+    assert got.n_terms() == 1201
+    assert got == s
 
 
 def test_division_respects_side():
@@ -306,4 +322,6 @@ def test_serialization_rejects_duplicates():
 
 
 def test_backend_constant():
-    assert KERNEL_BACKEND in ("python", "cython")
+    # one arithmetic implementation, with no switch to select another
+    assert KERNEL_BACKEND == "python"
+    assert qca.KERNEL_BACKEND == "python"
