@@ -3,8 +3,11 @@
 run_suite walks the prefix tree of the requested sequences (shared prefixes
 are mutated once), evaluates the selected checks at the starting seed and
 at every mutation step, and returns a CheckReport whose entries never throw:
-every failure is data.  The report serializes deterministically; timings
-stay on the in-memory object only.
+every failure is data.  The seed invariants are the witness functions of
+seeds.py, the ones mutate certifies with; this module adds the checks that
+need a step, the q = 1 oracle, and the matrix route of mutation as an
+independent oracle.  The report serializes deterministically; timings stay
+on the in-memory object only.
 """
 
 from __future__ import annotations
@@ -14,16 +17,17 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .cartan import Weight, pair_weight_root
 from .classical import classical_shadow, classical_mutate, compare_q1
 from .errors import EngineInvariantError, IncompatibleError, NotDivisibleError
 from .seeds import (
     QuantumSeed,
     _mutate_unchecked,
+    balance_witness,
     check_compatible,
-    homogeneous_weight,
+    homogeneity_witness,
+    parity_witness,
+    qcommute_witness,
 )
-from .torus import q_commute_exponent
 
 __all__ = [
     "STANDARD_CHECKS",
@@ -33,6 +37,7 @@ __all__ = [
     "CheckReport",
     "run_suite",
     "default_sequences",
+    "ef_matrices",
 ]
 
 STANDARD_CHECKS = (
@@ -50,10 +55,10 @@ STANDARD_CHECKS = (
 EXTENDED_CHECKS = ("bar_invariance",)
 ALL_CHECKS = STANDARD_CHECKS + EXTENDED_CHECKS
 
-_SEED_LEVEL = frozenset(
-    ("compatible", "parity", "weight_balance", "homogeneity", "positivity",
-     "bar_invariance", "q1_oracle")
-)
+# default_sequences refuses a depth whose enumerated sequences would hold
+# more directions than this (sum_{l <= depth} l |K_ex|^l): memory and the
+# report both grow with it
+MAX_DIRECTIONS = 1_000_000
 
 
 def check_tier(name: str) -> str:
@@ -89,8 +94,25 @@ class CheckReport:
 
 def default_sequences(seed: QuantumSeed, depth: int = 4, n_random: int = 32,
                       random_len: int = 6, rng_seed: int = 0):
-    """All sequences of length <= depth over K_ex, plus seeded random ones."""
+    """All sequences of length <= depth over K_ex, plus seeded random ones.
+
+    ValueError if depth < 0 or if the enumeration would hold more than
+    MAX_DIRECTIONS directions; that count is computed before anything is
+    enumerated.
+    """
     ex = seed.ex
+    if depth < 0:
+        raise ValueError("depth must be >= 0, got %d" % depth)
+    total, layer = 0, 1
+    for length in range(1, depth + 1):  # ends once past the cap (or at once if no K_ex)
+        layer *= len(ex)
+        total += length * layer
+        if total > MAX_DIRECTIONS or not layer:
+            break
+    if total > MAX_DIRECTIONS:
+        raise ValueError(
+            "depth %d over %d exchangeable directions enumerates more than %d "
+            "directions" % (depth, len(ex), MAX_DIRECTIONS))
     seqs = []
     for length in range(1, depth + 1):
         seqs.extend(itertools.product(ex, repeat=length))
@@ -108,127 +130,105 @@ def default_sequences(seed: QuantumSeed, depth: int = 4, n_random: int = 32,
     return out
 
 
-# -- individual step checks -------------------------------------------------
+# -- independent oracle: the matrix route of mutation ----------------------
+#
+# seeds.mutate_matrices computes (mu_k L, mu_k B~) by entrywise closed forms.
+# The products below are a second, independent derivation, like classical.py
+# for q = 1; run_suite compares them once per tree node under lambda_mutation.
 
-def _seed_level_failures(seed: QuantumSeed, selected, fail):
-    """Evaluate the seed-level checks at the starting seed (path ())."""
-    if "compatible" in selected:
-        try:
-            check_compatible(seed.lmat, seed.bmat)
-        except IncompatibleError as e:
-            fail[("compatible", ())] = str(e)
-    if "parity" in selected:
-        w = _parity_witness(seed)
-        if w:
-            fail[("parity", ())] = w
-    if "weight_balance" in selected:
-        w = _balance_witness(seed)
-        if w:
-            fail[("weight_balance", ())] = w
-    if "homogeneity" in selected:
-        for i in range(seed.k):
-            if homogeneous_weight(seed.vars[i], seed.d_init) != seed.dvec[i]:
-                fail[("homogeneity", ())] = (
-                    "variable %d is not homogeneous of weight D_%d" % (i + 1, i + 1)
-                )
-                break
-    if "positivity" in selected:
-        for i in range(seed.k):
-            if not seed.vars[i].is_nonneg():
-                fail[("positivity", ())] = "variable %d has a negative coefficient" % (i + 1)
-                break
-    if "bar_invariance" in selected:
-        for i in range(seed.k):
-            if seed.vars[i].bar() != seed.vars[i]:
-                fail[("bar_invariance", ())] = "variable %d is not bar-invariant" % (i + 1)
-                break
+def ef_matrices(bmat, k: int):
+    """The involutive mutation matrices (E, F) in direction k.
+
+    E is K x K and differs from the identity only in column k; F is
+    |K_ex| x |K_ex| and differs from the identity only in row k.  E^2 = 1.
+    """
+    kpos = bmat.pos(k)
+    e = [[int(i == j) for j in range(bmat.k)] for i in range(bmat.k)]
+    for i, b in enumerate(bmat.column(k)):
+        e[i][k] = -1 if i == k else max(0, -b)
+    f = [[int(i == j) for j in range(len(bmat.ex))] for i in range(len(bmat.ex))]
+    f[kpos] = [-1 if jpos == kpos else max(0, b) for jpos, b in enumerate(bmat.rows[k])]
+    return tuple(map(tuple, e)), tuple(map(tuple, f))
 
 
-def _parity_witness(seed: QuantumSeed) -> str | None:
-    if seed.cartan is None:
-        return "parity needs the Cartan datum (seed carries none)"
-    for i in range(seed.k):
-        for j in range(i):
-            if not (seed.dvec[i].is_root_lattice() and seed.dvec[j].is_root_lattice()):
-                return "D entries outside the root lattice at (%d, %d)" % (i + 1, j + 1)
-            pairing = pair_weight_root(seed.cartan, seed.dvec[i], seed.dvec[j].as_root())
-            if (seed.lmat.entry(i, j) - pairing) % 2:
-                return "lambda_%d%d = %d but (d_i, d_j) = %d" % (
-                    i + 1, j + 1, seed.lmat.entry(i, j), pairing)
+def _matmul(a, b):
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
+def _matrix_route_witness(parent: QuantumSeed, node: QuantumSeed, k: int) -> str | None:
+    """node's (L, B~) against (E^T L E, E B~ F) of its parent."""
+    e_mat, f_mat = ef_matrices(parent.bmat, k)
+    l_ok = _matmul(tuple(zip(*e_mat)), _matmul(parent.lmat.rows, e_mat)) == node.lmat.rows
+    b_ok = _matmul(_matmul(e_mat, parent.bmat.rows), f_mat) == node.bmat.rows
+    if l_ok and b_ok:
+        return None
+    return "matrix mutation disagrees with the closed forms (E^T L E %s, E B F %s)" % (
+        "agrees" if l_ok else "differs", "agrees" if b_ok else "differs")
+
+
+# -- the checks at one tree node ----------------------------------------------
+
+def _positivity_witness(seed: QuantumSeed, idx) -> str | None:
+    for i in idx:
+        if not seed.vars[i].is_nonneg():
+            return "variable %d has a negative coefficient" % (i + 1)
     return None
 
 
-def _balance_witness(seed: QuantumSeed) -> str | None:
-    zero = Weight.zero(seed.dvec[0].n)
-    for k in seed.ex:
-        acc = zero
-        for i in range(seed.k):
-            b = seed.bmat.entry(i, k)
-            if b:
-                acc = acc + seed.dvec[i].scale(b)
-        if acc != zero:
-            return "column %d does not balance" % (k + 1)
+def _bar_witness(seed: QuantumSeed, idx) -> str | None:
+    for i in idx:
+        if seed.vars[i].bar() != seed.vars[i]:
+            return "variable %d is not bar-invariant" % (i + 1)
     return None
 
 
-def _step_failures(seed, new_seed, parts, path, selected, fail, d_expect):
-    """Checks evaluated after one mutation step ending at ``path``."""
-    k = parts.k
-    step_txt = "step %d (direction %d)" % (len(path), k + 1)
+_WITNESSES = (
+    ("parity", parity_witness),
+    ("weight_balance", balance_witness),
+    ("homogeneity", homogeneity_witness),
+    ("positivity", _positivity_witness),
+    ("bar_invariance", _bar_witness),
+)
+
+
+def _node_failures(node: QuantumSeed, idx, selected, parent=None, parts=None) -> dict:
+    """{check: witness} for the selected checks that fail at one tree node.
+
+    idx is every index at the starting seed and (k,) after a step in
+    direction k.  exchange_identity, lambda_mutation and involutivity need
+    the step (parent seed and exchange parts); q1_oracle is run by
+    run_suite, which carries the classical shadow along the tree.
+    """
+    out = {}
     if "compatible" in selected:
         try:
-            d_now = check_compatible(new_seed.lmat, new_seed.bmat)
-            if d_now != d_expect:
-                fail[("compatible", path)] = "%s: d changed from %s to %s" % (
-                    step_txt, d_expect, d_now)
+            check_compatible(node.lmat, node.bmat)
         except IncompatibleError as e:
-            fail[("compatible", path)] = "%s: %s" % (step_txt, e)
-    if "parity" in selected:
-        w = _parity_witness(new_seed)
-        if w:
-            fail[("parity", path)] = "%s: %s" % (step_txt, w)
-    if "weight_balance" in selected:
-        w = _balance_witness(new_seed)
-        if w:
-            fail[("weight_balance", path)] = "%s: %s" % (step_txt, w)
-    if "exchange_identity" in selected:
-        lhs = seed.vars[k] * parts.new_var
-        rhs = (parts.m_pos.v_shift(2 - parts.shift_pos)
-               + parts.m_neg.v_shift(-parts.shift_neg)).v_shift(parts.shift_neg)
-        if lhs != rhs:
-            fail[("exchange_identity", path)] = (
-                "%s: vars_k * new_var differs from v^{p''}(v^2 M' + M'')" % step_txt)
-    if "lambda_mutation" in selected:
-        for j in range(seed.k):
-            if j == k:
-                continue
-            gamma = q_commute_exponent(new_seed.vars[j], parts.new_var)
-            if gamma != new_seed.lmat.entry(j, k):
-                fail[("lambda_mutation", path)] = (
-                    "%s: q-commutation of variable %d with the new variable "
-                    "gives %s, mu_k(L) says %d"
-                    % (step_txt, j + 1, gamma, new_seed.lmat.entry(j, k)))
-                break
-    if "homogeneity" in selected:
-        if homogeneous_weight(parts.new_var, seed.d_init) != new_seed.dvec[k]:
-            fail[("homogeneity", path)] = (
-                "%s: new variable is not homogeneous of weight mu_k(D)_k" % step_txt)
-    if "positivity" in selected:
-        if not parts.new_var.is_nonneg():
-            fail[("positivity", path)] = (
-                "%s: new variable has a negative coefficient" % step_txt)
-    if "bar_invariance" in selected:
-        if parts.new_var.bar() != parts.new_var:
-            fail[("bar_invariance", path)] = (
-                "%s: new variable is not bar-invariant" % step_txt)
-    if "involutivity" in selected:
-        try:
-            back, _ = _mutate_unchecked(new_seed, k)
-            if back != seed:
-                fail[("involutivity", path)] = (
-                    "%s: mutating back does not restore the seed" % step_txt)
-        except (NotDivisibleError, EngineInvariantError) as e:
-            fail[("involutivity", path)] = "%s: back-mutation failed (%s)" % (step_txt, e)
+            out["compatible"] = str(e)
+    for name, witness in _WITNESSES:
+        if name in selected:
+            out[name] = witness(node, idx)
+    if parts is not None:
+        k = parts.k
+        if "exchange_identity" in selected:
+            lhs = parent.vars[k] * parts.new_var
+            rhs = (parts.m_pos.v_shift(2 - parts.shift_pos)
+                   + parts.m_neg.v_shift(-parts.shift_neg)).v_shift(parts.shift_neg)
+            if lhs != rhs:
+                out["exchange_identity"] = (
+                    "vars_k * new_var differs from v^{p''}(v^2 M' + M'')")
+        if "lambda_mutation" in selected:
+            out["lambda_mutation"] = (_matrix_route_witness(parent, node, k)
+                                      or qcommute_witness(node, idx))
+        if "involutivity" in selected:
+            try:
+                back, _ = _mutate_unchecked(node, k)
+                if back != parent:
+                    out["involutivity"] = "mutating back does not restore the seed"
+            except (NotDivisibleError, EngineInvariantError) as e:
+                out["involutivity"] = "back-mutation failed (%s)" % e
+    return {c: w for c, w in out.items() if w}
 
 
 def run_suite(seed: QuantumSeed, sequences, checks=None, meta=None) -> CheckReport:
@@ -256,11 +256,8 @@ def run_suite(seed: QuantumSeed, sequences, checks=None, meta=None) -> CheckRepo
     fail: dict = {}
     pruned: dict = {}  # path -> reason, subtree below was not evaluated
 
-    try:
-        d_expect = check_compatible(seed.lmat, seed.bmat)
-    except IncompatibleError:
-        d_expect = None
-    _seed_level_failures(seed, sel, fail)
+    for check, w in _node_failures(seed, range(seed.k), sel).items():
+        fail[(check, ())] = w
 
     want_classical = "q1_oracle" in sel
     cs0 = classical_shadow(seed) if want_classical else None
@@ -304,7 +301,9 @@ def run_suite(seed: QuantumSeed, sequences, checks=None, meta=None) -> CheckRepo
                         "step %d (direction %d): variables %s disagree with "
                         "the classical shadow"
                         % (len(child), k + 1, [i + 1 for i in bad]))
-            _step_failures(cur, new_seed, parts, child, sel, fail, d_expect)
+            step_txt = "step %d (direction %d)" % (len(child), k + 1)
+            for check, w in _node_failures(new_seed, (k,), sel, cur, parts).items():
+                fail[(check, child)] = "%s: %s" % (step_txt, w)
             stack.append((child, new_seed, new_cs))
     elapsed = time.monotonic() - t0
 

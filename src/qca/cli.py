@@ -121,6 +121,17 @@ def _cache_dir() -> str:
     )
 
 
+def _cache_usage(path: str) -> tuple[int, int]:
+    """(entries, total bytes) of the result cache; (0, 0) if it is missing."""
+    try:
+        with os.scandir(path) as it:
+            sizes = [e.stat().st_size for e in it
+                     if e.name.endswith(".json") and not e.name.startswith(".")]
+    except (FileNotFoundError, NotADirectoryError):
+        return 0, 0
+    return len(sizes), sum(sizes)
+
+
 def _cache_key(payload: dict) -> str:
     payload = dict(payload)
     payload["engine"] = __version__
@@ -231,6 +242,8 @@ def cmd_info(args) -> int:
     _say("arithmetic: %s; Z[v^+-1] coefficients packed into integers "
          "(Kronecker substitution, digit width from a proven L1 bound)" % KERNEL_BACKEND)
     _say("cache dir: %s" % _cache_dir())
+    n_entries, n_bytes = _cache_usage(_cache_dir())
+    _say("cache: %d entries, %d bytes" % (n_entries, n_bytes))
     if getattr(args, "seed", None):
         seed = seed_from_json(_load_json(args.seed))
         _seed_summary(seed)

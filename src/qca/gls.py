@@ -35,7 +35,7 @@ from .cartan import (
     weyl_apply,
 )
 from .errors import EngineInvariantError
-from .seeds import BMatrix, QuantumSeed, check_compatible
+from .seeds import BMatrix, QuantumSeed, balance_witness, parity_witness
 from .torus import LMatrix
 
 __all__ = [
@@ -232,38 +232,19 @@ def lambda_matrix(cartan: CartanDatum, g: GLSData) -> LMatrix:
 def build_initial_seed(cartan: CartanDatum, word: WeylWord) -> QuantumSeed:
     """The initial quantum seed of a reduced word, fully validated.
 
-    Raises NotReducedError for a non-reduced word and EngineInvariantError
-    if any of the integer conditions fails (they never do; each is also
-    exercised separately in the test-suite).
+    QuantumSeed.initial checks compatibility, q-commutation and homogeneity;
+    parity and weight balance use the witness functions that verify uses.
+    Raises NotReducedError for a non-reduced word, IncompatibleError or
+    EngineInvariantError if an integer condition fails (they never do; each
+    is also exercised separately in the test-suite).
     """
     g = analyze_word(cartan, word)
     quiver = build_quiver(cartan, g)
     bmat = quiver_to_b(quiver, g.r, g.exchangeable)
     lmat = lambda_matrix(cartan, g)
 
-    d_val = check_compatible(lmat, bmat)
-    if d_val is not None and d_val != 2:
-        raise EngineInvariantError(
-            "initial pair has compatibility degree %d, expected 2" % d_val
-        )
-    for i in range(g.r):
-        for j in range(i):
-            pairing = pair_weight_root(cartan, g.d[i], g.d[j].as_root())
-            if (lmat.entry(i, j) - pairing) % 2:
-                raise EngineInvariantError(
-                    "parity fails at (%d, %d): lambda = %d, (d_i, d_j) = %d"
-                    % (i + 1, j + 1, lmat.entry(i, j), pairing)
-                )
-    zero = Weight.zero(cartan.n)
-    for k in g.exchangeable:
-        acc = zero
-        for i in range(g.r):
-            b = bmat.entry(i, k)
-            if b:
-                acc = acc + g.d[i].scale(b)
-        if acc != zero:
-            raise EngineInvariantError(
-                "weight balance fails in column %d" % (k + 1)
-            )
-
-    return QuantumSeed.initial(lmat, bmat, g.d, cartan=cartan)
+    seed = QuantumSeed.initial(lmat, bmat, g.d, cartan=cartan)
+    witness = parity_witness(seed, range(g.r)) or balance_witness(seed, range(g.r))
+    if witness:
+        raise EngineInvariantError(witness)
+    return seed

@@ -1,4 +1,4 @@
-"""Quantum seeds and their mutation.
+"""Quantum seeds, their mutation, and one witness function per seed invariant.
 
 A seed is a compatible pair (L, B~) together with one quantum-torus element
 per index (the cluster variables, all expressed in the *initial* torus), a
@@ -10,20 +10,28 @@ direction k replaces
 where M', M'' are the normalized cluster monomials with exponents e_k + a',
 e_k + a'' built from the exchange column of B~, and p', p'' are the
 v-exponents produced by commuting vars_k across those monomials
-(p = sum_i a_i lambda^cur_{ki}).  Compatibility forces p' - p'' = 2, which
-the engine asserts at every step along with q-commutation and homogeneity
-of the new variable.
+(p = sum_i a_i lambda^cur_{ki}).  Compatibility of degree 2 forces
+p' - p'' = 2.
 
-All of this is exact; nothing is floating point.  Matrix and d-vector
-mutation are each computed by two different formulas (matrix products
-against closed forms) and cross-checked.
+Each seed invariant has one implementation here: check_compatible (degree
+2) and the witness functions for q-commutation, homogeneity, parity and
+weight balance.  A witness function takes the seed and the indices to
+examine (every index at a starting seed, (k,) after a step in direction k)
+and returns a witness string or None; mutate, the checks of checks.py and
+the GLS build call the same functions.  mutate certifies every step:
+compatibility of degree 2, and q-commutation and homogeneity of the new
+variable per mu_k(L) and mu_k(D).  Matrix mutation uses the entrywise
+closed forms only; the matrix-product route (E^T L E, E B~ F) is an
+independent oracle in checks.py.
+
+All of this is exact; nothing is floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .cartan import CartanDatum, Weight
+from .cartan import CartanDatum, Weight, pair_weight_root
 from .errors import EngineInvariantError, IncompatibleError
 from .torus import LMatrix, TorusElem, exact_left_div, q_commute_exponent
 
@@ -32,7 +40,10 @@ __all__ = [
     "QuantumSeed",
     "ExchangeParts",
     "check_compatible",
-    "ef_matrices",
+    "qcommute_witness",
+    "homogeneity_witness",
+    "parity_witness",
+    "balance_witness",
     "mutate_matrices",
     "mutate_dvector",
     "exchange_exponents",
@@ -97,13 +108,15 @@ class BMatrix:
 
 
 def check_compatible(lmat: LMatrix, bmat: BMatrix) -> int | None:
-    """The d with sum_t lambda_it b_tj = delta_ij d, else IncompatibleError.
+    """2 if sum_t lambda_it b_tj = 2 delta_ij for all i and exchangeable j,
+    else IncompatibleError with the first failing (i, j).
 
-    Returns None when there are no exchangeable indices (no constraint).
+    Degree 2 is the only one the exchange relation v^{p''}(v^2 M' + M'')
+    supports.  Returns None when there are no exchangeable indices (no
+    constraint).
     """
     if lmat.k != bmat.k:
         raise ValueError("L and B must have the same number of rows")
-    d_val = None
     for jpos, j in enumerate(bmat.ex):
         for i in range(lmat.k):
             s = sum(
@@ -112,66 +125,85 @@ def check_compatible(lmat: LMatrix, bmat: BMatrix) -> int | None:
                 if bmat.rows[t][jpos]
             )
             if i == j:
-                if s <= 0:
-                    raise IncompatibleError((i, j), "diagonal value %d is not positive" % s)
-                if d_val is None:
-                    d_val = s
-                elif s != d_val:
-                    raise IncompatibleError(
-                        (i, j), "diagonal values %d and %d differ" % (d_val, s)
-                    )
+                if s != 2:
+                    raise IncompatibleError((i, j), "diagonal value %d, not 2" % s)
             elif s != 0:
                 raise IncompatibleError((i, j), "off-diagonal value %d" % s)
-    return d_val
+    return 2 if bmat.ex else None
 
 
-def ef_matrices(bmat: BMatrix, k: int):
-    """The involutive mutation matrices (E, F) in direction k.
+def _pairs(n: int, idx):
+    """Each unordered pair {i, j} with i in idx and j in 0..n-1, once, as (i, j).
 
-    E is K x K and differs from the identity only in column k; F is
-    |K_ex| x |K_ex| and differs from the identity only in row k.  E^2 = 1.
+    For idx = every index these are the pairs j < i.
     """
-    n = bmat.k
-    col = bmat.column(k)
-    e_rows = []
-    for i in range(n):
-        row = [1 if i == j else 0 for j in range(n)]
-        row[k] = -1 if i == k else max(0, -col[i])
-        e_rows.append(tuple(row))
-    kpos = bmat.pos(k)
-    f_rows = []
-    for ipos in range(len(bmat.ex)):
-        row = [1 if ipos == jpos else 0 for jpos in range(len(bmat.ex))]
-        if ipos == kpos:
-            for jpos in range(len(bmat.ex)):
-                row[jpos] = -1 if jpos == kpos else max(0, bmat.rows[k][jpos])
-        f_rows.append(tuple(row))
-    return tuple(e_rows), tuple(f_rows)
+    for i in idx:
+        for j in range(n):
+            if j != i and not (j > i and j in idx):
+                yield i, j
 
 
-def _matmul(a, b):
-    n, m = len(a), len(b[0])
-    inner = len(b)
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(m))
-        for i in range(n)
-    )
+def qcommute_witness(seed: "QuantumSeed", idx) -> str | None:
+    """First pair with vars_j vars_i != q^{lambda_ji} vars_i vars_j (current L)."""
+    for i, j in _pairs(seed.k, idx):
+        gamma = q_commute_exponent(seed.vars[j], seed.vars[i])
+        if gamma != seed.lmat.entry(j, i):
+            return "q-commutation of variables (%d, %d): got %s, L says %d" % (
+                j + 1, i + 1, gamma, seed.lmat.entry(j, i))
+    return None
 
 
-def _transpose(a):
-    return tuple(tuple(row[i] for row in a) for i in range(len(a[0])))
+def homogeneity_witness(seed: "QuantumSeed", idx) -> str | None:
+    """First variable in idx that is not homogeneous of its D weight."""
+    for i in idx:
+        if homogeneous_weight(seed.vars[i], seed.d_init) != seed.dvec[i]:
+            return "variable %d is not homogeneous of weight D_%d" % (i + 1, i + 1)
+    return None
+
+
+def parity_witness(seed: "QuantumSeed", idx) -> str | None:
+    """First pair with lambda_ij != (d_i, d_j) mod 2; needs the Cartan datum."""
+    if seed.cartan is None:
+        return "parity needs the Cartan datum (seed carries none)"
+    for i, j in _pairs(seed.k, idx):
+        if not (seed.dvec[i].is_root_lattice() and seed.dvec[j].is_root_lattice()):
+            return "D entries outside the root lattice at (%d, %d)" % (i + 1, j + 1)
+        pairing = pair_weight_root(seed.cartan, seed.dvec[i], seed.dvec[j].as_root())
+        if (seed.lmat.entry(i, j) - pairing) % 2:
+            return "lambda_%d%d = %d but (d_i, d_j) = %d" % (
+                i + 1, j + 1, seed.lmat.entry(i, j), pairing)
+    return None
+
+
+def balance_witness(seed: "QuantumSeed", idx) -> str | None:
+    """First exchangeable column j with sum_i b_ij d_i != 0, among the
+    columns that involve an index of idx (j in idx, or b_ij != 0 for some i
+    in idx).  A step in direction k changes only column k, the columns
+    with b_kj != 0 and d_k, so (k,) re-examines every changed column."""
+    zero = Weight.zero(seed.dvec[0].n)
+    for jpos, j in enumerate(seed.ex):
+        col = [row[jpos] for row in seed.bmat.rows]
+        if j not in idx and not any(col[i] for i in idx):
+            continue
+        acc = zero
+        for i, b in enumerate(col):
+            if b:
+                acc = acc + seed.dvec[i].scale(b)
+        if acc != zero:
+            return "column %d does not balance" % (j + 1)
+    return None
 
 
 def mutate_matrices(lmat: LMatrix, bmat: BMatrix, k: int):
-    """(mu_k L, mu_k B~) = (E^T L E, E B~ F), cross-checked against the
-    entrywise closed forms.  A disagreement is an engine bug."""
+    """(mu_k L, mu_k B~) by the entrywise closed forms.
+
+    The matrix-product route (E^T L E, E B~ F) is an independent oracle in
+    checks.py; mutate certifies the result through compatibility and
+    q-commutation against mu_k(L).
+    """
     if k not in bmat.ex:
         raise ValueError("direction %d is frozen" % (k + 1))
-    e_mat, f_mat = ef_matrices(bmat, k)
     n = bmat.k
-    lp_matrix = _matmul(_transpose(e_mat), _matmul(lmat.rows, e_mat))
-    bp_matrix = _matmul(_matmul(e_mat, bmat.rows), f_mat)
-
     col = bmat.column(k)
     lp_closed = [list(row) for row in lmat.rows]
     for j in range(n):
@@ -196,15 +228,7 @@ def mutate_matrices(lmat: LMatrix, bmat: BMatrix, k: int):
                 sign = -1 if b_ik < 0 else 1
                 row.append(b_ij + sign * max(b_ik * b_kj, 0))
         bp_closed.append(tuple(row))
-    bp_closed = tuple(bp_closed)
-
-    if lp_matrix != lp_closed or bp_matrix != bp_closed:
-        raise EngineInvariantError(
-            "matrix mutation mismatch in direction %d: "
-            "E^T L E vs closed form %s, E B F vs closed form %s"
-            % (k + 1, lp_matrix == lp_closed, bp_matrix == bp_closed)
-        )
-    return LMatrix(lp_closed), BMatrix(bp_closed, bmat.ex)
+    return LMatrix(lp_closed), BMatrix(tuple(bp_closed), bmat.ex)
 
 
 def mutate_dvector(dvec, bmat: BMatrix, k: int):
@@ -327,22 +351,16 @@ class QuantumSeed:
 
     def validate_full(self) -> None:
         """Compatibility, pairwise q-commutation per L, homogeneity per D."""
-        check_compatible(self.lmat, self.bmat)
-        n = self.k
-        for i in range(n):
-            for j in range(i + 1, n):
-                gamma = q_commute_exponent(self.vars[i], self.vars[j])
-                if gamma != self.lmat.entry(i, j):
-                    raise EngineInvariantError(
-                        "q-commutation of variables (%d, %d): got %s, L says %d"
-                        % (i + 1, j + 1, gamma, self.lmat.entry(i, j))
-                    )
-        for i in range(n):
-            w = homogeneous_weight(self.vars[i], self.d_init)
-            if w != self.dvec[i]:
-                raise EngineInvariantError(
-                    "variable %d is not homogeneous of weight D_%d" % (i + 1, i + 1)
-                )
+        w = _step_witness(self, range(self.k))
+        if w:
+            raise EngineInvariantError(w)
+
+
+def _step_witness(seed: QuantumSeed, idx) -> str | None:
+    """What mutate certifies: compatibility (raises IncompatibleError),
+    then the first q-commutation or homogeneity witness over idx."""
+    check_compatible(seed.lmat, seed.bmat)
+    return qcommute_witness(seed, idx) or homogeneity_witness(seed, idx)
 
 
 def cluster_monomial(seed: QuantumSeed, a) -> TorusElem:
@@ -456,37 +474,17 @@ def _mutate_unchecked(seed: QuantumSeed, k: int):
 def mutate(seed: QuantumSeed, k: int) -> QuantumSeed:
     """Mutation in direction k, with every changed invariant re-checked:
 
-    - compatibility of (mu_k L, mu_k B~) with the same d,
+    - compatibility of degree 2 of (mu_k L, mu_k B~),
     - q-commutation of the new variable against all others per mu_k(L),
     - homogeneity of the new variable of weight mu_k(D)_k.
 
     Unchanged pairs need no re-check (their variables and L entries are
     untouched), so this is a full revalidation given a valid input seed.
     """
-    d_before = check_compatible(seed.lmat, seed.bmat)
-    new_seed, parts = _mutate_unchecked(seed, k)
-    d_after = check_compatible(new_seed.lmat, new_seed.bmat)
-    if d_after != d_before:
-        raise EngineInvariantError(
-            "compatibility degree changed from %s to %s in direction %d"
-            % (d_before, d_after, k + 1)
-        )
-    for j in range(seed.k):
-        if j == k:
-            continue
-        gamma = q_commute_exponent(new_seed.vars[j], parts.new_var)
-        expected = new_seed.lmat.entry(j, k)
-        if gamma != expected:
-            raise EngineInvariantError(
-                "new variable in direction %d fails q-commutation with "
-                "variable %d: got %s, mu_k(L) says %d" % (k + 1, j + 1, gamma, expected)
-            )
-    w = homogeneous_weight(parts.new_var, seed.d_init)
-    if w != new_seed.dvec[k]:
-        raise EngineInvariantError(
-            "new variable in direction %d is not homogeneous of weight mu_k(D)_k"
-            % (k + 1)
-        )
+    new_seed, _ = _mutate_unchecked(seed, k)
+    w = _step_witness(new_seed, (k,))
+    if w:
+        raise EngineInvariantError("mutation in direction %d: %s" % (k + 1, w))
     return new_seed
 
 

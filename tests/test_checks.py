@@ -71,6 +71,16 @@ def test_default_sequences_shape(a2_seed, a3_seed):
     )
 
 
+def test_default_sequences_cap(a2_seed, a3_seed):
+    # the enumeration size is computed first, so huge depths return at once
+    assert len(default_sequences(a3_seed, depth=6, n_random=0)) == 3 ** 7 // 2 - 1
+    for seed in (a2_seed, a3_seed):
+        with pytest.raises(ValueError, match="enumerates more than"):
+            default_sequences(seed, depth=10 ** 9)
+    with pytest.raises(ValueError, match="depth"):
+        default_sequences(a3_seed, depth=-1)
+
+
 def test_full_suite_passes(a2_seed):
     report = run_suite(a2_seed, default_sequences(a2_seed))
     assert report.passed
@@ -166,6 +176,22 @@ def test_fault_lambda_mutation(a2_seed):
     report = run_suite(bad, [(0,)], checks=["lambda_mutation"])
     assert not report.passed
     assert "q-commutation" in first_failure(report, "lambda_mutation").witness
+
+
+def test_fault_matrix_route(a2_seed, monkeypatch):
+    # a closed form that drifts from E B~ F in a frozen row is caught by the
+    # independent matrix route that lambda_mutation evaluates at each step
+    closed = qca.seeds.mutate_matrices
+
+    def drifted(lmat, bmat, k):
+        lp, bp = closed(lmat, bmat, k)
+        rows = [list(r) for r in bp.rows]
+        rows[-1][0] += 1
+        return lp, qca.BMatrix.from_rows(rows, bp.ex)
+
+    monkeypatch.setattr(qca.seeds, "mutate_matrices", drifted)
+    report = run_suite(a2_seed, [(0,)], checks=["lambda_mutation"])
+    assert "E B F differs" in first_failure(report, "lambda_mutation").witness
 
 
 def test_fault_homogeneity(a2_seed):

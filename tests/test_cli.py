@@ -185,6 +185,21 @@ def test_verify_unknown_check(tmp_path, capsys):
     assert "bogus" in err
 
 
+def test_verify_refuses_explosive_depth(tmp_path, capsys):
+    # the enumeration size is computed before anything is enumerated:
+    # 2^64 Kronecker sequences, or 64 * 65 / 2 * 10^3 directions on A2's
+    # single exchangeable direction, are refused at once with exit 2
+    kron = write_input(tmp_path, *SEED_CASES["aff"])
+    code, out, err = run(capsys, ["verify", "--cartan", kron, "--depth", "64"])
+    assert code == 2 and out == ""
+    assert "enumerates more than" in err
+    a2 = write_input(tmp_path, *SEED_CASES["a2"])
+    code, _, err = run(capsys, ["verify", "--cartan", a2, "--depth", "2000"])
+    assert code == 2 and "enumerates more than" in err
+    code, _, err = run(capsys, ["verify", "--cartan", a2, "--depth", "-1"])
+    assert code == 2 and "depth" in err
+
+
 def test_export_roundtrip(tmp_path, capsys):
     seed_path = tmp_path / "seed.json"
     seed_path.write_text(json.dumps(seed_to_json(make_seed("a2"))))
@@ -226,6 +241,21 @@ def test_info(tmp_path, capsys):
     code, _, err = run(capsys, ["info", "--seed", str(seed_path)])
     assert code == 0
     assert "4" in err
+
+
+def test_info_reports_cache_usage(tmp_path, capsys):
+    code, _, err = run(capsys, ["info"])
+    assert code == 0 and "cache: 0 entries, 0 bytes" in err  # no directory yet
+    inp = write_input(tmp_path, *SEED_CASES["a2"])
+    for seq in ("1", "1,1"):
+        code, _, _ = run(capsys, ["mutate", "--cartan", inp, "--seq", seq])
+        assert code == 0
+    cache = tmp_path / "cache"
+    n_bytes = sum(p.stat().st_size for p in cache.iterdir())
+    (cache / ".tmp-unfinished.json").write_text("{")  # an interrupted write
+    code, _, err = run(capsys, ["info"])
+    assert code == 0
+    assert "cache: 2 entries, %d bytes" % n_bytes in err
 
 
 def test_missing_file(tmp_path, capsys):

@@ -1,0 +1,150 @@
+"""One home per seed invariant: the witness functions that mutate, verify
+and the GLS build share, and a property sweep over random symmetric GCMs."""
+
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qca
+from qca.cartan import Weight
+from qca.checks import default_sequences, run_suite
+from qca.errors import EngineInvariantError, IncompatibleError
+from qca.seeds import (
+    QuantumSeed,
+    balance_witness,
+    check_compatible,
+    homogeneity_witness,
+    mutate,
+    parity_witness,
+    qcommute_witness,
+)
+from qca.torus import LMatrix
+
+from conftest import SEED_CASES, make_seed
+
+WITNESSES = (qcommute_witness, homogeneity_witness, parity_witness, balance_witness)
+
+
+def doubled_l(seed):
+    return LMatrix.from_rows([[2 * x for x in row] for row in seed.lmat.rows])
+
+
+def step_failure(report, check, sequence):
+    return next(e for e in report.entries if e.check == check and e.sequence == sequence)
+
+
+def test_degree_four_pair_is_incompatible():
+    # 2L still satisfies sum_t lambda_it b_tj = delta_ij d, but with d = 4;
+    # the exchange relation v^{p''}(v^2 M' + M'') needs d = 2
+    seed = make_seed("a2")
+    lam = doubled_l(seed)
+    with pytest.raises(IncompatibleError) as info:
+        check_compatible(lam, seed.bmat)
+    assert info.value.witness == (0, 0)
+    assert "diagonal value 4" in str(info.value)
+    with pytest.raises(IncompatibleError):
+        QuantumSeed.initial(lam, seed.bmat, seed.dvec, cartan=seed.cartan)
+    report = run_suite(replace(seed, lmat=lam), [(0,)], checks=["compatible"])
+    entry = step_failure(report, "compatible", ())
+    assert entry.status == "fail" and "diagonal value 4" in entry.witness
+
+
+def test_witnesses_pass_on_fixture_seeds():
+    for key in SEED_CASES:
+        seed = make_seed(key)
+        every = range(seed.k)
+        assert check_compatible(seed.lmat, seed.bmat) == 2
+        assert all(w(seed, every) is None for w in WITNESSES)
+        for k in seed.ex:
+            child = mutate(seed, k)
+            assert all(w(child, (k,)) is None for w in WITNESSES)
+
+
+def test_witness_texts():
+    seed = make_seed("a2")
+    every = range(seed.k)
+    swapped = replace(seed, vars=(seed.vars[1], *seed.vars[1:]))
+    assert "q-commutation of variables (1, 2)" in qcommute_witness(swapped, every)
+    rows = [list(r) for r in seed.lmat.rows]
+    rows[1][2], rows[2][1] = 2, -2
+    bad_l = replace(seed, lmat=LMatrix.from_rows(rows))
+    assert qcommute_witness(bad_l, every) == (
+        "q-commutation of variables (2, 3): got 0, L says 2")
+    # only the pairs involving an index of idx are examined
+    assert qcommute_witness(bad_l, (0,)) is None
+    dvec = list(seed.dvec)
+    dvec[1] = Weight((0, 0), (2, 0))
+    bad_d = replace(seed, dvec=tuple(dvec))
+    assert homogeneity_witness(bad_d, every) == "variable 2 is not homogeneous of weight D_2"
+    assert balance_witness(bad_d, every) == "column 1 does not balance"
+    assert balance_witness(bad_d, (1,)) == "column 1 does not balance"  # b_21 != 0
+    rows = [list(r) for r in seed.lmat.rows]
+    rows[1][2], rows[2][1] = 1, -1
+    assert parity_witness(replace(seed, lmat=LMatrix.from_rows(rows)), every).startswith(
+        "lambda_32 = -1")
+    assert "Cartan" in parity_witness(replace(seed, cartan=None), every)
+
+
+def test_mutate_and_verify_share_the_homogeneity_witness():
+    seed = make_seed("a2")
+    dvec = list(seed.dvec)
+    dvec[0] = Weight((0, 0), (2, 0))
+    bad = replace(seed, dvec=tuple(dvec))
+    report = run_suite(bad, [(0,)], checks=["homogeneity"])
+    at_root = step_failure(report, "homogeneity", ()).witness
+    at_step = step_failure(report, "homogeneity", (1,)).witness
+    prefix = "step 1 (direction 1): "
+    assert at_step.startswith(prefix)
+    with pytest.raises(EngineInvariantError) as info:
+        mutate(bad, 0)
+    assert at_step[len(prefix):] in str(info.value)
+    assert at_root in str(info.value)
+
+
+def test_mutate_certifies_q_commutation():
+    # X_3 replaced by X_3 X_2: the division still succeeds, but the new
+    # variable no longer q-commutes with it as mu_1(L) says
+    seed = make_seed("a2")
+    bad = replace(seed, vars=(seed.vars[0], seed.vars[1], seed.vars[2] * seed.vars[1]))
+    with pytest.raises(EngineInvariantError, match="q-commutation of variables"):
+        mutate(bad, 0)
+
+
+def test_gls_build_raises_on_a_witness(monkeypatch):
+    # the build asserts parity and balance through the shared functions
+    monkeypatch.setattr(qca.gls, "balance_witness", lambda seed, idx: "column 9 does not balance")
+    with pytest.raises(EngineInvariantError, match="column 9"):
+        make_seed("a2")
+
+
+@st.composite
+def gcm_and_word(draw):
+    """A random symmetric GCM of rank 2-4 and a reduced word of length 3-6 (shorter
+    when a finite Weyl group runs out of longer reduced words)."""
+    n = draw(st.integers(2, 4))
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            rows[i][j] = rows[j][i] = draw(st.sampled_from((0, -1, -2, -3)))
+    cartan = qca.CartanDatum.from_rows(rows)
+    letters = ()
+    for _ in range(draw(st.integers(3, 6))):
+        keep = [a for a in range(n) if qca.is_reduced(cartan, qca.WeylWord(letters + (a,)))]
+        if not keep:
+            break  # the longest element of a finite Weyl group
+        letters += (draw(st.sampled_from(keep)),)
+    return cartan, qca.WeylWord(letters)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(gcm_and_word())
+def test_random_symmetric_gcms(case):
+    cartan, word = case
+    seed = qca.build_initial_seed(cartan, word)
+    every = range(seed.k)
+    assert check_compatible(seed.lmat, seed.bmat) == (2 if seed.ex else None)
+    assert all(w(seed, every) is None for w in WITNESSES)
+    report = run_suite(seed, default_sequences(seed, depth=2, n_random=0))
+    assert report.passed, [(e.check, e.sequence, e.witness) for e in report.failures()]

@@ -7,13 +7,13 @@ import pytest
 
 import qca
 from qca.cartan import Weight
+from qca.checks import ef_matrices
 from qca.errors import EngineInvariantError, IncompatibleError
 from qca.seeds import (
     BMatrix,
     QuantumSeed,
     check_compatible,
     cluster_monomial,
-    ef_matrices,
     exchange_exponents,
     exchange_parts,
     homogeneous_weight,
@@ -111,6 +111,23 @@ def test_mutate_matrices_is_et_l_e():
             expect = matmul(matmul(et, seed.lmat.rows), e)
             l2, _ = mutate_matrices(seed.lmat, seed.bmat, k)
             assert l2.rows == expect
+
+
+def test_mutate_matrices_is_e_b_f():
+    # the matrix route for B: mu_k(B~) = E B~ F, along every path of depth <= 3
+    for key in SEED_CASES:
+        seed = make_seed(key)
+        level = [(seed.lmat, seed.bmat)]
+        for _ in range(3):
+            nxt = []
+            for lmat, bmat in level:
+                for k in bmat.ex:
+                    e, f = ef_matrices(bmat, k)
+                    l2, b2 = mutate_matrices(lmat, bmat, k)
+                    assert b2.rows == matmul(matmul(e, bmat.rows), f)
+                    assert l2.rows == matmul(matmul(tuple(zip(*e)), lmat.rows), e)
+                    nxt.append((l2, b2))
+            level = nxt
 
 
 def test_mutate_matrices_involutive():
