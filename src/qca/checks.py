@@ -18,13 +18,16 @@ import time
 from dataclasses import dataclass, field
 
 from .classical import classical_shadow, classical_mutate, compare_q1
-from .errors import EngineInvariantError, IncompatibleError, NotDivisibleError
+from .errors import IncompatibleError, NotDivisibleError
 from .seeds import (
     QuantumSeed,
+    _exchange_terms,
     _mutate_unchecked,
     balance_witness,
     check_compatible,
     homogeneity_witness,
+    mutate_dvector,
+    mutate_matrices,
     parity_witness,
     qcommute_witness,
 )
@@ -152,8 +155,16 @@ def ef_matrices(bmat, k: int):
 
 
 def _matmul(a, b):
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+    """a b, each row a combination of the rows of b weighted by the nonzero
+    entries of that row of a (E and F are mostly zero)."""
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        for x, brow in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, brow)]
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def _matrix_route_witness(parent: QuantumSeed, node: QuantumSeed, k: int) -> str | None:
@@ -222,12 +233,13 @@ def _node_failures(node: QuantumSeed, idx, selected, parent=None, parts=None) ->
             out["lambda_mutation"] = (_matrix_route_witness(parent, node, k)
                                       or qcommute_witness(node, idx))
         if "involutivity" in selected:
-            try:
-                back, _ = _mutate_unchecked(node, k)
-                if back != parent:
-                    out["involutivity"] = "mutating back does not restore the seed"
-            except (NotDivisibleError, EngineInvariantError) as e:
-                out["involutivity"] = "back-mutation failed (%s)" % e
+            # the torus is a domain, so the back division returns parent.vars[k]
+            # exactly when one product equals the back numerator
+            *_, m_pos, m_neg = _exchange_terms(node, k)
+            if (mutate_matrices(node.lmat, node.bmat, k) != (parent.lmat, parent.bmat)
+                    or mutate_dvector(node.dvec, node.bmat, k) != parent.dvec
+                    or node.vars[k] * parent.vars[k] != m_pos + m_neg):
+                out["involutivity"] = "mutating back does not restore the seed"
     return {c: w for c, w in out.items() if w}
 
 
@@ -286,11 +298,6 @@ def run_suite(seed: QuantumSeed, sequences, checks=None, meta=None) -> CheckRepo
                 fail[("laurent", child)] = (
                     "step %d (direction %d): %s" % (len(child), k + 1, e))
                 pruned[child] = "division failed at step %d" % len(child)
-                continue
-            except EngineInvariantError as e:
-                fail[("exchange_identity", child)] = (
-                    "step %d (direction %d): %s" % (len(child), k + 1, e))
-                pruned[child] = "mutation aborted at step %d" % len(child)
                 continue
             new_cs = None
             if want_classical:

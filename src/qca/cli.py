@@ -142,18 +142,20 @@ def cmd_mutate(args) -> int:
     seq = _parse_csv_ints(args.seq, "--seq")
     if getattr(args, "seed", None):
         start = seed_from_json(_load_json(args.seed))
+        n = start.k
         key_payload = {"seed": seed_to_json(start), "seq": list(seq)}
     else:
+        start = None  # the GLS seed is built on a cache miss only
         cartan, word = _load_cartan_word(args)
-        start = build_initial_seed(cartan, word)
+        n = word.r
         key_payload = {
             "cartan": [list(r) for r in cartan.a],
             "word": list(word.to_one_based()),
             "seq": list(seq),
         }
     for k in seq:
-        if not 1 <= k <= start.k:
-            raise ValueError("direction %d outside 1..%d" % (k, start.k))
+        if not 1 <= k <= n:
+            raise ValueError("direction %d outside 1..%d" % (k, n))
 
     key = _cache_key(key_payload)
     cache_path = os.path.join(_cache_dir(), key + ".json")
@@ -173,6 +175,8 @@ def cmd_mutate(args) -> int:
             _say("cache hit %s" % key[:16])
             return 0
 
+    if start is None:
+        start = build_initial_seed(cartan, word)
     result = mutate_seq(start, tuple(k - 1 for k in seq))
     text = pretty_dumps(seed_to_json(result))
     if not args.no_cache:

@@ -302,9 +302,11 @@ class QuantumSeed:
             and len(self.vars) == n
         ):
             raise ValueError("seed components disagree on the index set size")
-        for x in self.vars:
+        for i, x in enumerate(self.vars):
             if x.ambient != self.l_init:
                 raise ValueError("cluster variable lives in the wrong torus")
+            if x.is_zero():
+                raise ValueError("cluster variable %d is zero" % (i + 1))
 
     @property
     def k(self) -> int:
@@ -413,12 +415,14 @@ class ExchangeParts:
     new_var: TorusElem
 
 
-def exchange_parts(seed: QuantumSeed, k: int) -> ExchangeParts:
-    """Compute the exchange in direction k inside the initial torus.
+def _exchange_terms(seed: QuantumSeed, k: int):
+    """(a', a'', p', p'', v^{p'} M', v^{p''} M''), the ExchangeParts fields
+    a_pos to m_neg in order: the two shifted monomials of the exchange
+    relation in direction k, computed without division.
 
     The commuting prefactors come from X_k X^a = v^{sum_i a_i lambda_ki}
-    X^{e_k + a}, applied with the *current* L; compatibility forces
-    shift_pos - shift_neg = 2, which is asserted here.
+    X^{e_k + a}, applied with the *current* L.  p' - p'' = (L B~)_kk, so
+    check_compatible is the test that it is 2.
     """
     a_pos, a_neg = exchange_exponents(seed.bmat, k)
     c_pos = tuple(x + (1 if i == k else 0) for i, x in enumerate(a_pos))
@@ -426,26 +430,18 @@ def exchange_parts(seed: QuantumSeed, k: int) -> ExchangeParts:
     lcur = seed.lmat
     shift_pos = sum(a_pos[i] * lcur.entry(k, i) for i in range(seed.k) if a_pos[i])
     shift_neg = sum(a_neg[i] * lcur.entry(k, i) for i in range(seed.k) if a_neg[i])
-    if shift_pos - shift_neg != 2:
-        raise EngineInvariantError(
-            "exchange prefactors in direction %d differ by %d, not 2 "
-            "(compatibility is broken)" % (k + 1, shift_pos - shift_neg)
-        )
     m_pos = _realize_monomial(lcur, seed.vars, c_pos).v_shift(shift_pos)
     m_neg = _realize_monomial(lcur, seed.vars, c_neg).v_shift(shift_neg)
-    numerator = m_pos + m_neg
-    new_var = exact_left_div(seed.vars[k], numerator)
-    return ExchangeParts(
-        k=k,
-        a_pos=a_pos,
-        a_neg=a_neg,
-        shift_pos=shift_pos,
-        shift_neg=shift_neg,
-        m_pos=m_pos,
-        m_neg=m_neg,
-        numerator=numerator,
-        new_var=new_var,
-    )
+    return a_pos, a_neg, shift_pos, shift_neg, m_pos, m_neg
+
+
+def exchange_parts(seed: QuantumSeed, k: int) -> ExchangeParts:
+    """The exchange in direction k inside the initial torus: the exponents,
+    shifts and shifted monomials, their sum (the numerator) and its exact
+    left quotient by vars_k (the new variable)."""
+    terms = _exchange_terms(seed, k)
+    numerator = terms[-2] + terms[-1]
+    return ExchangeParts(k, *terms, numerator, exact_left_div(seed.vars[k], numerator))
 
 
 def mutate_variable(seed: QuantumSeed, k: int) -> TorusElem:
@@ -480,6 +476,9 @@ def mutate(seed: QuantumSeed, k: int) -> QuantumSeed:
 
     Unchanged pairs need no re-check (their variables and L entries are
     untouched), so this is a full revalidation given a valid input seed.
+    An incompatible input fails the same compatibility check: the step is
+    (L, B~) -> (E^T L E, E B~ F) with E, F invertible, so B~'^T L' =
+    F^T (B~^T L) E is compatible only if B~^T L was.
     """
     new_seed, _ = _mutate_unchecked(seed, k)
     w = _step_witness(new_seed, (k,))

@@ -168,7 +168,7 @@ def test_fault_exchange_identity(a2_seed):
     assert not report.passed
     entry = first_failure(report, "exchange_identity")
     assert entry.sequence == (1,)
-    assert "differ by 0" in entry.witness
+    assert "v^2 M'" in entry.witness
 
 
 def test_fault_lambda_mutation(a2_seed):
@@ -231,7 +231,7 @@ def test_fault_q1_oracle(a2_seed):
     assert "classical" in first_failure(report, "q1_oracle").witness
 
 
-def test_fault_involutivity(a2_seed):
+def test_fault_involutivity(a2_seed, a3_seed, monkeypatch):
     # an unbalanced D column makes the d-vector round trip drift
     dvec = list(a2_seed.dvec)
     dvec[1] = Weight((0, 0), (2, 0))
@@ -239,6 +239,31 @@ def test_fault_involutivity(a2_seed):
     report = run_suite(bad, [(0,)], checks=["involutivity"])
     assert not report.passed
     assert "restore" in first_failure(report, "involutivity").witness
+    # a new variable off by a factor v passes the matrix and D round trip and
+    # is caught by the one product against the back numerator
+    exact = qca.seeds.exchange_parts
+
+    def off_by_v(seed, k):
+        parts = exact(seed, k)
+        return replace(parts, new_var=parts.new_var.v_shift(1))
+
+    # a forward closed form that drifts in a frozen row of another column
+    # leaves the back numerator in direction 1 alone but does not round-trip
+    closed = qca.seeds.mutate_matrices
+
+    def drifted(lmat, bmat, k):
+        lp, bp = closed(lmat, bmat, k)
+        rows = [list(r) for r in bp.rows]
+        rows[-1][-1] += 1
+        return lp, qca.BMatrix.from_rows(rows, bp.ex)
+
+    for name, fault, seed in (("exchange_parts", off_by_v, a2_seed),
+                              ("mutate_matrices", drifted, a3_seed)):
+        with monkeypatch.context() as m:
+            m.setattr(qca.seeds, name, fault)
+            report = run_suite(seed, [(0,)], checks=["involutivity"])
+        assert not report.passed
+        assert "restore" in first_failure(report, "involutivity").witness
 
 
 def test_fault_bar_invariance(a2_seed):
@@ -250,14 +275,15 @@ def test_fault_bar_invariance(a2_seed):
 
 
 def test_aborted_walk_marks_descendants(a2_seed):
-    # with a broken L the first mutation aborts; the selected checks that
-    # never got to run on that prefix must fail as "not evaluated"
-    bad = flip_l(a2_seed, 0, 1, 1)
+    # with X1 + X2 as variable 1 the first division fails; the selected checks
+    # that never got to run on that prefix must fail as "not evaluated"
+    mixed = a2_seed.vars[0] + a2_seed.vars[1]
+    bad = corrupted(a2_seed, vars=(mixed, *a2_seed.vars[1:]))
     report = run_suite(bad, [(0,), (0, 0)], checks=["compatible", "laurent"])
     assert not report.passed
     by_key = {(e.check, e.sequence): e for e in report.entries}
-    assert "not evaluated" in by_key[("laurent", (1,))].witness
-    assert "not evaluated" in by_key[("laurent", (1, 1))].witness
+    assert "not evaluated" in by_key[("compatible", (1,))].witness
+    assert "not evaluated" in by_key[("compatible", (1, 1))].witness
     assert by_key[("laurent", ())].status == "pass"
 
 

@@ -145,6 +145,49 @@ def test_mutate_rejects_out_of_range(tmp_path, capsys):
     assert code == 2
 
 
+def test_mutate_cache_hit_builds_no_seed(tmp_path, capsys, monkeypatch):
+    # the key comes from (cartan, word, seq), so a hit never needs the seed
+    build = qca.cli.build_initial_seed
+    calls = []
+
+    def build_once(cartan, word):
+        calls.append(word)
+        if len(calls) > 1:
+            raise AssertionError("initial seed built on a cache hit")
+        return build(cartan, word)
+
+    monkeypatch.setattr(qca.cli, "build_initial_seed", build_once)
+    inp = write_input(tmp_path, *SEED_CASES["a3"])
+    argv = ["mutate", "--cartan", inp, "--seq", "1,2"]
+    code1, out1, err1 = run(capsys, argv)
+    code2, out2, err2 = run(capsys, argv)
+    assert (code1, code2) == (0, 0)
+    assert out2 == out1
+    assert "cache store" in err1 and "cache hit" in err2
+    assert len(calls) == 1
+
+
+def test_mutate_rejects_non_reduced_word(tmp_path, capsys):
+    inp = write_input(tmp_path, SEED_CASES["a2"][0], (1, 1))
+    code, out, err = run(capsys, ["mutate", "--cartan", inp, "--seq", "1"])
+    assert code == 2 and out == ""
+    assert "not reduced" in err
+
+
+@pytest.mark.parametrize("zero", [0, 1])
+def test_zero_cluster_variable_is_refused(tmp_path, capsys, zero):
+    # variable 1 is the exchangeable direction of A2, variable 2 is frozen
+    js = seed_to_json(make_seed("a2"))
+    js["vars"][zero] = []
+    seed_path = tmp_path / "z.json"
+    seed_path.write_text(json.dumps(js))
+    for argv in (["mutate", "--seed", str(seed_path), "--seq", "1"],
+                 ["verify", "--seed", str(seed_path), "--depth", "1"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert "cluster variable %d is zero" % (zero + 1) in err
+
+
 def test_verify_passes(tmp_path, capsys):
     inp = write_input(tmp_path, *SEED_CASES["a2"])
     code, out, err = run(capsys, ["verify", "--cartan", inp, "--depth", "3"])
