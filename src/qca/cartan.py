@@ -81,9 +81,6 @@ class CartanDatum:
         a = tuple(tuple(int(x) for x in row) for row in rows)
         return cls(n=len(a), a=a)
 
-    def entry(self, i: int, j: int) -> int:
-        return self.a[i][j]
-
 
 @dataclass(frozen=True)
 class Weight:

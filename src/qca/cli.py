@@ -59,9 +59,15 @@ def _parse_csv_ints(text: str, what: str) -> tuple[int, ...]:
         raise ValueError("%s must be a comma-separated integer list" % what)
 
 
+def _refuse_non_integer(text: str):
+    raise ValueError("non-integer number %s in JSON input" % text)
+
+
 def _load_json(path: str):
+    # loaders call int() on every number, which would truncate 1.5 to 1
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_float=_refuse_non_integer,
+                         parse_constant=_refuse_non_integer)
 
 
 def _load_cartan_word(args) -> tuple[CartanDatum, WeylWord]:

@@ -177,7 +177,7 @@ def build_quiver(cartan: CartanDatum, g: GLSData) -> QuiverArrows:
     for s in range(r):
         for t in range(s + 1, r):
             if t < g.succ[s] < g.succ[t]:
-                mult = abs(cartan.entry(letters[s], letters[t]))
+                mult = abs(cartan.a[letters[s]][letters[t]])
                 if mult:
                     arrows.append((s, t, mult))
     for s in range(r):

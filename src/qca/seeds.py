@@ -20,9 +20,11 @@ examine (every index at a starting seed, (k,) after a step in direction k)
 and returns a witness string or None; mutate, the checks of checks.py and
 the GLS build call the same functions.  mutate certifies every step:
 compatibility of degree 2, and q-commutation and homogeneity of the new
-variable per mu_k(L) and mu_k(D).  Matrix mutation uses the entrywise
-closed forms only; the matrix-product route (E^T L E, E B~ F) is an
-independent oracle in checks.py.
+variable per mu_k(L) and mu_k(D).  Matrix mutation uses closed forms only:
+row k of mu_k(L) is a''^T L and B~ changes entrywise; the matrix-product
+route (E^T L E, E B~ F) is an independent oracle in checks.py.  Every such
+integer identity is a sum of rows of L or of the (flattened) D weights,
+computed by torus._combine_rows.
 
 All of this is exact; nothing is floating point.
 """
@@ -30,10 +32,11 @@ All of this is exact; nothing is floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import mul
 
 from .cartan import CartanDatum, Weight, pair_weight_root
 from .errors import EngineInvariantError, IncompatibleError
-from .torus import LMatrix, TorusElem, exact_left_div, q_commute_exponent
+from .torus import LMatrix, TorusElem, _combine_rows, exact_left_div, q_commute_exponent
 
 __all__ = [
     "BMatrix",
@@ -98,10 +101,6 @@ class BMatrix:
     def pos(self, j: int) -> int:
         return self.ex.index(j)
 
-    def entry(self, i: int, j: int) -> int:
-        """b_ij for i in K, j in K_ex."""
-        return self.rows[i][self.pos(j)]
-
     def column(self, j: int) -> tuple[int, ...]:
         p = self.pos(j)
         return tuple(row[p] for row in self.rows)
@@ -117,13 +116,10 @@ def check_compatible(lmat: LMatrix, bmat: BMatrix) -> int | None:
     """
     if lmat.k != bmat.k:
         raise ValueError("L and B must have the same number of rows")
-    for jpos, j in enumerate(bmat.ex):
-        for i in range(lmat.k):
-            s = sum(
-                lmat.entry(i, t) * bmat.rows[t][jpos]
-                for t in range(lmat.k)
-                if bmat.rows[t][jpos]
-            )
+    for j in bmat.ex:
+        # L is skew-symmetric, so b_j^T L is the row -(L B~)_{.j}
+        for i, r in enumerate(_combine_rows(lmat.rows, bmat.column(j))):
+            s = -r
             if i == j:
                 if s != 2:
                     raise IncompatibleError((i, j), "diagonal value %d, not 2" % s)
@@ -147,9 +143,9 @@ def qcommute_witness(seed: "QuantumSeed", idx) -> str | None:
     """First pair with vars_j vars_i != q^{lambda_ji} vars_i vars_j (current L)."""
     for i, j in _pairs(seed.k, idx):
         gamma = q_commute_exponent(seed.vars[j], seed.vars[i])
-        if gamma != seed.lmat.entry(j, i):
+        if gamma != seed.lmat.rows[j][i]:
             return "q-commutation of variables (%d, %d): got %s, L says %d" % (
-                j + 1, i + 1, gamma, seed.lmat.entry(j, i))
+                j + 1, i + 1, gamma, seed.lmat.rows[j][i])
     return None
 
 
@@ -169,9 +165,9 @@ def parity_witness(seed: "QuantumSeed", idx) -> str | None:
         if not (seed.dvec[i].is_root_lattice() and seed.dvec[j].is_root_lattice()):
             return "D entries outside the root lattice at (%d, %d)" % (i + 1, j + 1)
         pairing = pair_weight_root(seed.cartan, seed.dvec[i], seed.dvec[j].as_root())
-        if (seed.lmat.entry(i, j) - pairing) % 2:
+        if (seed.lmat.rows[i][j] - pairing) % 2:
             return "lambda_%d%d = %d but (d_i, d_j) = %d" % (
-                i + 1, j + 1, seed.lmat.entry(i, j), pairing)
+                i + 1, j + 1, seed.lmat.rows[i][j], pairing)
     return None
 
 
@@ -180,41 +176,35 @@ def balance_witness(seed: "QuantumSeed", idx) -> str | None:
     columns that involve an index of idx (j in idx, or b_ij != 0 for some i
     in idx).  A step in direction k changes only column k, the columns
     with b_kj != 0 and d_k, so (k,) re-examines every changed column."""
-    zero = Weight.zero(seed.dvec[0].n)
-    for jpos, j in enumerate(seed.ex):
-        col = [row[jpos] for row in seed.bmat.rows]
+    drows = _weight_rows(seed.dvec)
+    for j in seed.ex:
+        col = seed.bmat.column(j)
         if j not in idx and not any(col[i] for i in idx):
             continue
-        acc = zero
-        for i, b in enumerate(col):
-            if b:
-                acc = acc + seed.dvec[i].scale(b)
-        if acc != zero:
+        if any(_combine_rows(drows, col)):
             return "column %d does not balance" % (j + 1)
     return None
 
 
 def mutate_matrices(lmat: LMatrix, bmat: BMatrix, k: int):
-    """(mu_k L, mu_k B~) by the entrywise closed forms.
+    """(mu_k L, mu_k B~) by the closed forms: row k of mu_k(L) is a''^T L
+    off the diagonal (a'' from exchange_exponents) and column k its
+    negative; B~ changes entrywise.
 
     The matrix-product route (E^T L E, E B~ F) is an independent oracle in
     checks.py; mutate certifies the result through compatibility and
     q-commutation against mu_k(L).
     """
-    if k not in bmat.ex:
-        raise ValueError("direction %d is frozen" % (k + 1))
+    _, a_neg = exchange_exponents(bmat, k)
+    row_k = _combine_rows(lmat.rows, a_neg)
+    row_k[k] = 0
+    lp_closed = tuple(
+        tuple(row_k) if i == k else row[:k] + (-row_k[i],) + row[k + 1:]
+        for i, row in enumerate(lmat.rows)
+    )
+
     n = bmat.k
     col = bmat.column(k)
-    lp_closed = [list(row) for row in lmat.rows]
-    for j in range(n):
-        if j != k:
-            lp_closed[k][j] = -lmat.entry(k, j) + sum(
-                max(0, -col[t]) * lmat.entry(t, j) for t in range(n) if t != k
-            )
-            lp_closed[j][k] = -lp_closed[k][j]
-    lp_closed[k][k] = 0
-    lp_closed = tuple(tuple(row) for row in lp_closed)
-
     bp_closed = []
     for i in range(n):
         row = []
@@ -232,16 +222,11 @@ def mutate_matrices(lmat: LMatrix, bmat: BMatrix, k: int):
 
 
 def mutate_dvector(dvec, bmat: BMatrix, k: int):
-    """Replace d_k by -d_k + sum_{b_ik > 0} b_ik d_i."""
-    if k not in bmat.ex:
-        raise ValueError("direction %d is frozen" % (k + 1))
-    col = bmat.column(k)
-    acc = -dvec[k]
-    for i, b in enumerate(col):
-        if b > 0:
-            acc = acc + dvec[i].scale(b)
+    """Replace d_k by -d_k + sum_{b_ik > 0} b_ik d_i = a'^T D, with a' from
+    exchange_exponents."""
+    a_pos, _ = exchange_exponents(bmat, k)
     out = list(dvec)
-    out[k] = acc
+    out[k] = _row_weight(_combine_rows(_weight_rows(dvec), a_pos))
     return tuple(out)
 
 
@@ -257,20 +242,20 @@ def exchange_exponents(bmat: BMatrix, k: int):
 
 def homogeneous_weight(x: TorusElem, d_init) -> Weight | None:
     """The common weight sum_i a_i d_i of all monomials of x, or None."""
-    if x.is_zero():
-        return None
-    n = len(d_init)
-    wt = None
-    for a in x.terms:
-        w = Weight.zero(d_init[0].n)
-        for i in range(n):
-            if a[i]:
-                w = w + d_init[i].scale(a[i])
-        if wt is None:
-            wt = w
-        elif wt != w:
-            return None
-    return wt
+    drows = _weight_rows(d_init)
+    weights = {tuple(_combine_rows(drows, a)) for a in x.terms}
+    return _row_weight(weights.pop()) if len(weights) == 1 else None
+
+
+def _weight_rows(ws) -> list:
+    """Each weight flattened to the integer row m + c (see _row_weight)."""
+    return [w.m + w.c for w in ws]
+
+
+def _row_weight(row) -> Weight:
+    """The weight whose flattened row is row."""
+    n = len(row) // 2
+    return Weight(tuple(row[:n]), tuple(row[n:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,6 +287,12 @@ class QuantumSeed:
             and len(self.vars) == n
         ):
             raise ValueError("seed components disagree on the index set size")
+        lengths = {w.n for w in self.dvec + self.d_init}
+        if self.cartan is not None:
+            lengths.add(self.cartan.n)
+        if len(lengths) > 1:
+            raise ValueError("D weights must all have one length, the Cartan rank "
+                             "if there is one; got %s" % sorted(lengths))
         for i, x in enumerate(self.vars):
             if x.ambient != self.l_init:
                 raise ValueError("cluster variable lives in the wrong torus")
@@ -384,7 +375,7 @@ def _realize_monomial(lcur: LMatrix, vars, a) -> TorusElem:
         if a[i]:
             for j in range(i):
                 if a[j]:
-                    prefac += a[i] * a[j] * lcur.entry(i, j)
+                    prefac += a[i] * a[j] * lcur.rows[i][j]
     prod = None
     for i, ai in enumerate(a):
         if ai:
@@ -428,8 +419,8 @@ def _exchange_terms(seed: QuantumSeed, k: int):
     c_pos = tuple(x + (1 if i == k else 0) for i, x in enumerate(a_pos))
     c_neg = tuple(x + (1 if i == k else 0) for i, x in enumerate(a_neg))
     lcur = seed.lmat
-    shift_pos = sum(a_pos[i] * lcur.entry(k, i) for i in range(seed.k) if a_pos[i])
-    shift_neg = sum(a_neg[i] * lcur.entry(k, i) for i in range(seed.k) if a_neg[i])
+    shift_pos = sum(map(mul, lcur.rows[k], a_pos))
+    shift_neg = sum(map(mul, lcur.rows[k], a_neg))
     m_pos = _realize_monomial(lcur, seed.vars, c_pos).v_shift(shift_pos)
     m_neg = _realize_monomial(lcur, seed.vars, c_neg).v_shift(shift_neg)
     return a_pos, a_neg, shift_pos, shift_neg, m_pos, m_neg

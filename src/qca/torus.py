@@ -64,13 +64,14 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # products on packed coefficients
 
-def _twist_row(lam, a) -> list:
-    """aT L as a list, so that aT L b = sum(map(mul, row, b))."""
-    row = [0] * len(lam)
-    for ai, li in zip(a, lam):
+def _combine_rows(rows, a) -> list:
+    """sum_i a_i rows[i] as a list, for rows of any common width.  With
+    rows = L it is aT L, so that aT L b = sum(map(mul, _combine_rows(L, a), b))."""
+    out = [0] * len(rows[0]) if rows else []
+    for ai, ri in zip(a, rows):
         if ai:
-            row = [r + ai * x for r, x in zip(row, li)]
-    return row
+            out = [r + ai * x for r, x in zip(out, ri)]
+    return out
 
 
 def _mul_terms(xt: dict, yt: dict, lam) -> dict:
@@ -85,7 +86,7 @@ def _mul_terms(xt: dict, yt: dict, lam) -> dict:
     y_l1, y_g = norm_and_stride(yt)
     g = gcd(x_g, y_g) or 1
     w = digit_width(x_l1 * y_l1)
-    xs = [(a, _twist_row(lam, a), lo, n)
+    xs = [(a, _combine_rows(lam, a), lo, n)
           for a, cf in xt.items() for lo, _, n in pack(cf, w, g)]
     ys = [(b, lo, n) for b, cf in yt.items() for lo, _, n in pack(cf, w, g)]
     acc: dict = {}
@@ -129,9 +130,6 @@ class LMatrix:
     @property
     def k(self) -> int:
         return len(self.rows)
-
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
 
 
 class TorusElem:
@@ -354,10 +352,10 @@ def exact_left_div(p: TorusElem, q: TorusElem) -> TorusElem:
            for qi, pi in zip(zip(*qt), zip(*pt))]
     ap = max(pt)
     cp = pt[ap]
-    lead_row = _twist_row(lam, ap)
+    lead_row = _combine_rows(lam, ap)
     # the leading term of p is left out: its product with each quotient
     # term cancels the remainder's leading coefficient, which is popped
-    p_rest = [(b, _twist_row(lam, b), cf) for b, cf in pt.items() if b != ap]
+    p_rest = [(b, _combine_rows(lam, b), cf) for b, cf in pt.items() if b != ap]
     (p_l1, p_g), (q_l1, q_g) = norm_and_stride(pt), norm_and_stride(qt)
     s_l1 = 0
     g = gcd(p_g, q_g) or 1
@@ -433,7 +431,7 @@ def q_commute_exponent(x: TorusElem, y: TorusElem) -> int | None:
     x._require_same(y)
     if len(x.terms) == 1 and len(y.terms) == 1:
         ((a,), (b,)) = (x.terms, y.terms)
-        return sum(map(mul, _twist_row(x.ambient.rows, a), b))
+        return sum(map(mul, _combine_rows(x.ambient.rows, a), b))
     both_bar = _is_bar_invariant(x) and _is_bar_invariant(y)
     prod = x * y
     xy = prod.terms

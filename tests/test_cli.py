@@ -188,6 +188,41 @@ def test_zero_cluster_variable_is_refused(tmp_path, capsys, zero):
         assert "cluster variable %d is zero" % (zero + 1) in err
 
 
+@pytest.mark.parametrize("argv", [["verify", "--depth", "1"], ["mutate", "--seq", "1"],
+                                  ["export", "--global-basis-normalization"]],
+                         ids=["verify", "mutate", "export"])
+@pytest.mark.parametrize("misfit", ["one_longer", "all_longer", "all_shorter"])
+def test_weights_of_mismatched_length_are_refused(tmp_path, capsys, misfit, argv):
+    # A2 has Cartan rank 2: one D weight a coordinate longer than the rest,
+    # every D and Dinit weight one longer, or every one shorter
+    js = seed_to_json(make_seed("a2"))
+    for key in ("D", "Dinit"):
+        for pos, w in enumerate(js[key]):
+            if misfit == "all_shorter":
+                js[key][pos] = {"m": w["m"][:-1], "c": w["c"][:-1]}
+            elif misfit == "all_longer" or (key, pos) == ("D", 0):
+                js[key][pos] = {"m": w["m"] + [0], "c": w["c"] + [0]}
+    seed_path = tmp_path / "w.json"
+    seed_path.write_text(json.dumps(js))
+    code, out, err = run(capsys, [argv[0], "--seed", str(seed_path), *argv[1:]])
+    assert code == 2 and out == ""
+    assert "D weights must all have one length" in err
+
+
+def test_non_integer_json_numbers_are_refused(tmp_path, capsys):
+    inp = write_input(tmp_path, ((2, -1.5), (-1.5, 2)), (1, 2, 1))
+    code, out, err = run(capsys, ["build", "--cartan", inp])
+    assert code == 2 and out == ""
+    assert "non-integer number -1.5 in JSON input" in err
+    js = seed_to_json(make_seed("a2"))
+    js["L"][0][1], js["L"][1][0] = -0.5, 0.5
+    seed_path = tmp_path / "half.json"
+    seed_path.write_text(json.dumps(js))
+    code, out, err = run(capsys, ["verify", "--seed", str(seed_path), "--depth", "1"])
+    assert code == 2 and out == ""
+    assert "non-integer number -0.5 in JSON input" in err
+
+
 def test_verify_passes(tmp_path, capsys):
     inp = write_input(tmp_path, *SEED_CASES["a2"])
     code, out, err = run(capsys, ["verify", "--cartan", inp, "--depth", "3"])

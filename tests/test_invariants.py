@@ -1,6 +1,7 @@
 """One home per seed invariant: the witness functions that mutate, verify
 and the GLS build share, and a property sweep over random symmetric GCMs."""
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -20,7 +21,8 @@ from qca.seeds import (
     parity_witness,
     qcommute_witness,
 )
-from qca.torus import LMatrix
+from qca.serialize import pretty_dumps, seed_from_json, seed_to_json
+from qca.torus import LMatrix, exact_left_div
 
 from conftest import SEED_CASES, make_seed
 
@@ -148,3 +150,8 @@ def test_random_symmetric_gcms(case):
     assert all(w(seed, every) is None for w in WITNESSES)
     report = run_suite(seed, default_sequences(seed, depth=2, n_random=0))
     assert report.passed, [(e.check, e.sequence, e.witness) for e in report.failures()]
+    for k in seed.ex:
+        child = mutate(seed, k)
+        text = pretty_dumps(seed_to_json(child))
+        assert pretty_dumps(seed_to_json(seed_from_json(json.loads(text)))) == text
+        assert exact_left_div(seed.vars[k], seed.vars[k] * child.vars[k]) == child.vars[k]

@@ -171,7 +171,7 @@ def test_q_commute_on_cluster_variables():
         for j, y in enumerate(seed.vars):
             if i != j:
                 gamma = q_commute_exponent(x, y)
-                assert gamma == seed.lmat.entry(i, j)
+                assert gamma == seed.lmat.rows[i][j]
                 assert gamma == two_product_gamma(x, y)
 
 

@@ -70,6 +70,16 @@ def test_check_compatible_witness():
         check_compatible(bad, A2_B)
     assert info.value.witness == (0, 0)
     assert "(1, 1)" in str(info.value)
+    # full texts, so that a sign slip in (L B~)_ij shows
+    for rows, text in (
+        ([[0, -1, 1], [1, 0, -1], [-1, 1, 0]],
+         "compatibility fails at (2, 1): off-diagonal value -1"),
+        ([[0, -1, 2], [1, 0, 0], [-2, 0, 0]],
+         "compatibility fails at (1, 1): diagonal value 3, not 2"),
+    ):
+        with pytest.raises(IncompatibleError) as info:
+            check_compatible(LMatrix.from_rows(rows), A2_B)
+        assert str(info.value) == text
 
 
 def test_check_compatible_all_seeds():
