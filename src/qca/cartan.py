@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotReducedError
+from .errors import NotReducedError, as_int
 
 __all__ = [
     "CartanDatum",
@@ -78,7 +78,7 @@ class CartanDatum:
 
     @classmethod
     def from_rows(cls, rows) -> "CartanDatum":
-        a = tuple(tuple(int(x) for x in row) for row in rows)
+        a = tuple(tuple(map(as_int, row)) for row in rows)
         return cls(n=len(a), a=a)
 
 
@@ -192,7 +192,7 @@ class WeylWord:
 
     @classmethod
     def from_one_based(cls, letters) -> "WeylWord":
-        return cls(tuple(int(x) - 1 for x in letters))
+        return cls(tuple(as_int(x) - 1 for x in letters))
 
     def to_one_based(self) -> tuple[int, ...]:
         return tuple(x + 1 for x in self.letters)

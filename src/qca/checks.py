@@ -4,10 +4,11 @@ run_suite walks the prefix tree of the requested sequences (shared prefixes
 are mutated once), evaluates the selected checks at the starting seed and
 at every mutation step, and returns a CheckReport whose entries never throw:
 every failure is data.  The seed invariants are the witness functions of
-seeds.py, the ones mutate certifies with; this module adds the checks that
-need a step, the q = 1 oracle, and the matrix route of mutation as an
-independent oracle.  The report serializes deterministically; timings stay
-on the in-memory object only.
+seeds.py, shared with mutate and the GLS build; this module adds the checks
+that need a step, the q = 1 oracle, and two independent oracles: the matrix
+route of mutation, and q-commutation of each new variable by torus
+products, which mutate proves instead of computing.  The report serializes
+deterministically; timings stay on the in-memory object only.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ from .errors import IncompatibleError, NotDivisibleError
 from .seeds import (
     QuantumSeed,
     _exchange_terms,
+    _mutate_dvector,
+    _mutate_matrices,
     _mutate_unchecked,
     balance_witness,
     check_compatible,
     homogeneity_witness,
-    mutate_dvector,
-    mutate_matrices,
     parity_witness,
     qcommute_witness,
 )
@@ -207,9 +208,11 @@ def _node_failures(node: QuantumSeed, idx, selected, parent=None, parts=None) ->
     """{check: witness} for the selected checks that fail at one tree node.
 
     idx is every index at the starting seed and (k,) after a step in
-    direction k.  exchange_identity, lambda_mutation and involutivity need
-    the step (parent seed and exchange parts); q1_oracle is run by
-    run_suite, which carries the classical shadow along the tree.
+    direction k.  lambda_mutation is q-commutation per the current L over
+    idx, by torus products (the oracle for what mutate proves), plus the
+    matrix route after a step.  exchange_identity and involutivity need the
+    step (parent seed and exchange parts); q1_oracle is run by run_suite,
+    which carries the classical shadow along the tree.
     """
     out = {}
     if "compatible" in selected:
@@ -220,6 +223,9 @@ def _node_failures(node: QuantumSeed, idx, selected, parent=None, parts=None) ->
     for name, witness in _WITNESSES:
         if name in selected:
             out[name] = witness(node, idx)
+    if "lambda_mutation" in selected:
+        route = _matrix_route_witness(parent, node, parts.k) if parts else None
+        out["lambda_mutation"] = route or qcommute_witness(node, idx)
     if parts is not None:
         k = parts.k
         if "exchange_identity" in selected:
@@ -229,15 +235,12 @@ def _node_failures(node: QuantumSeed, idx, selected, parent=None, parts=None) ->
             if lhs != rhs:
                 out["exchange_identity"] = (
                     "vars_k * new_var differs from v^{p''}(v^2 M' + M'')")
-        if "lambda_mutation" in selected:
-            out["lambda_mutation"] = (_matrix_route_witness(parent, node, k)
-                                      or qcommute_witness(node, idx))
         if "involutivity" in selected:
             # the torus is a domain, so the back division returns parent.vars[k]
             # exactly when one product equals the back numerator
-            *_, m_pos, m_neg = _exchange_terms(node, k)
-            if (mutate_matrices(node.lmat, node.bmat, k) != (parent.lmat, parent.bmat)
-                    or mutate_dvector(node.dvec, node.bmat, k) != parent.dvec
+            a_pos, a_neg, *_, m_pos, m_neg = _exchange_terms(node, k)
+            if (_mutate_matrices(node.lmat, node.bmat, k, a_neg) != (parent.lmat, parent.bmat)
+                    or _mutate_dvector(node.dvec, k, a_pos) != parent.dvec
                     or node.vars[k] * parent.vars[k] != m_pos + m_neg):
                 out["involutivity"] = "mutating back does not restore the seed"
     return {c: w for c, w in out.items() if w}

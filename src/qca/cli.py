@@ -64,7 +64,7 @@ def _refuse_non_integer(text: str):
 
 
 def _load_json(path: str):
-    # loaders call int() on every number, which would truncate 1.5 to 1
+    # the loaders refuse any non-int; this names the offending number
     with open(path) as fh:
         return json.load(fh, parse_float=_refuse_non_integer,
                          parse_constant=_refuse_non_integer)
@@ -78,7 +78,7 @@ def _load_cartan_word(args) -> tuple[CartanDatum, WeylWord]:
     if getattr(args, "word", None):
         letters = _parse_csv_ints(args.word, "--word")
     elif "word" in obj:
-        letters = tuple(int(x) for x in obj["word"])
+        letters = obj["word"]
     else:
         raise ValueError("no word given (pass --word or a \"word\" key)")
     word = WeylWord.from_one_based(letters)

@@ -1,6 +1,17 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine, and the integer check for input."""
 
 from __future__ import annotations
+
+
+def as_int(x) -> int:
+    """x itself if it is an int; ValueError otherwise.
+
+    Loaders of JSON input use this instead of int(), which would turn true
+    into 1 and "-1" into -1.
+    """
+    if type(x) is not int:
+        raise ValueError("expected an integer, got %r" % (x,))
+    return x
 
 
 class NotReducedError(ValueError):

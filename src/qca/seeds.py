@@ -18,11 +18,13 @@ Each seed invariant has one implementation here: check_compatible (degree
 weight balance.  A witness function takes the seed and the indices to
 examine (every index at a starting seed, (k,) after a step in direction k)
 and returns a witness string or None; mutate, the checks of checks.py and
-the GLS build call the same functions.  mutate certifies every step:
-compatibility of degree 2, and q-commutation and homogeneity of the new
-variable per mu_k(L) and mu_k(D).  Matrix mutation uses closed forms only:
-row k of mu_k(L) is a''^T L and B~ changes entrywise; the matrix-product
-route (E^T L E, E B~ F) is an independent oracle in checks.py.  Every such
+the GLS build call the same functions.  mutate certifies every step: it
+checks compatibility of degree 2 and the homogeneity of the new variable
+per mu_k(D), and proves its q-commutation per mu_k(L) from those facts and
+a certified parent (see mutate).  Matrix mutation uses closed forms only:
+row k of mu_k(L) is a''^T L and B~ changes entrywise.  The matrix-product
+route (E^T L E, E B~ F) and the torus products that re-derive each new
+variable's q-commutation are independent oracles in checks.py.  Every such
 integer identity is a sum of rows of L or of the (flattened) D weights,
 computed by torus._combine_rows.
 
@@ -31,11 +33,11 @@ All of this is exact; nothing is floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from operator import mul
 
 from .cartan import CartanDatum, Weight, pair_weight_root
-from .errors import EngineInvariantError, IncompatibleError
+from .errors import EngineInvariantError, IncompatibleError, as_int
 from .torus import LMatrix, TorusElem, _combine_rows, exact_left_div, q_commute_exponent
 
 __all__ = [
@@ -89,10 +91,7 @@ class BMatrix:
 
     @classmethod
     def from_rows(cls, rows, ex) -> "BMatrix":
-        return cls(
-            tuple(tuple(int(x) for x in row) for row in rows),
-            tuple(int(x) for x in ex),
-        )
+        return cls(tuple(tuple(map(as_int, row)) for row in rows), tuple(map(as_int, ex)))
 
     @property
     def k(self) -> int:
@@ -192,10 +191,13 @@ def mutate_matrices(lmat: LMatrix, bmat: BMatrix, k: int):
     negative; B~ changes entrywise.
 
     The matrix-product route (E^T L E, E B~ F) is an independent oracle in
-    checks.py; mutate certifies the result through compatibility and
-    q-commutation against mu_k(L).
+    checks.py; mutate certifies the result through compatibility.
     """
-    _, a_neg = exchange_exponents(bmat, k)
+    return _mutate_matrices(lmat, bmat, k, exchange_exponents(bmat, k)[1])
+
+
+def _mutate_matrices(lmat: LMatrix, bmat: BMatrix, k: int, a_neg):
+    """mutate_matrices with a'' already at hand."""
     row_k = _combine_rows(lmat.rows, a_neg)
     row_k[k] = 0
     lp_closed = tuple(
@@ -224,7 +226,11 @@ def mutate_matrices(lmat: LMatrix, bmat: BMatrix, k: int):
 def mutate_dvector(dvec, bmat: BMatrix, k: int):
     """Replace d_k by -d_k + sum_{b_ik > 0} b_ik d_i = a'^T D, with a' from
     exchange_exponents."""
-    a_pos, _ = exchange_exponents(bmat, k)
+    return _mutate_dvector(dvec, k, exchange_exponents(bmat, k)[0])
+
+
+def _mutate_dvector(dvec, k: int, a_pos):
+    """mutate_dvector with a' already at hand."""
     out = list(dvec)
     out[k] = _row_weight(_combine_rows(_weight_rows(dvec), a_pos))
     return tuple(out)
@@ -276,6 +282,10 @@ class QuantumSeed:
     vars: tuple[TorusElem, ...]
     history: tuple[int, ...]
     cartan: CartanDatum | None = None
+    # set once every invariant of validate_full is known to hold, by
+    # validate_full itself or by mutate; replace() and the JSON loader
+    # start a seed without it
+    _certified: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.l_init.k
@@ -343,17 +353,14 @@ class QuantumSeed:
         return seed
 
     def validate_full(self) -> None:
-        """Compatibility, pairwise q-commutation per L, homogeneity per D."""
-        w = _step_witness(self, range(self.k))
+        """Compatibility, pairwise q-commutation per L, homogeneity per D;
+        a seed that passes is certified as a parent for mutate."""
+        check_compatible(self.lmat, self.bmat)
+        every = range(self.k)
+        w = qcommute_witness(self, every) or homogeneity_witness(self, every)
         if w:
             raise EngineInvariantError(w)
-
-
-def _step_witness(seed: QuantumSeed, idx) -> str | None:
-    """What mutate certifies: compatibility (raises IncompatibleError),
-    then the first q-commutation or homogeneity witness over idx."""
-    check_compatible(seed.lmat, seed.bmat)
-    return qcommute_witness(seed, idx) or homogeneity_witness(seed, idx)
+        object.__setattr__(self, "_certified", True)
 
 
 def cluster_monomial(seed: QuantumSeed, a) -> TorusElem:
@@ -443,8 +450,8 @@ def mutate_variable(seed: QuantumSeed, k: int) -> TorusElem:
 def _mutate_unchecked(seed: QuantumSeed, k: int):
     """New seed plus the exchange data, without the invariant re-checks."""
     parts = exchange_parts(seed, k)
-    lp, bp = mutate_matrices(seed.lmat, seed.bmat, k)
-    dp = mutate_dvector(seed.dvec, seed.bmat, k)
+    lp, bp = _mutate_matrices(seed.lmat, seed.bmat, k, parts.a_neg)
+    dp = _mutate_dvector(seed.dvec, k, parts.a_pos)
     new_vars = list(seed.vars)
     new_vars[k] = parts.new_var
     new_seed = replace(
@@ -459,22 +466,42 @@ def _mutate_unchecked(seed: QuantumSeed, k: int):
 
 
 def mutate(seed: QuantumSeed, k: int) -> QuantumSeed:
-    """Mutation in direction k, with every changed invariant re-checked:
+    """Mutation in direction k, with every changed invariant certified:
 
-    - compatibility of degree 2 of (mu_k L, mu_k B~),
+    - compatibility of degree 2 of (mu_k L, mu_k B~), checked;
+    - homogeneity of the new variable of weight mu_k(D)_k, checked;
     - q-commutation of the new variable against all others per mu_k(L),
-    - homogeneity of the new variable of weight mu_k(D)_k.
+      proved from the parent and the two facts above.
 
-    Unchanged pairs need no re-check (their variables and L entries are
-    untouched), so this is a full revalidation given a valid input seed.
-    An incompatible input fails the same compatibility check: the step is
-    (L, B~) -> (E^T L E, E B~ F) with E, F invertible, so B~'^T L' =
-    F^T (B~^T L) E is compatible only if B~^T L was.
+    The proof is one step of Berenstein-Zelevinsky's theorem that a mutated
+    quantum seed is again a quantum seed (Quantum cluster algebras,
+    Adv. Math. 2005).  Take j != k.  The parent's variables q-commute per
+    L.  The child passes check_compatible, so the parent's column k is
+    compatible too, and since a' - a'' is column k of B~ this gives
+    a'^T L e_j = a''^T L e_j: both monomials of the numerator N commute
+    with X_j up to one and the same power v^c.  exact_left_div returns
+    only a quotient with X_k X'_k = N on the nose, so
+    X_k (X_j X'_k) = v^{c - lambda_jk} X_k (X'_k X_j), and the torus is a
+    domain: X_j X'_k = v^{c - lambda_jk} X'_k X_j, the power that row k
+    of mu_k(L) = a''^T L records.  Unchanged pairs keep their variables
+    and L entries.  An incompatible input fails the same compatibility
+    check: the step is (L, B~) -> (E^T L E, E B~ F) with E, F invertible,
+    so B~'^T L' = F^T (B~^T L) E is compatible only if B~^T L was.
+
+    The argument needs a certified parent.  A seed that did not come from
+    validate_full or mutate (the JSON loader, dataclasses.replace) is
+    validated in full once first.  run_suite's lambda_mutation re-derives
+    every new variable's q-commutation by torus products, as the
+    independent oracle.
     """
+    if not seed._certified:
+        seed.validate_full()
     new_seed, _ = _mutate_unchecked(seed, k)
-    w = _step_witness(new_seed, (k,))
+    check_compatible(new_seed.lmat, new_seed.bmat)
+    w = homogeneity_witness(new_seed, (k,))
     if w:
         raise EngineInvariantError("mutation in direction %d: %s" % (k + 1, w))
+    object.__setattr__(new_seed, "_certified", True)
     return new_seed
 
 

@@ -14,6 +14,7 @@ import tempfile
 
 from .cartan import CartanDatum, Weight, WeylWord
 from .checks import CheckReport
+from .errors import as_int
 from .gls import GLSData, QuiverArrows
 from .seeds import BMatrix, QuantumSeed
 from .torus import LMatrix, TorusElem
@@ -63,7 +64,7 @@ def weight_to_json(w: Weight) -> dict:
 
 
 def weight_from_json(obj) -> Weight:
-    return Weight(tuple(int(x) for x in obj["m"]), tuple(int(x) for x in obj["c"]))
+    return Weight(tuple(map(as_int, obj["m"])), tuple(map(as_int, obj["c"])))
 
 
 def torus_to_json(x: TorusElem) -> list:
@@ -82,10 +83,12 @@ def torus_to_json(x: TorusElem) -> list:
 def torus_from_json(ambient: LMatrix, data) -> TorusElem:
     terms = {}
     for item in data:
-        exp = tuple(int(x) for x in item["exp"])
+        exp = tuple(map(as_int, item["exp"]))
+        if len(exp) != ambient.k:
+            raise ValueError("exponent length does not match torus rank")
         cf = {}
         for e, c in item["coeff"]:
-            e, c = int(e), int(c)
+            e, c = as_int(e), as_int(c)
             if c:
                 if e in cf:
                     raise ValueError("duplicate v-exponent in coefficient")
@@ -95,7 +98,7 @@ def torus_from_json(ambient: LMatrix, data) -> TorusElem:
         if exp in terms:
             raise ValueError("duplicate exponent vector in torus element")
         terms[exp] = cf
-    return TorusElem(ambient, terms)
+    return TorusElem(ambient, terms, _trusted=True)  # checked above
 
 
 def _matrix_to_json(rows) -> list:
@@ -129,12 +132,12 @@ def seed_from_json(obj) -> QuantumSeed:
         )
     l_init = LMatrix.from_rows(obj["Linit"])
     lmat = LMatrix.from_rows(obj["L"])
-    ex = tuple(int(k) - 1 for k in obj["Kex"])
+    ex = tuple(as_int(k) - 1 for k in obj["Kex"])
     bmat = BMatrix.from_rows(obj["B"], ex)
     dvec = tuple(weight_from_json(w) for w in obj["D"])
     d_init = tuple(weight_from_json(w) for w in obj["Dinit"])
     vars_ = tuple(torus_from_json(l_init, v) for v in obj["vars"])
-    history = tuple(int(k) - 1 for k in obj["history"])
+    history = tuple(as_int(k) - 1 for k in obj["history"])
     cartan = None
     if "cartan" in obj:
         cartan = CartanDatum.from_rows(obj["cartan"])

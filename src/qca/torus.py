@@ -41,7 +41,7 @@ from .coeffs import (
     qc_str,
     qc_v,
 )
-from .errors import NotDivisibleError
+from .errors import NotDivisibleError, as_int
 
 # the only arithmetic implementation; kept as a constant for callers that
 # stamp results with it
@@ -125,7 +125,7 @@ class LMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "LMatrix":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+        return cls(tuple(tuple(map(as_int, row)) for row in rows))
 
     @property
     def k(self) -> int:

@@ -1,6 +1,7 @@
 """Shared fixtures: Cartan matrices, reduced words, and prebuilt seeds."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -29,6 +30,15 @@ def make_seed(key):
     rows, word = SEED_CASES[key]
     cartan = qca.CartanDatum.from_rows(rows)
     return qca.build_initial_seed(cartan, qca.WeylWord.from_one_based(word))
+
+
+def corrupt_a3():
+    """The A3 longest-word seed with X^(0,-1,1,0,0,1) added to its frozen
+    variable 6: still homogeneous, but no longer q-commuting with variable 1."""
+    seed = make_seed("a3")
+    vars_ = list(seed.vars)
+    vars_[5] = vars_[5] + TorusElem.monomial(seed.l_init, (0, -1, 1, 0, 0, 1))
+    return replace(seed, vars=tuple(vars_))
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ import qca
 from qca.cli import main
 from qca.serialize import seed_from_json, seed_to_json
 
-from conftest import SEED_CASES, make_seed
+from conftest import SEED_CASES, corrupt_a3, make_seed
 
 
 @pytest.fixture(autouse=True)
@@ -221,6 +221,42 @@ def test_non_integer_json_numbers_are_refused(tmp_path, capsys):
     code, out, err = run(capsys, ["verify", "--seed", str(seed_path), "--depth", "1"])
     assert code == 2 and out == ""
     assert "non-integer number -0.5 in JSON input" in err
+
+
+@pytest.mark.parametrize("argv", [["verify", "--depth", "1"], ["mutate", "--seq", "1"],
+                                  ["export"]], ids=["verify", "mutate", "export"])
+@pytest.mark.parametrize("col, value", [(1, "-1"), (2, True)], ids=["string", "bool"])
+def test_json_booleans_and_numeric_strings_are_refused(tmp_path, capsys, argv, col, value):
+    # A2: L[0][1] = -1 and L[0][2] = 1, so int() would read the same seed
+    js = seed_to_json(make_seed("a2"))
+    js["L"][0][col] = value
+    seed_path = tmp_path / "typed.json"
+    seed_path.write_text(json.dumps(js))
+    code, out, err = run(capsys, [argv[0], "--seed", str(seed_path), *argv[1:]])
+    assert code == 2 and out == ""
+    assert "expected an integer, got %r" % (value,) in err
+
+
+@pytest.mark.parametrize("key", ["cartan", "word"])
+def test_json_booleans_in_cartan_input_are_refused(tmp_path, capsys, key):
+    rows, word = [list(r) for r in SEED_CASES["a2"][0]], list(SEED_CASES["a2"][1])
+    if key == "cartan":
+        rows[0][0] = "2"
+    else:
+        word[0] = True
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"cartan": rows, "word": word}))
+    code, out, err = run(capsys, ["build", "--cartan", str(path)])
+    assert code == 2 and out == ""
+    assert "expected an integer, got" in err
+
+
+def test_mutate_refuses_a_seed_file_that_fails_q_commutation(tmp_path, capsys):
+    seed_path = tmp_path / "bad.json"
+    seed_path.write_text(json.dumps(seed_to_json(corrupt_a3())))
+    code, out, err = run(capsys, ["mutate", "--seed", str(seed_path), "--seq", "1"])
+    assert code == 1 and out == ""
+    assert "q-commutation of variables (1, 6)" in err
 
 
 def test_verify_passes(tmp_path, capsys):

@@ -5,7 +5,7 @@ import json
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qca
@@ -18,13 +18,14 @@ from qca.seeds import (
     check_compatible,
     homogeneity_witness,
     mutate,
+    mutate_seq,
     parity_witness,
     qcommute_witness,
 )
 from qca.serialize import pretty_dumps, seed_from_json, seed_to_json
 from qca.torus import LMatrix, exact_left_div
 
-from conftest import SEED_CASES, make_seed
+from conftest import SEED_CASES, corrupt_a3, make_seed
 
 WITNESSES = (qcommute_witness, homogeneity_witness, parity_witness, balance_witness)
 
@@ -114,6 +115,47 @@ def test_mutate_certifies_q_commutation():
         mutate(bad, 0)
 
 
+def test_lambda_mutation_checks_every_pair_at_the_root():
+    bad = corrupt_a3()
+    witness = "q-commutation of variables (1, 6)"
+    assert homogeneity_witness(bad, range(bad.k)) is None
+    assert qcommute_witness(bad, range(bad.k)).startswith(witness)
+    report = run_suite(bad, [], checks=["lambda_mutation"])
+    entry = step_failure(report, "lambda_mutation", ())
+    assert entry.status == "fail" and entry.witness.startswith(witness)
+
+
+def test_mutate_validates_an_uncertified_seed():
+    # mutate proves a step's q-commutation from a certified parent; a seed
+    # from replace() or the JSON loader is validated in full first
+    bad = corrupt_a3()
+    loaded = seed_from_json(json.loads(pretty_dumps(seed_to_json(bad))))
+    for k in bad.ex:
+        for seed in (bad, loaded):
+            with pytest.raises(EngineInvariantError, match=r"variables \(1, 6\)"):
+                qca.mutate(seed, k)
+
+
+def test_mutate_rechecks_compatibility(monkeypatch):
+    # with q-commutation proved, check_compatible is the only guard on
+    # mu_k(L): an off-diagonal drift of row k must not get through
+    seed = make_seed("a3")
+    closed = qca.seeds._mutate_matrices
+
+    def drifted(lmat, bmat, k, a_neg):
+        lp, bp = closed(lmat, bmat, k, a_neg)
+        rows = [list(r) for r in lp.rows]
+        m = (k + 1) % len(rows)
+        rows[k][m] += 2
+        rows[m][k] -= 2
+        return LMatrix.from_rows(rows), bp
+
+    monkeypatch.setattr(qca.seeds, "_mutate_matrices", drifted)
+    for k in seed.ex:
+        with pytest.raises(IncompatibleError):
+            mutate(seed, k)
+
+
 def test_gls_build_raises_on_a_witness(monkeypatch):
     # the build asserts parity and balance through the shared functions
     monkeypatch.setattr(qca.gls, "balance_witness", lambda seed, idx: "column 9 does not balance")
@@ -155,3 +197,28 @@ def test_random_symmetric_gcms(case):
         text = pretty_dumps(seed_to_json(child))
         assert pretty_dumps(seed_to_json(seed_from_json(json.loads(text)))) == text
         assert exact_left_div(seed.vars[k], seed.vars[k] * child.vars[k]) == child.vars[k]
+
+
+B_MAX = 4
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(gcm_and_word(), st.data())
+def test_mutate_proof_agrees_with_the_product_oracle(case, data):
+    # mutate proves q-commutation; the torus products re-derive it
+    cartan, word = case
+    seed = qca.build_initial_seed(cartan, word)
+    assume(seed.ex)
+    seq, final = [], seed
+    for k in data.draw(st.lists(st.sampled_from(seed.ex), min_size=1, max_size=4)):
+        # wild types grow exponentially: a step raises variables to the
+        # powers |b_ik|, which reach 55 within four steps of a rank-2 wild
+        # seed, so a sequence stops before an exchange column exceeds B_MAX
+        if max(map(abs, final.bmat.column(k))) > B_MAX:
+            break
+        final = mutate(final, k)
+        seq.append(k)
+    assert qcommute_witness(final, range(final.k)) is None
+    uncertified = replace(seed)
+    assert not uncertified._certified
+    assert mutate_seq(uncertified, seq) == final

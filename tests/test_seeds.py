@@ -309,6 +309,24 @@ def test_exchange_parts_shape():
     assert seed.vars[0] * parts.new_var == parts.numerator
 
 
+def test_one_exchange_exponents_call_per_mutate(monkeypatch):
+    # a' and a'' are computed once and shared by the exchange, mu_k(L, B~)
+    # and mu_k(D)
+    seed = make_seed("a3")
+    calls = []
+    exact = qca.seeds.exchange_exponents
+
+    def counted(bmat, k):
+        calls.append(k)
+        return exact(bmat, k)
+
+    monkeypatch.setattr(qca.seeds, "exchange_exponents", counted)
+    for k in seed.ex:
+        calls.clear()
+        mutate(seed, k)
+        assert calls == [k]
+
+
 def test_homogeneous_weight():
     seed = make_seed("a2")
     for i in range(3):
