@@ -296,11 +296,7 @@ def inversion_roots(d: CartanDatum, word: WeylWord) -> tuple[RootVec, ...]:
 
 
 def is_reduced(d: CartanDatum, word: WeylWord) -> bool:
-    """Length check via inversion roots.
-
-    The length of u_k = s_{i_1}...s_{i_k} grows at each step iff
-    u_{k-1}(alpha_{i_k}) is positive, so the word is reduced iff every
-    inversion root is positive.
+    """Whether check_reduced accepts the word.
 
     >>> d = CartanDatum.from_rows([[2, -1], [-1, 2]])
     >>> is_reduced(d, WeylWord.from_one_based((1, 2, 1)))
@@ -308,15 +304,28 @@ def is_reduced(d: CartanDatum, word: WeylWord) -> bool:
     >>> is_reduced(d, WeylWord.from_one_based((1, 1)))
     False
     """
-    for beta in inversion_roots(d, word):
-        assert any(beta.c), "an inversion root cannot vanish"
-        if not beta.is_positive():
-            return False
+    try:
+        check_reduced(d, word)
+    except NotReducedError:
+        return False
     return True
 
 
-def check_reduced(d: CartanDatum, word: WeylWord) -> None:
-    if not is_reduced(d, word):
+def check_reduced(d: CartanDatum, word: WeylWord) -> tuple[RootVec, ...]:
+    """The inversion roots of a reduced word; NotReducedError otherwise.
+
+    The length of u_k = s_{i_1}...s_{i_k} grows at each step iff
+    u_{k-1}(alpha_{i_k}) is positive, so the word is reduced iff every
+    inversion root is positive.  The roots are returned because the GLS
+    weights are sums of them (gls.analyze_word).
+
+    >>> d = CartanDatum.from_rows([[2, -1], [-1, 2]])
+    >>> [b.c for b in check_reduced(d, WeylWord.from_one_based((1, 2, 1)))]
+    [(1, 0), (1, 1), (0, 1)]
+    """
+    roots = inversion_roots(d, word)
+    if not all(beta.is_positive() for beta in roots):
         raise NotReducedError(
             "word %s is not reduced" % (word.to_one_based(),)
         )
+    return roots

@@ -23,12 +23,12 @@ from .errors import IncompatibleError, NotDivisibleError
 from .seeds import (
     QuantumSeed,
     _exchange_terms,
-    _mutate_dvector,
-    _mutate_matrices,
     _mutate_unchecked,
     balance_witness,
     check_compatible,
     homogeneity_witness,
+    mutate_dvector,
+    mutate_matrices,
     parity_witness,
     qcommute_witness,
 )
@@ -239,8 +239,8 @@ def _node_failures(node: QuantumSeed, idx, selected, parent=None, parts=None) ->
             # the torus is a domain, so the back division returns parent.vars[k]
             # exactly when one product equals the back numerator
             a_pos, a_neg, *_, m_pos, m_neg = _exchange_terms(node, k)
-            if (_mutate_matrices(node.lmat, node.bmat, k, a_neg) != (parent.lmat, parent.bmat)
-                    or _mutate_dvector(node.dvec, k, a_pos) != parent.dvec
+            if (mutate_matrices(node.lmat, node.bmat, k, a_neg) != (parent.lmat, parent.bmat)
+                    or mutate_dvector(node.dvec, k, a_pos) != parent.dvec
                     or node.vars[k] * parent.vars[k] != m_pos + m_neg):
                 out["involutivity"] = "mutating back does not restore the seed"
     return {c: w for c, w in out.items() if w}

@@ -3,7 +3,8 @@
 Subcommands: build, mutate, verify, export, info.  JSON results go to
 --out (atomic write) or stdout; human summaries go to stderr.  Exit codes:
 0 all good, 1 a verified identity or mutation invariant failed, 2 bad
-input / parse / IO / unknown names.
+input / parse / IO / unknown names, or a mutate step whose exchange
+numerator could exceed MAX_EXCHANGE_TERMS terms.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -25,7 +27,7 @@ from .errors import (
     NotReducedError,
 )
 from .gls import analyze_word, build_initial_seed, build_quiver
-from .seeds import check_compatible, mutate_seq
+from .seeds import check_compatible, exchange_exponents, mutate
 from .serialize import (
     atomic_write_text,
     canonical_dumps,
@@ -39,6 +41,9 @@ from .serialize import (
 from .torus import KERNEL_BACKEND
 
 CACHE_ENV = "QCA_CACHE_DIR"
+
+# `mutate` refuses a step whose exchange numerator could have more terms
+MAX_EXCHANGE_TERMS = 10**6
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -144,6 +149,22 @@ def _cache_key(payload: dict) -> str:
     return hashlib.sha256(canonical_dumps(payload).encode()).hexdigest()
 
 
+def _exchange_term_bound(seed, k: int) -> int:
+    """An upper bound on the terms of the exchange numerator in direction k.
+
+    A power x^a of a variable with t terms has at most C(a + t - 1, t - 1)
+    exponents, one per multiset of a of its terms; exponents add under
+    products, so each monomial of the numerator has at most the product of
+    these over its factors, and the numerator at most the sum over a', a''.
+    Computed from the exponents and term counts alone, before any product.
+    """
+    counts = [len(x.terms) for x in seed.vars]
+    return sum(
+        math.prod(math.comb(ai + t - 1, t - 1) for ai, t in zip(a, counts) if ai > 0)
+        for a in exchange_exponents(seed.bmat, k)
+    )
+
+
 def cmd_mutate(args) -> int:
     seq = _parse_csv_ints(args.seq, "--seq")
     if getattr(args, "seed", None):
@@ -183,7 +204,14 @@ def cmd_mutate(args) -> int:
 
     if start is None:
         start = build_initial_seed(cartan, word)
-    result = mutate_seq(start, tuple(k - 1 for k in seq))
+    result = start
+    for step, k in enumerate(seq, 1):
+        bound = _exchange_term_bound(result, k - 1)
+        if bound > MAX_EXCHANGE_TERMS:
+            raise ValueError(
+                "step %d (direction %d): the exchange numerator could have up to "
+                "%d terms, over the limit of %d" % (step, k, bound, MAX_EXCHANGE_TERMS))
+        result = mutate(result, k - 1)
     text = pretty_dumps(seed_to_json(result))
     if not args.no_cache:
         os.makedirs(_cache_dir(), exist_ok=True)

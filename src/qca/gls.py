@@ -7,7 +7,9 @@ integer arithmetic:
 - successor / predecessor positions with the same letter (s_+, s_-),
 - the frozen set {s : s_+ = r + 1},
 - the weights lambda_s = s_{i_1} ... s_{i_s}(varpi_{i_s}) and
-  d_s = lambda_s - varpi_{i_s} (each d_s lies in the root lattice),
+  d_s = lambda_s - varpi_{i_s} = -(sum of the inversion roots beta_t with
+  t <= s and i_t = i_s), read off the same inversion roots whose
+  positivity certifies that the word is reduced,
 - the seed quiver, its exchange matrix B~, and the skew form
   lambda_{s,t} = (lambda_s + varpi_{i_s}, d_t) for s >= t,
 
@@ -23,17 +25,9 @@ convention (with s_+ = r + 1 and s_- = 0 as "none" sentinels).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
-from .cartan import (
-    CartanDatum,
-    Weight,
-    WeylWord,
-    check_reduced,
-    pair_weight_root,
-    weyl_apply,
-)
+from .cartan import CartanDatum, Weight, WeylWord, check_reduced, pair_weight_root
 from .errors import EngineInvariantError
 from .seeds import BMatrix, QuantumSeed, balance_witness, parity_witness
 from .torus import LMatrix
@@ -48,23 +42,19 @@ __all__ = [
     "build_initial_seed",
 ]
 
-logger = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class GLSData:
     """Combinatorial data of a reduced word.
 
     succ[s] is the next position with the same letter (value r = none),
-    pred[s] the previous one (-1 = none), last_before[s][j] the largest
-    position < s carrying letter j (-1 = none).  frozen lists the positions
+    pred[s] the previous one (-1 = none).  frozen lists the positions
     without a successor.
     """
 
     word: WeylWord
     succ: tuple[int, ...]
     pred: tuple[int, ...]
-    last_before: tuple[tuple[int, ...], ...]
     frozen: tuple[int, ...]
     lambda_wts: tuple[Weight, ...]
     d: tuple[Weight, ...]
@@ -80,61 +70,43 @@ class GLSData:
 
 
 def analyze_word(cartan: CartanDatum, word: WeylWord) -> GLSData:
-    """Combinatorics and weights of a reduced word; NotReducedError otherwise."""
-    word.validate(cartan)
-    check_reduced(cartan, word)
-    letters = word.letters
-    r = len(letters)
+    """Combinatorics and weights of a reduced word; NotReducedError otherwise.
 
-    succ = []
-    for s in range(r):
-        nxt = r
-        for t in range(s + 1, r):
-            if letters[t] == letters[s]:
-                nxt = t
-                break
-        succ.append(nxt)
-    pred = []
-    last_before = []
-    for s in range(r):
-        row = []
-        for j in range(cartan.n):
-            prv = -1
-            for t in range(s - 1, -1, -1):
-                if letters[t] == j:
-                    prv = t
-                    break
-            row.append(prv)
-        last_before.append(tuple(row))
-        pred.append(row[letters[s]])
-    frozen = tuple(s for s in range(r) if succ[s] == r)
+    One forward scan over the letters and the inversion roots
+    beta_s = u_{s-1}(alpha_{i_s}) returned by check_reduced, where
+    u_s = s_{i_1} ... s_{i_s}, gives
 
-    lambda_wts = []
-    d = []
-    for s in range(r):
-        lam = weyl_apply(
-            cartan, WeylWord(letters[: s + 1]), Weight.fundamental(cartan.n, letters[s])
-        )
-        lambda_wts.append(lam)
-        ds = lam - Weight.fundamental(cartan.n, letters[s])
-        if not ds.is_root_lattice():
-            raise EngineInvariantError(
-                "d weight at position %d left the root lattice" % (s + 1)
-            )
-        if not any(ds.c):
-            raise EngineInvariantError("d weight at position %d vanishes" % (s + 1))
-        if any(x < 0 for x in ds.c):
-            raise EngineInvariantError(
-                "d weight at position %d has a positive alpha part" % (s + 1)
-            )
+        d_s = d_{s_-} - beta_s   (d_{s_-} = 0 when s has no predecessor),
+        lambda_s = d_s + varpi_{i_s}.
+
+    Proof: lambda_s = u_{s-1} s_{i_s} varpi_{i_s} = u_{s-1} varpi_{i_s} - beta_s.
+    The letters strictly between s_- and s differ from i_s, and their
+    reflections fix varpi_{i_s}, so u_{s-1} varpi_{i_s} = u_{s_-} varpi_{i_s}
+    = lambda_{s_-} (or varpi_{i_s} without a predecessor).  Unrolled,
+    d_s = -sum_{t <= s, i_t = i_s} beta_t is minus a nonempty sum of
+    positive roots: it lies in the root lattice, is nonzero and has no
+    positive alpha coefficient, with nothing left to check.
+    """
+    roots = check_reduced(cartan, word)
+    r = word.r
+    zero = Weight.zero(cartan.n)
+    succ, pred, last = [r] * r, [], {}
+    lambda_wts, d = [], []
+    for s, (i, beta) in enumerate(zip(word.letters, roots)):
+        p = last.get(i, -1)
+        if p >= 0:
+            succ[p] = s
+        pred.append(p)
+        last[i] = s
+        ds = (d[p] if p >= 0 else zero) - beta.as_weight()
         d.append(ds)
+        lambda_wts.append(ds + Weight.fundamental(cartan.n, i))
 
     return GLSData(
         word=word,
         succ=tuple(succ),
         pred=tuple(pred),
-        last_before=tuple(last_before),
-        frozen=frozen,
+        frozen=tuple(sorted(last.values())),
         lambda_wts=tuple(lambda_wts),
         d=tuple(d),
     )
@@ -166,13 +138,12 @@ def build_quiver(cartan: CartanDatum, g: GLSData) -> QuiverArrows:
 
     Ordinary arrows s -> t with multiplicity |a_{i_s, i_t}| whenever
     s < t < s_+ < t_+, horizontal arrows s -> s_- with multiplicity 1.
-    Arrows between two frozen vertices cannot arise from either rule; they
-    are filtered defensively anyway (with a log line) because downstream
-    code relies on their absence.
+    Every arrow has an exchangeable end, so no two frozen vertices are
+    joined: an ordinary arrow s -> t needs s_+ < t_+ <= r, so s has a
+    successor, and s_- has the successor s.
     """
     letters = g.word.letters
     r = g.r
-    frozen = set(g.frozen)
     arrows = []
     for s in range(r):
         for t in range(s + 1, r):
@@ -183,17 +154,7 @@ def build_quiver(cartan: CartanDatum, g: GLSData) -> QuiverArrows:
     for s in range(r):
         if g.pred[s] >= 0:
             arrows.append((s, g.pred[s], 1))
-    kept = []
-    for s, t, m in arrows:
-        if s in frozen and t in frozen:
-            logger.warning(
-                "dropping frozen-frozen arrow (%d, %d); this should be impossible",
-                s + 1,
-                t + 1,
-            )
-            continue
-        kept.append((s, t, m))
-    return QuiverArrows(tuple(sorted(kept)))
+    return QuiverArrows(tuple(sorted(arrows)))
 
 
 def quiver_to_b(quiver: QuiverArrows, r: int, ex) -> BMatrix:

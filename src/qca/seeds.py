@@ -185,7 +185,7 @@ def balance_witness(seed: "QuantumSeed", idx) -> str | None:
     return None
 
 
-def mutate_matrices(lmat: LMatrix, bmat: BMatrix, k: int):
+def mutate_matrices(lmat: LMatrix, bmat: BMatrix, k: int, a_neg):
     """(mu_k L, mu_k B~) by the closed forms: row k of mu_k(L) is a''^T L
     off the diagonal (a'' from exchange_exponents) and column k its
     negative; B~ changes entrywise.
@@ -193,11 +193,6 @@ def mutate_matrices(lmat: LMatrix, bmat: BMatrix, k: int):
     The matrix-product route (E^T L E, E B~ F) is an independent oracle in
     checks.py; mutate certifies the result through compatibility.
     """
-    return _mutate_matrices(lmat, bmat, k, exchange_exponents(bmat, k)[1])
-
-
-def _mutate_matrices(lmat: LMatrix, bmat: BMatrix, k: int, a_neg):
-    """mutate_matrices with a'' already at hand."""
     row_k = _combine_rows(lmat.rows, a_neg)
     row_k[k] = 0
     lp_closed = tuple(
@@ -223,14 +218,9 @@ def _mutate_matrices(lmat: LMatrix, bmat: BMatrix, k: int, a_neg):
     return LMatrix(lp_closed), BMatrix(tuple(bp_closed), bmat.ex)
 
 
-def mutate_dvector(dvec, bmat: BMatrix, k: int):
+def mutate_dvector(dvec, k: int, a_pos):
     """Replace d_k by -d_k + sum_{b_ik > 0} b_ik d_i = a'^T D, with a' from
     exchange_exponents."""
-    return _mutate_dvector(dvec, k, exchange_exponents(bmat, k)[0])
-
-
-def _mutate_dvector(dvec, k: int, a_pos):
-    """mutate_dvector with a' already at hand."""
     out = list(dvec)
     out[k] = _row_weight(_combine_rows(_weight_rows(dvec), a_pos))
     return tuple(out)
@@ -450,8 +440,8 @@ def mutate_variable(seed: QuantumSeed, k: int) -> TorusElem:
 def _mutate_unchecked(seed: QuantumSeed, k: int):
     """New seed plus the exchange data, without the invariant re-checks."""
     parts = exchange_parts(seed, k)
-    lp, bp = _mutate_matrices(seed.lmat, seed.bmat, k, parts.a_neg)
-    dp = _mutate_dvector(seed.dvec, k, parts.a_pos)
+    lp, bp = mutate_matrices(seed.lmat, seed.bmat, k, parts.a_neg)
+    dp = mutate_dvector(seed.dvec, k, parts.a_pos)
     new_vars = list(seed.vars)
     new_vars[k] = parts.new_var
     new_seed = replace(

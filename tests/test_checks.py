@@ -181,7 +181,7 @@ def test_fault_lambda_mutation(a2_seed):
 def test_fault_matrix_route(a2_seed, monkeypatch):
     # a closed form that drifts from E B~ F in a frozen row is caught by the
     # independent matrix route that lambda_mutation evaluates at each step
-    closed = qca.seeds._mutate_matrices
+    closed = qca.seeds.mutate_matrices
 
     def drifted(lmat, bmat, k, a_neg):
         lp, bp = closed(lmat, bmat, k, a_neg)
@@ -189,7 +189,7 @@ def test_fault_matrix_route(a2_seed, monkeypatch):
         rows[-1][0] += 1
         return lp, qca.BMatrix.from_rows(rows, bp.ex)
 
-    monkeypatch.setattr(qca.seeds, "_mutate_matrices", drifted)
+    monkeypatch.setattr(qca.seeds, "mutate_matrices", drifted)
     report = run_suite(a2_seed, [(0,)], checks=["lambda_mutation"])
     assert "E B F differs" in first_failure(report, "lambda_mutation").witness
 
@@ -249,7 +249,7 @@ def test_fault_involutivity(a2_seed, a3_seed, monkeypatch):
 
     # a forward closed form that drifts in a frozen row of another column
     # leaves the back numerator in direction 1 alone but does not round-trip
-    closed = qca.seeds._mutate_matrices
+    closed = qca.seeds.mutate_matrices
 
     def drifted(lmat, bmat, k, a_neg):
         lp, bp = closed(lmat, bmat, k, a_neg)
@@ -258,7 +258,7 @@ def test_fault_involutivity(a2_seed, a3_seed, monkeypatch):
         return lp, qca.BMatrix.from_rows(rows, bp.ex)
 
     for name, fault, seed in (("exchange_parts", off_by_v, a2_seed),
-                              ("_mutate_matrices", drifted, a3_seed)):
+                              ("mutate_matrices", drifted, a3_seed)):
         with monkeypatch.context() as m:
             m.setattr(qca.seeds, name, fault)
             report = run_suite(seed, [(0,)], checks=["involutivity"])

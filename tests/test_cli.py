@@ -145,6 +145,18 @@ def test_mutate_rejects_out_of_range(tmp_path, capsys):
     assert code == 2
 
 
+def test_mutate_refuses_an_exploding_exchange(tmp_path, capsys):
+    # on this wild rank-2 word the fourth step would raise a 19-term variable
+    # to the power 55; the term bound refuses it before any product
+    inp = write_input(tmp_path, ((2, -3), (-3, 2)), (1, 2, 1, 2, 1, 2))
+    code, out, err = run(capsys, ["mutate", "--cartan", inp, "--seq", "3,4,3,2"])
+    assert (code, out) == (2, "")
+    assert "step 4" in err
+    assert not (tmp_path / "cache").exists()
+    code, _, _ = run(capsys, ["mutate", "--cartan", inp, "--seq", "3,4,3"])
+    assert code == 0
+
+
 def test_mutate_cache_hit_builds_no_seed(tmp_path, capsys, monkeypatch):
     # the key comes from (cartan, word, seq), so a hit never needs the seed
     build = qca.cli.build_initial_seed

@@ -9,9 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qca
-from qca.cartan import Weight
+from qca.cartan import Weight, weyl_apply
 from qca.checks import default_sequences, run_suite
-from qca.errors import EngineInvariantError, IncompatibleError
+from qca.errors import EngineInvariantError, IncompatibleError, NotReducedError
+from qca.gls import analyze_word, build_quiver
 from qca.seeds import (
     QuantumSeed,
     balance_witness,
@@ -140,7 +141,7 @@ def test_mutate_rechecks_compatibility(monkeypatch):
     # with q-commutation proved, check_compatible is the only guard on
     # mu_k(L): an off-diagonal drift of row k must not get through
     seed = make_seed("a3")
-    closed = qca.seeds._mutate_matrices
+    closed = qca.seeds.mutate_matrices
 
     def drifted(lmat, bmat, k, a_neg):
         lp, bp = closed(lmat, bmat, k, a_neg)
@@ -150,7 +151,7 @@ def test_mutate_rechecks_compatibility(monkeypatch):
         rows[m][k] -= 2
         return LMatrix.from_rows(rows), bp
 
-    monkeypatch.setattr(qca.seeds, "_mutate_matrices", drifted)
+    monkeypatch.setattr(qca.seeds, "mutate_matrices", drifted)
     for k in seed.ex:
         with pytest.raises(IncompatibleError):
             mutate(seed, k)
@@ -197,6 +198,25 @@ def test_random_symmetric_gcms(case):
         text = pretty_dumps(seed_to_json(child))
         assert pretty_dumps(seed_to_json(seed_from_json(json.loads(text)))) == text
         assert exact_left_div(seed.vars[k], seed.vars[k] * child.vars[k]) == child.vars[k]
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(gcm_and_word())
+def test_word_layer(case):
+    # the weights read off the inversion roots are the prefix images, every
+    # quiver arrow has an exchangeable end, and a doubled last letter is not
+    # reduced
+    cartan, word = case
+    g = analyze_word(cartan, word)
+    letters = word.letters
+    for s, i in enumerate(letters):
+        fund = Weight.fundamental(cartan.n, i)
+        lam = weyl_apply(cartan, qca.WeylWord(letters[: s + 1]), fund)
+        assert (g.lambda_wts[s], g.d[s]) == (lam, lam - fund)
+    ex = set(g.exchangeable)
+    assert all(s in ex or t in ex for s, t, _ in build_quiver(cartan, g).arrows)
+    with pytest.raises(NotReducedError):
+        analyze_word(cartan, qca.WeylWord(letters + letters[-1:]))
 
 
 B_MAX = 4

@@ -105,7 +105,7 @@ def test_e_squared_is_identity():
 
 
 def test_mutate_matrices_golden():
-    l2, b2 = mutate_matrices(A2_L, A2_B, 0)
+    l2, b2 = mutate_matrices(A2_L, A2_B, 0, exchange_exponents(A2_B, 0)[1])
     assert l2.rows == ((0, 1, -1), (-1, 0, 0), (1, 0, 0))
     assert b2.rows == ((0,), (1,), (-1,))
     assert b2.ex == (0,)
@@ -119,7 +119,7 @@ def test_mutate_matrices_is_et_l_e():
             e, _ = ef_matrices(seed.bmat, k)
             et = tuple(zip(*e))
             expect = matmul(matmul(et, seed.lmat.rows), e)
-            l2, _ = mutate_matrices(seed.lmat, seed.bmat, k)
+            l2, _ = mutate_matrices(seed.lmat, seed.bmat, k, exchange_exponents(seed.bmat, k)[1])
             assert l2.rows == expect
 
 
@@ -133,7 +133,7 @@ def test_mutate_matrices_is_e_b_f():
             for lmat, bmat in level:
                 for k in bmat.ex:
                     e, f = ef_matrices(bmat, k)
-                    l2, b2 = mutate_matrices(lmat, bmat, k)
+                    l2, b2 = mutate_matrices(lmat, bmat, k, exchange_exponents(bmat, k)[1])
                     assert b2.rows == matmul(matmul(e, bmat.rows), f)
                     assert l2.rows == matmul(matmul(tuple(zip(*e)), lmat.rows), e)
                     nxt.append((l2, b2))
@@ -144,8 +144,8 @@ def test_mutate_matrices_involutive():
     for key in SEED_CASES:
         seed = make_seed(key)
         for k in seed.bmat.ex:
-            l2, b2 = mutate_matrices(seed.lmat, seed.bmat, k)
-            l3, b3 = mutate_matrices(l2, b2, k)
+            l2, b2 = mutate_matrices(seed.lmat, seed.bmat, k, exchange_exponents(seed.bmat, k)[1])
+            l3, b3 = mutate_matrices(l2, b2, k, exchange_exponents(b2, k)[1])
             assert l3 == seed.lmat and b3 == seed.bmat
 
 
@@ -153,12 +153,12 @@ def test_mutated_pair_stays_compatible():
     for key in SEED_CASES:
         seed = make_seed(key)
         for k in seed.bmat.ex:
-            l2, b2 = mutate_matrices(seed.lmat, seed.bmat, k)
+            l2, b2 = mutate_matrices(seed.lmat, seed.bmat, k, exchange_exponents(seed.bmat, k)[1])
             assert check_compatible(l2, b2) == 2
 
 
 def test_mutate_dvector_golden():
-    d2 = mutate_dvector(A2_D, A2_B, 0)
+    d2 = mutate_dvector(A2_D, 0, exchange_exponents(A2_B, 0)[0])
     assert d2[0] == Weight((0, 0), (0, 1))  # -alpha_2
     assert d2[1] == A2_D[1] and d2[2] == A2_D[2]
 
@@ -169,7 +169,7 @@ def test_mutate_dvector_oracle():
     for key in SEED_CASES:
         seed = make_seed(key)
         for kpos, k in enumerate(seed.bmat.ex):
-            d2 = mutate_dvector(seed.dvec, seed.bmat, k)
+            d2 = mutate_dvector(seed.dvec, k, exchange_exponents(seed.bmat, k)[0])
             alt = -seed.dvec[k]
             for i in range(seed.bmat.k):
                 b = seed.bmat.rows[i][kpos]
