@@ -10,16 +10,13 @@ classical q = 1 shadow, and mutation involutivity.
 
 from .cartan import (
     CartanDatum,
-    RootVec,
     Weight,
     WeylWord,
     check_reduced,
     coroot_pair,
     inversion_roots,
-    is_reduced,
     pair_weight_root,
     reflect,
-    reflect_root,
     weyl_apply,
 )
 from .checks import ALL_CHECKS, CheckReport, default_sequences, run_suite
@@ -54,16 +51,13 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "CartanDatum",
-    "RootVec",
     "Weight",
     "WeylWord",
     "coroot_pair",
     "pair_weight_root",
     "reflect",
-    "reflect_root",
     "weyl_apply",
     "inversion_roots",
-    "is_reduced",
     "check_reduced",
     "LMatrix",
     "TorusElem",

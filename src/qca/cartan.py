@@ -4,8 +4,11 @@ A weight is stored in hybrid coordinates
 
     mu = sum_i m_i varpi_i - sum_j c_j alpha_j
 
-(fundamental-weight part and a subtracted root part).  Every pairing the
-engine needs puts a root-lattice vector in the second slot, where
+(fundamental-weight part and a subtracted root part).  The root lattice is
+the subset m = 0, so roots are Weights too and one reflection serves both:
+beta = sum_j b_j alpha_j is stored with c = -b, and a positive root has
+every c_j <= 0, not all zero.  Every pairing the engine needs puts a
+root-lattice weight in the second slot, where
 
     (mu, alpha_j) = <h_j, mu> = m_j - (A c)_j
 
@@ -27,15 +30,13 @@ from .errors import NotReducedError, as_int
 __all__ = [
     "CartanDatum",
     "Weight",
-    "RootVec",
     "WeylWord",
     "coroot_pair",
     "pair_weight_root",
     "reflect",
-    "reflect_root",
     "weyl_apply",
     "inversion_roots",
-    "is_reduced",
+    "check_reduced",
 ]
 
 
@@ -92,7 +93,7 @@ class Weight:
     in a canonical way from fundamental weights by reflections, which touch
     only the c part.
 
-    >>> w = Weight.fundamental(2, 0) - Weight.root_multiple(2, (1, 0))
+    >>> w = Weight.fundamental(2, 0) - Weight.simple_root(2, 0)
     >>> (w.m, w.c)
     ((1, 0), (1, 0))
     """
@@ -119,9 +120,22 @@ class Weight:
         return cls(tuple(m), (0,) * n)
 
     @classmethod
-    def root_multiple(cls, n: int, c) -> "Weight":
-        """Build sum_j c_j alpha_j as a Weight (zero m part, negated c part)."""
-        return cls((0,) * n, tuple(-int(x) for x in c))
+    def simple_root(cls, n: int, i: int) -> "Weight":
+        """alpha_i: zero m part, c = -e_i."""
+        c = [0] * n
+        c[i] = -1
+        return cls((0,) * n, tuple(c))
+
+    @classmethod
+    def from_row(cls, row) -> "Weight":
+        """The weight whose flattened row (see row) is row."""
+        n = len(row) // 2
+        return cls(tuple(row[:n]), tuple(row[n:]))
+
+    @property
+    def row(self) -> tuple[int, ...]:
+        """The integer row m + c, on which weights add like vectors."""
+        return self.m + self.c
 
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(
@@ -138,42 +152,12 @@ class Weight:
     def __neg__(self) -> "Weight":
         return Weight(tuple(-x for x in self.m), tuple(-x for x in self.c))
 
-    def scale(self, k: int) -> "Weight":
-        return Weight(tuple(k * x for x in self.m), tuple(k * x for x in self.c))
-
     def is_root_lattice(self) -> bool:
         return all(x == 0 for x in self.m)
 
-    def as_root(self) -> "RootVec":
-        """Write a root-lattice weight as a RootVec (alpha coefficients)."""
-        if not self.is_root_lattice():
-            raise ValueError("weight has a nonzero fundamental part")
-        return RootVec(tuple(-x for x in self.c))
-
-
-@dataclass(frozen=True)
-class RootVec:
-    """beta = sum_j c_j alpha_j as an integer coefficient vector."""
-
-    c: tuple[int, ...]
-
-    @classmethod
-    def simple(cls, n: int, i: int) -> "RootVec":
-        c = [0] * n
-        c[i] = 1
-        return cls(tuple(c))
-
-    def __add__(self, other: "RootVec") -> "RootVec":
-        return RootVec(tuple(x + y for x, y in zip(self.c, other.c)))
-
-    def __neg__(self) -> "RootVec":
-        return RootVec(tuple(-x for x in self.c))
-
-    def is_positive(self) -> bool:
-        return any(self.c) and all(x >= 0 for x in self.c)
-
-    def as_weight(self) -> Weight:
-        return Weight((0,) * len(self.c), tuple(-x for x in self.c))
+    def is_positive_root(self) -> bool:
+        """In the root lattice with every alpha coefficient >= 0, not all 0."""
+        return self.is_root_lattice() and any(self.c) and all(x <= 0 for x in self.c)
 
 
 @dataclass(frozen=True)
@@ -222,19 +206,22 @@ def coroot_pair(d: CartanDatum, i: int, mu: Weight) -> int:
     return mu.m[i] - sum(d.a[i][j] * mu.c[j] for j in range(d.n) if mu.c[j])
 
 
-def pair_weight_root(d: CartanDatum, mu: Weight, beta: RootVec) -> int:
+def pair_weight_root(d: CartanDatum, mu: Weight, beta: Weight) -> int:
     """(mu, beta) for beta in the root lattice; exact integer.
 
     With all symmetrizers equal to 1, (mu, alpha_i) = <h_i, mu>, so
-    (mu, sum c_j alpha_j) = sum_j c_j <h_j, mu>.
+    (mu, sum b_j alpha_j) = sum_j b_j <h_j, mu>, where b = -beta.c.
+    ValueError if beta has a fundamental part.
 
     >>> d = CartanDatum.from_rows([[2, -1], [-1, 2]])
-    >>> pair_weight_root(d, RootVec.simple(2, 0).as_weight(), RootVec.simple(2, 0))
+    >>> pair_weight_root(d, Weight.simple_root(2, 0), Weight.simple_root(2, 0))
     2
-    >>> pair_weight_root(d, Weight.fundamental(2, 0), RootVec.simple(2, 1))
+    >>> pair_weight_root(d, Weight.fundamental(2, 0), Weight.simple_root(2, 1))
     0
     """
-    return sum(
+    if not beta.is_root_lattice():
+        raise ValueError("second argument of the pairing has a nonzero fundamental part")
+    return -sum(
         beta.c[j] * coroot_pair(d, j, mu) for j in range(d.n) if beta.c[j]
     )
 
@@ -255,16 +242,6 @@ def reflect(d: CartanDatum, i: int, mu: Weight) -> Weight:
     return Weight(mu.m, tuple(c))
 
 
-def reflect_root(d: CartanDatum, i: int, beta: RootVec) -> RootVec:
-    """s_i(beta) = beta - <h_i, beta> alpha_i on root-lattice vectors."""
-    k = sum(d.a[i][j] * beta.c[j] for j in range(d.n) if beta.c[j])
-    if k == 0:
-        return beta
-    c = list(beta.c)
-    c[i] -= k
-    return RootVec(tuple(c))
-
-
 def weyl_apply(d: CartanDatum, word: WeylWord, mu: Weight) -> Weight:
     """Apply u = s_{i_1} s_{i_2} ... s_{i_r} to mu (rightmost letter first).
 
@@ -279,7 +256,7 @@ def weyl_apply(d: CartanDatum, word: WeylWord, mu: Weight) -> Weight:
     return mu
 
 
-def inversion_roots(d: CartanDatum, word: WeylWord) -> tuple[RootVec, ...]:
+def inversion_roots(d: CartanDatum, word: WeylWord) -> tuple[Weight, ...]:
     """beta_k = s_{i_1} ... s_{i_{k-1}} (alpha_{i_k}) for k = 1..r.
 
     The word is reduced exactly when every beta_k is a positive root; for a
@@ -288,30 +265,14 @@ def inversion_roots(d: CartanDatum, word: WeylWord) -> tuple[RootVec, ...]:
     word.validate(d)
     out = []
     for k, i in enumerate(word.letters):
-        beta = RootVec.simple(d.n, i)
+        beta = Weight.simple_root(d.n, i)
         for j in reversed(word.letters[:k]):
-            beta = reflect_root(d, j, beta)
+            beta = reflect(d, j, beta)
         out.append(beta)
     return tuple(out)
 
 
-def is_reduced(d: CartanDatum, word: WeylWord) -> bool:
-    """Whether check_reduced accepts the word.
-
-    >>> d = CartanDatum.from_rows([[2, -1], [-1, 2]])
-    >>> is_reduced(d, WeylWord.from_one_based((1, 2, 1)))
-    True
-    >>> is_reduced(d, WeylWord.from_one_based((1, 1)))
-    False
-    """
-    try:
-        check_reduced(d, word)
-    except NotReducedError:
-        return False
-    return True
-
-
-def check_reduced(d: CartanDatum, word: WeylWord) -> tuple[RootVec, ...]:
+def check_reduced(d: CartanDatum, word: WeylWord) -> tuple[Weight, ...]:
     """The inversion roots of a reduced word; NotReducedError otherwise.
 
     The length of u_k = s_{i_1}...s_{i_k} grows at each step iff
@@ -321,10 +282,10 @@ def check_reduced(d: CartanDatum, word: WeylWord) -> tuple[RootVec, ...]:
 
     >>> d = CartanDatum.from_rows([[2, -1], [-1, 2]])
     >>> [b.c for b in check_reduced(d, WeylWord.from_one_based((1, 2, 1)))]
-    [(1, 0), (1, 1), (0, 1)]
+    [(-1, 0), (-1, -1), (0, -1)]
     """
     roots = inversion_roots(d, word)
-    if not all(beta.is_positive() for beta in roots):
+    if not all(beta.is_positive_root() for beta in roots):
         raise NotReducedError(
             "word %s is not reduced" % (word.to_one_based(),)
         )

@@ -26,6 +26,7 @@ from .seeds import (
     _mutate_unchecked,
     balance_witness,
     check_compatible,
+    check_exchange_size,
     homogeneity_witness,
     mutate_dvector,
     mutate_matrices,
@@ -248,8 +249,9 @@ def _node_failures(node: QuantumSeed, idx, selected, parent=None, parts=None) ->
 
 def run_suite(seed: QuantumSeed, sequences, checks=None, meta=None) -> CheckReport:
     """Evaluate the selected checks over the given sequences (0-based
-    directions).  Unknown check names raise ValueError; everything else is
-    reported, not raised."""
+    directions).  Unknown check names raise ValueError, and so does a step
+    that seeds.check_exchange_size refuses, before the step is computed;
+    everything else is reported, not raised."""
     if checks is None:
         selected = list(ALL_CHECKS)
     else:
@@ -295,11 +297,13 @@ def run_suite(seed: QuantumSeed, sequences, checks=None, meta=None) -> CheckRepo
         path, cur, cs = stack.pop()
         for k in sorted(children.get(path, ()), reverse=True):
             child = path + (k,)
+            step_txt = "step %d (direction %d)" % (len(child), k + 1)
+            check_exchange_size(
+                cur, k, "sequence %s, %s" % (tuple(j + 1 for j in child), step_txt))
             try:
                 new_seed, parts = _mutate_unchecked(cur, k)
             except NotDivisibleError as e:
-                fail[("laurent", child)] = (
-                    "step %d (direction %d): %s" % (len(child), k + 1, e))
+                fail[("laurent", child)] = "%s: %s" % (step_txt, e)
                 pruned[child] = "division failed at step %d" % len(child)
                 continue
             new_cs = None
@@ -308,10 +312,8 @@ def run_suite(seed: QuantumSeed, sequences, checks=None, meta=None) -> CheckRepo
                 bad = compare_q1(new_seed, new_cs)
                 if bad:
                     fail[("q1_oracle", child)] = (
-                        "step %d (direction %d): variables %s disagree with "
-                        "the classical shadow"
-                        % (len(child), k + 1, [i + 1 for i in bad]))
-            step_txt = "step %d (direction %d)" % (len(child), k + 1)
+                        "%s: variables %s disagree with the classical shadow"
+                        % (step_txt, [i + 1 for i in bad]))
             for check, w in _node_failures(new_seed, (k,), sel, cur, parts).items():
                 fail[(check, child)] = "%s: %s" % (step_txt, w)
             stack.append((child, new_seed, new_cs))

@@ -3,8 +3,8 @@
 Subcommands: build, mutate, verify, export, info.  JSON results go to
 --out (atomic write) or stdout; human summaries go to stderr.  Exit codes:
 0 all good, 1 a verified identity or mutation invariant failed, 2 bad
-input / parse / IO / unknown names, or a mutate step whose exchange
-numerator could exceed MAX_EXCHANGE_TERMS terms.
+input / parse / IO / unknown names, or a mutate or verify step whose
+exchange numerator could exceed seeds.MAX_EXCHANGE_TERMS terms.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import argparse
 import contextlib
 import hashlib
 import json
-import math
 import os
 import sys
 
@@ -26,8 +25,8 @@ from .errors import (
     NotDivisibleError,
     NotReducedError,
 )
-from .gls import analyze_word, build_initial_seed, build_quiver
-from .seeds import check_compatible, exchange_exponents, mutate
+from .gls import _assemble, build_initial_seed
+from .seeds import check_compatible, check_exchange_size, mutate
 from .serialize import (
     atomic_write_text,
     canonical_dumps,
@@ -41,9 +40,6 @@ from .serialize import (
 from .torus import KERNEL_BACKEND
 
 CACHE_ENV = "QCA_CACHE_DIR"
-
-# `mutate` refuses a step whose exchange numerator could have more terms
-MAX_EXCHANGE_TERMS = 10**6
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -114,9 +110,7 @@ def _seed_summary(seed) -> None:
 
 def cmd_build(args) -> int:
     cartan, word = _load_cartan_word(args)
-    seed = build_initial_seed(cartan, word)
-    g = analyze_word(cartan, word)
-    quiver = build_quiver(cartan, g)
+    seed, g, quiver = _assemble(cartan, word)
     obj = seed_to_json(seed)
     obj["gls"] = gls_block(word, g, quiver)
     _emit(pretty_dumps(obj), args.out)
@@ -147,22 +141,6 @@ def _cache_key(payload: dict) -> str:
     payload = dict(payload)
     payload["engine"] = __version__
     return hashlib.sha256(canonical_dumps(payload).encode()).hexdigest()
-
-
-def _exchange_term_bound(seed, k: int) -> int:
-    """An upper bound on the terms of the exchange numerator in direction k.
-
-    A power x^a of a variable with t terms has at most C(a + t - 1, t - 1)
-    exponents, one per multiset of a of its terms; exponents add under
-    products, so each monomial of the numerator has at most the product of
-    these over its factors, and the numerator at most the sum over a', a''.
-    Computed from the exponents and term counts alone, before any product.
-    """
-    counts = [len(x.terms) for x in seed.vars]
-    return sum(
-        math.prod(math.comb(ai + t - 1, t - 1) for ai, t in zip(a, counts) if ai > 0)
-        for a in exchange_exponents(seed.bmat, k)
-    )
 
 
 def cmd_mutate(args) -> int:
@@ -206,11 +184,7 @@ def cmd_mutate(args) -> int:
         start = build_initial_seed(cartan, word)
     result = start
     for step, k in enumerate(seq, 1):
-        bound = _exchange_term_bound(result, k - 1)
-        if bound > MAX_EXCHANGE_TERMS:
-            raise ValueError(
-                "step %d (direction %d): the exchange numerator could have up to "
-                "%d terms, over the limit of %d" % (step, k, bound, MAX_EXCHANGE_TERMS))
+        check_exchange_size(result, k - 1, "step %d (direction %d)" % (step, k))
         result = mutate(result, k - 1)
     text = pretty_dumps(seed_to_json(result))
     if not args.no_cache:
@@ -263,7 +237,7 @@ def cmd_export(args) -> int:
                 raise ValueError(
                     "normalization needs root-lattice D entries (index %d)" % (i + 1)
                 )
-            norm = pair_weight_root(seed.cartan, w, w.as_root())
+            norm = pair_weight_root(seed.cartan, w, w)
             if norm % 2:
                 raise ValueError("(d_i, d_i) is odd at index %d" % (i + 1))
             rescaled.append(torus_to_json(x.v_shift(-norm // 2)))

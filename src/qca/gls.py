@@ -98,7 +98,7 @@ def analyze_word(cartan: CartanDatum, word: WeylWord) -> GLSData:
             succ[p] = s
         pred.append(p)
         last[i] = s
-        ds = (d[p] if p >= 0 else zero) - beta.as_weight()
+        ds = (d[p] if p >= 0 else zero) - beta
         d.append(ds)
         lambda_wts.append(ds + Weight.fundamental(cartan.n, i))
 
@@ -184,7 +184,7 @@ def lambda_matrix(cartan: CartanDatum, g: GLSData) -> LMatrix:
     for s in range(r):
         mu = g.lambda_wts[s] + Weight.fundamental(cartan.n, letters[s])
         for t in range(s):
-            val = pair_weight_root(cartan, mu, g.d[t].as_root())
+            val = pair_weight_root(cartan, mu, g.d[t])
             rows[s][t] = val
             rows[t][s] = -val
     return LMatrix(tuple(tuple(row) for row in rows))
@@ -199,6 +199,12 @@ def build_initial_seed(cartan: CartanDatum, word: WeylWord) -> QuantumSeed:
     EngineInvariantError if an integer condition fails (they never do; each
     is also exercised separately in the test-suite).
     """
+    return _assemble(cartan, word)[0]
+
+
+def _assemble(cartan: CartanDatum, word: WeylWord):
+    """(seed, GLSData, quiver): build_initial_seed's seed together with the
+    word data it was built from, which `qca build` also prints."""
     g = analyze_word(cartan, word)
     quiver = build_quiver(cartan, g)
     bmat = quiver_to_b(quiver, g.r, g.exchangeable)
@@ -208,4 +214,4 @@ def build_initial_seed(cartan: CartanDatum, word: WeylWord) -> QuantumSeed:
     witness = parity_witness(seed, range(g.r)) or balance_witness(seed, range(g.r))
     if witness:
         raise EngineInvariantError(witness)
-    return seed
+    return seed, g, quiver

@@ -33,6 +33,7 @@ All of this is exact; nothing is floating point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from operator import mul
 
@@ -53,6 +54,9 @@ __all__ = [
     "mutate_dvector",
     "exchange_exponents",
     "exchange_parts",
+    "exchange_term_bound",
+    "check_exchange_size",
+    "MAX_EXCHANGE_TERMS",
     "mutate_variable",
     "mutate",
     "mutate_seq",
@@ -163,7 +167,7 @@ def parity_witness(seed: "QuantumSeed", idx) -> str | None:
     for i, j in _pairs(seed.k, idx):
         if not (seed.dvec[i].is_root_lattice() and seed.dvec[j].is_root_lattice()):
             return "D entries outside the root lattice at (%d, %d)" % (i + 1, j + 1)
-        pairing = pair_weight_root(seed.cartan, seed.dvec[i], seed.dvec[j].as_root())
+        pairing = pair_weight_root(seed.cartan, seed.dvec[i], seed.dvec[j])
         if (seed.lmat.rows[i][j] - pairing) % 2:
             return "lambda_%d%d = %d but (d_i, d_j) = %d" % (
                 i + 1, j + 1, seed.lmat.rows[i][j], pairing)
@@ -175,7 +179,7 @@ def balance_witness(seed: "QuantumSeed", idx) -> str | None:
     columns that involve an index of idx (j in idx, or b_ij != 0 for some i
     in idx).  A step in direction k changes only column k, the columns
     with b_kj != 0 and d_k, so (k,) re-examines every changed column."""
-    drows = _weight_rows(seed.dvec)
+    drows = [w.row for w in seed.dvec]
     for j in seed.ex:
         col = seed.bmat.column(j)
         if j not in idx and not any(col[i] for i in idx):
@@ -222,7 +226,7 @@ def mutate_dvector(dvec, k: int, a_pos):
     """Replace d_k by -d_k + sum_{b_ik > 0} b_ik d_i = a'^T D, with a' from
     exchange_exponents."""
     out = list(dvec)
-    out[k] = _row_weight(_combine_rows(_weight_rows(dvec), a_pos))
+    out[k] = Weight.from_row(_combine_rows([w.row for w in dvec], a_pos))
     return tuple(out)
 
 
@@ -238,20 +242,9 @@ def exchange_exponents(bmat: BMatrix, k: int):
 
 def homogeneous_weight(x: TorusElem, d_init) -> Weight | None:
     """The common weight sum_i a_i d_i of all monomials of x, or None."""
-    drows = _weight_rows(d_init)
+    drows = [w.row for w in d_init]
     weights = {tuple(_combine_rows(drows, a)) for a in x.terms}
-    return _row_weight(weights.pop()) if len(weights) == 1 else None
-
-
-def _weight_rows(ws) -> list:
-    """Each weight flattened to the integer row m + c (see _row_weight)."""
-    return [w.m + w.c for w in ws]
-
-
-def _row_weight(row) -> Weight:
-    """The weight whose flattened row is row."""
-    n = len(row) // 2
-    return Weight(tuple(row[:n]), tuple(row[n:]))
+    return Weight.from_row(weights.pop()) if len(weights) == 1 else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -430,6 +423,36 @@ def exchange_parts(seed: QuantumSeed, k: int) -> ExchangeParts:
     terms = _exchange_terms(seed, k)
     numerator = terms[-2] + terms[-1]
     return ExchangeParts(k, *terms, numerator, exact_left_div(seed.vars[k], numerator))
+
+
+# `qca mutate` and run_suite refuse a step whose exchange numerator could
+# have more terms (check_exchange_size); qca.mutate itself stays unbounded
+MAX_EXCHANGE_TERMS = 10**6
+
+
+def exchange_term_bound(seed: QuantumSeed, k: int) -> int:
+    """An upper bound on the terms of the exchange numerator in direction k.
+
+    A power x^a of a variable with t terms has at most C(a + t - 1, t - 1)
+    exponents, one per multiset of a of its terms; exponents add under
+    products, so each monomial of the numerator has at most the product of
+    these over its factors, and the numerator at most the sum over a', a''.
+    Computed from the exponents and term counts alone, before any product.
+    """
+    counts = [len(x.terms) for x in seed.vars]
+    return sum(
+        math.prod(math.comb(ai + t - 1, t - 1) for ai, t in zip(a, counts) if ai > 0)
+        for a in exchange_exponents(seed.bmat, k)
+    )
+
+
+def check_exchange_size(seed: QuantumSeed, k: int, where: str) -> None:
+    """ValueError, prefixed by where, if the exchange numerator in direction
+    k could have more than MAX_EXCHANGE_TERMS terms."""
+    bound = exchange_term_bound(seed, k)
+    if bound > MAX_EXCHANGE_TERMS:
+        raise ValueError("%s: the exchange numerator could have up to %d terms, "
+                         "over the limit of %d" % (where, bound, MAX_EXCHANGE_TERMS))
 
 
 def mutate_variable(seed: QuantumSeed, k: int) -> TorusElem:

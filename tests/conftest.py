@@ -32,6 +32,11 @@ def make_seed(key):
     return qca.build_initial_seed(cartan, qca.WeylWord.from_one_based(word))
 
 
+def scale_weight(w, k):
+    """k * w."""
+    return qca.Weight(tuple(k * x for x in w.m), tuple(k * x for x in w.c))
+
+
 def corrupt_a3():
     """The A3 longest-word seed with X^(0,-1,1,0,0,1) added to its frozen
     variable 6: still homogeneous, but no longer q-commuting with variable 1."""

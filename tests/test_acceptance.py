@@ -13,7 +13,7 @@ from qca.classical import classical_mutate, classical_shadow, compare_q1
 from qca.seeds import check_compatible, exchange_parts, homogeneous_weight
 from qca.torus import TorusElem, exact_left_div, q_commute_exponent
 
-from conftest import SEED_CASES, make_seed, rand_elem, rand_skew
+from conftest import SEED_CASES, make_seed, rand_elem, rand_skew, scale_weight
 
 TREE_DEPTH = {"a2": 4, "a3": 4, "aff": 3}
 
@@ -55,15 +55,13 @@ def test_criterion_01_seed_integrity():
             bad.append((key, "compatibility"))
         for i in range(r):
             for j in range(r):
-                pairing = qca.pair_weight_root(
-                    seed.cartan, seed.dvec[i], seed.dvec[j].as_root()
-                )
+                pairing = qca.pair_weight_root(seed.cartan, seed.dvec[i], seed.dvec[j])
                 if (seed.lmat.rows[i][j] - pairing) % 2:
                     bad.append((key, "parity", i, j))
         for jpos in range(len(seed.bmat.ex)):
             total = Weight.zero(seed.cartan.n)
             for i in range(r):
-                total = total + seed.dvec[i].scale(seed.bmat.rows[i][jpos])
+                total = total + scale_weight(seed.dvec[i], seed.bmat.rows[i][jpos])
             if total != Weight.zero(seed.cartan.n):
                 bad.append((key, "balance", jpos))
     elapsed = time.perf_counter() - t0

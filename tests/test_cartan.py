@@ -7,16 +7,13 @@ import pytest
 import qca
 from qca.cartan import (
     CartanDatum,
-    RootVec,
     Weight,
     WeylWord,
     check_reduced,
     coroot_pair,
     inversion_roots,
-    is_reduced,
     pair_weight_root,
     reflect,
-    reflect_root,
     weyl_apply,
 )
 from qca.errors import NotReducedError
@@ -34,7 +31,7 @@ def rand_weight(rng, n, span=4):
 
 
 def rand_root(rng, n, span=4):
-    return RootVec(tuple(rng.randint(-span, span) for _ in range(n)))
+    return Weight((0,) * n, tuple(rng.randint(-span, span) for _ in range(n)))
 
 
 def rand_cartan(rng, n):
@@ -61,23 +58,23 @@ def test_weight_arithmetic():
     z = Weight.zero(2)
     assert w + z == w and w - w == z
     assert (-w).m == (-1, 0) and (-w).c == (0, -2)
-    assert w.scale(3) == w + w + w
+    assert w.row == (1, 0, 0, 2) and Weight.from_row(w.row) == w
+    assert Weight.from_row(tuple(3 * x for x in w.row)) == w + w + w
     assert Weight.fundamental(2, 1).m == (0, 1)
-    # root_multiple(n, c) is sum_j c_j alpha_j, so the stored c part is negated
-    assert Weight.root_multiple(2, (1, 2)) == RootVec((1, 2)).as_weight()
-    assert Weight.root_multiple(2, (1, 2)).m == (0, 0)
+    # a root sum_j b_j alpha_j is the Weight with m = 0 and c = -b
+    a1, a2 = Weight.simple_root(2, 0), Weight.simple_root(2, 1)
+    assert a1 + a2 + a2 == Weight((0, 0), (-1, -2))
     assert not w.is_root_lattice()
-    assert Weight.root_multiple(2, (1, 2)).is_root_lattice()
+    assert (a1 + a2 + a2).is_root_lattice()
 
 
-def test_root_weight_conversions():
-    # RootVec stores +sum c_i alpha_i; Weight stores -sum c_i alpha_i.
-    beta = RootVec.simple(3, 1)
-    assert beta.c == (0, 1, 0) and beta.is_positive()
-    assert beta.as_weight().c == (0, -1, 0)
-    assert beta.as_weight().as_root() == beta
-    assert not RootVec((1, -1, 0)).is_positive()
-    assert not RootVec((0, 0, 0)).is_positive()
+def test_positive_roots():
+    beta = Weight.simple_root(3, 1)
+    assert beta.c == (0, -1, 0) and beta.is_positive_root()
+    assert not (-beta).is_positive_root()
+    assert not Weight((0, 0, 0), (-1, 1, 0)).is_positive_root()
+    assert not Weight.zero(3).is_positive_root()
+    assert not (Weight.fundamental(3, 0) + beta).is_positive_root()
 
 
 def test_coroot_pairing_basics():
@@ -85,21 +82,22 @@ def test_coroot_pairing_basics():
     for i in range(2):
         for j in range(2):
             assert coroot_pair(d, i, Weight.fundamental(2, j)) == (1 if i == j else 0)
-            alpha_j = RootVec.simple(2, j).as_weight()
+            alpha_j = Weight.simple_root(2, j)
             assert coroot_pair(d, i, alpha_j) == d.a[i][j]
 
 
 def test_pairing_gram_oracle():
     # pair_weight_root(mu, beta) must equal m.e - c^T A e for mu = sum m_i w_i
-    # - sum c_k alpha_k and beta = sum e_j alpha_j.
+    # - sum c_k alpha_k and beta = sum e_j alpha_j, stored as beta.c = -e.
     rng = random.Random(0)
     for _ in range(200):
         n = rng.randint(1, 4)
         d = rand_cartan(rng, n)
         mu = rand_weight(rng, n)
         beta = rand_root(rng, n)
-        expect = sum(mu.m[j] * beta.c[j] for j in range(n)) - sum(
-            mu.c[k] * d.a[j][k] * beta.c[j] for j in range(n) for k in range(n)
+        e = [-x for x in beta.c]
+        expect = sum(mu.m[j] * e[j] for j in range(n)) - sum(
+            mu.c[k] * d.a[j][k] * e[j] for j in range(n) for k in range(n)
         )
         assert pair_weight_root(d, mu, beta) == expect
 
@@ -115,6 +113,14 @@ def test_pairing_bilinear():
         ) + pair_weight_root(d, nu, beta)
 
 
+def test_pairing_refuses_a_weight_outside_the_root_lattice():
+    d = CartanDatum.from_rows(A2_ROWS)
+    mu = Weight.simple_root(2, 0)
+    for beta in (Weight.fundamental(2, 1), Weight((1, -1), (0, 0)), mu + Weight.fundamental(2, 0)):
+        with pytest.raises(ValueError, match="fundamental part"):
+            pair_weight_root(d, mu, beta)
+
+
 def test_reflect_involution_and_fixed_points():
     rng = random.Random(2)
     for rows in ALL_ROWS:
@@ -122,7 +128,7 @@ def test_reflect_involution_and_fixed_points():
         n = d.n
         for i in range(n):
             w = Weight.fundamental(n, i)
-            assert reflect(d, i, w) == w - RootVec.simple(n, i).as_weight()
+            assert reflect(d, i, w) == w - Weight.simple_root(n, i)
             for j in range(n):
                 if j != i:
                     assert reflect(d, i, Weight.fundamental(n, j)) == Weight.fundamental(n, j)
@@ -131,16 +137,7 @@ def test_reflect_involution_and_fixed_points():
             i = rng.randrange(n)
             assert reflect(d, i, reflect(d, i, mu)) == mu
             beta = rand_root(rng, n)
-            assert reflect_root(d, i, reflect_root(d, i, beta)) == beta
-
-
-def test_reflect_root_matches_weight_reflection():
-    rng = random.Random(3)
-    d = CartanDatum.from_rows(A3_ROWS)
-    for _ in range(50):
-        beta = rand_root(rng, 3)
-        i = rng.randrange(3)
-        assert reflect_root(d, i, beta).as_weight() == reflect(d, i, beta.as_weight())
+            assert reflect(d, i, reflect(d, i, beta)) == beta
 
 
 def test_weyl_apply_is_iterated_reflection():
@@ -167,9 +164,7 @@ def test_pairing_weyl_invariance():
             letters = tuple(rng.randrange(n) for _ in range(rng.randint(0, 5)))
             mu, beta = rand_weight(rng, n), rand_root(rng, n)
             wmu = weyl_apply(d, WeylWord(letters), mu)
-            wbeta = beta
-            for i in reversed(letters):
-                wbeta = reflect_root(d, i, wbeta)
+            wbeta = weyl_apply(d, WeylWord(letters), beta)
             assert pair_weight_root(d, wmu, wbeta) == pair_weight_root(d, mu, beta)
 
 
@@ -188,7 +183,8 @@ def test_word_indexing_and_validation():
 def test_inversion_roots_a2():
     d = CartanDatum.from_rows(A2_ROWS)
     roots = inversion_roots(d, WeylWord.from_one_based((1, 2, 1)))
-    assert roots == (RootVec((1, 0)), RootVec((1, 1)), RootVec((0, 1)))
+    a1, a2 = Weight.simple_root(2, 0), Weight.simple_root(2, 1)
+    assert roots == (a1, a1 + a2, a2)
 
 
 def test_inversion_roots_distinct_and_positive():
@@ -196,7 +192,7 @@ def test_inversion_roots_distinct_and_positive():
         d = CartanDatum.from_rows(rows)
         roots = inversion_roots(d, WeylWord.from_one_based(word))
         assert len(set(roots)) == len(roots)
-        assert all(b.is_positive() for b in roots)
+        assert all(b.is_positive_root() for b in roots)
 
 
 @pytest.mark.parametrize(
@@ -219,9 +215,8 @@ def test_inversion_roots_distinct_and_positive():
 def test_is_reduced(rows, word, ok):
     d = CartanDatum.from_rows(rows)
     w = WeylWord.from_one_based(word)
-    assert is_reduced(d, w) is ok
     if ok:
-        check_reduced(d, w)
+        assert check_reduced(d, w) == inversion_roots(d, w)
     else:
         with pytest.raises(NotReducedError):
             check_reduced(d, w)
@@ -240,5 +235,5 @@ def test_reduced_words_of_same_element_agree():
 
 def test_package_reexports_cartan_ops():
     assert qca.check_reduced is check_reduced
-    assert qca.reflect_root is reflect_root
+    assert qca.reflect is reflect
     assert qca.inversion_roots is inversion_roots

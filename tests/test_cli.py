@@ -40,6 +40,28 @@ def test_build_roundtrip(tmp_path, capsys):
     assert "rank 2" in err
 
 
+def test_build_analyzes_the_word_once(tmp_path, capsys, monkeypatch):
+    # the seed and the printed gls block come from one analysis of the word
+    calls = {"analyze_word": 0, "build_quiver": 0}
+
+    def counted(name):
+        fn = getattr(qca.gls, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        wrapper = counted(name)
+        for module in (qca.gls, qca.cli):
+            monkeypatch.setattr(module, name, wrapper, raising=False)
+    inp = write_input(tmp_path, *SEED_CASES["a3"])
+    code, out, _ = run(capsys, ["build", "--cartan", inp])
+    assert code == 0 and json.loads(out)["gls"]["word"] == list(SEED_CASES["a3"][1])
+    assert calls == {"analyze_word": 1, "build_quiver": 1}
+
+
 def test_build_word_flag_overrides(tmp_path, capsys):
     inp = write_input(tmp_path, SEED_CASES["a2"][0], (1, 2, 1))
     code, out, _ = run(capsys, ["build", "--cartan", inp, "--word", "2,1,2"])
@@ -324,6 +346,24 @@ def test_verify_refuses_explosive_depth(tmp_path, capsys):
     assert code == 2 and "enumerates more than" in err
     code, _, err = run(capsys, ["verify", "--cartan", a2, "--depth", "-1"])
     assert code == 2 and "depth" in err
+
+
+def test_verify_refuses_an_exploding_exchange(tmp_path, capsys, monkeypatch):
+    # the wild rank-2 word of test_mutate_refuses_an_exploding_exchange: a
+    # random sequence reaches the step that would raise a 19-term variable to
+    # the power 55, and run_suite refuses it before any product
+    pow_ = qca.TorusElem.pow
+
+    def guarded(x, n):
+        if n >= 20 and len(x.terms) >= 10:
+            raise AssertionError("power %d of a %d-term variable" % (n, len(x.terms)))
+        return pow_(x, n)
+
+    monkeypatch.setattr(qca.TorusElem, "pow", guarded)
+    inp = write_input(tmp_path, ((2, -3), (-3, 2)), (1, 2, 1, 2, 1, 2))
+    code, out, err = run(capsys, ["verify", "--cartan", inp, "--depth", "0"])
+    assert (code, out) == (2, "")
+    assert "exchange numerator" in err and "step 4" in err
 
 
 def test_export_roundtrip(tmp_path, capsys):

@@ -3,7 +3,7 @@
 import pytest
 
 import qca
-from qca.cartan import CartanDatum, RootVec, Weight, WeylWord, weyl_apply
+from qca.cartan import CartanDatum, Weight, WeylWord, weyl_apply
 from qca.errors import NotReducedError
 from qca.gls import (
     analyze_word,
@@ -15,7 +15,7 @@ from qca.gls import (
 from qca.seeds import check_compatible
 from qca.torus import LMatrix
 
-from conftest import A2_ROWS, A3_ROWS, AFF_ROWS, D4_ROWS, SEED_CASES, make_seed
+from conftest import A2_ROWS, A3_ROWS, AFF_ROWS, D4_ROWS, SEED_CASES, make_seed, scale_weight
 
 
 def _analyze(rows, word):
@@ -206,7 +206,7 @@ def test_lambda_entries_from_pairing():
             assert lam.rows[s][s] == 0
             for t in range(s):
                 mu = g.lambda_wts[s] + Weight.fundamental(c.n, letters[s])
-                expect = qca.pair_weight_root(c, mu, g.d[t].as_root())
+                expect = qca.pair_weight_root(c, mu, g.d[t])
                 assert lam.rows[s][t] == expect
                 assert lam.rows[t][s] == -expect
 
@@ -220,15 +220,13 @@ def test_seed_assembly_properties():
         # parity: lambda_ij = (d_i, d_j) mod 2
         for i in range(r):
             for j in range(r):
-                pairing = qca.pair_weight_root(
-                    seed.cartan, seed.dvec[i], seed.dvec[j].as_root()
-                )
+                pairing = qca.pair_weight_root(seed.cartan, seed.dvec[i], seed.dvec[j])
                 assert (seed.lmat.rows[i][j] - pairing) % 2 == 0
         # weight balance: sum_i b_ik d_i = 0 per exchangeable column
         for jpos in range(len(seed.bmat.ex)):
             total = Weight.zero(seed.cartan.n)
             for i in range(r):
-                total = total + seed.dvec[i].scale(seed.bmat.rows[i][jpos])
+                total = total + scale_weight(seed.dvec[i], seed.bmat.rows[i][jpos])
             assert total == Weight.zero(seed.cartan.n)
 
 
@@ -238,7 +236,7 @@ def test_rank_one_word():
     assert seed.bmat.ex == ()
     assert seed.lmat.rows == ((0,),)
     assert len(seed.vars) == 1
-    assert seed.dvec[0] == RootVec.simple(1, 0).as_weight().scale(-1) + Weight.zero(1)
+    assert seed.dvec[0] == -Weight.simple_root(1, 0)
 
 
 def test_off_support_cartan_entries_are_irrelevant():

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qca
-from qca.cartan import Weight, weyl_apply
+from qca.cartan import Weight, check_reduced, pair_weight_root, weyl_apply
 from qca.checks import default_sequences, run_suite
 from qca.errors import EngineInvariantError, IncompatibleError, NotReducedError
 from qca.gls import analyze_word, build_quiver
@@ -165,10 +165,11 @@ def test_gls_build_raises_on_a_witness(monkeypatch):
 
 
 @st.composite
-def gcm_and_word(draw):
-    """A random symmetric GCM of rank 2-4 and a reduced word of length 3-6 (shorter
-    when a finite Weyl group runs out of longer reduced words)."""
-    n = draw(st.integers(2, 4))
+def gcm_and_word(draw, min_rank=2, max_rank=4):
+    """A random symmetric GCM of rank min_rank to max_rank, off-diagonal entries
+    in {0, -1, -2, -3}, and a reduced word of length 3-6 (shorter when a
+    finite Weyl group runs out of longer reduced words)."""
+    n = draw(st.integers(min_rank, max_rank))
     rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i):
@@ -176,7 +177,10 @@ def gcm_and_word(draw):
     cartan = qca.CartanDatum.from_rows(rows)
     letters = ()
     for _ in range(draw(st.integers(3, 6))):
-        keep = [a for a in range(n) if qca.is_reduced(cartan, qca.WeylWord(letters + (a,)))]
+        # a reduced word stays reduced iff its new inversion root is positive
+        u = qca.WeylWord(letters)
+        keep = [a for a in range(n)
+                if weyl_apply(cartan, u, Weight.simple_root(n, a)).is_positive_root()]
         if not keep:
             break  # the longest element of a finite Weyl group
         letters += (draw(st.sampled_from(keep)),)
@@ -201,16 +205,25 @@ def test_random_symmetric_gcms(case):
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
-@given(gcm_and_word())
+@given(gcm_and_word(2, 5))
 def test_word_layer(case):
-    # the weights read off the inversion roots are the prefix images, every
-    # quiver arrow has an exchangeable end, and a doubled last letter is not
-    # reduced
+    # the inversion roots are the prefix images of the simple roots, positive,
+    # and the prefix preserves the pairing; the weights read off them are the
+    # prefix images, every quiver arrow has an exchangeable end, and a doubled
+    # last letter is not reduced
     cartan, word = case
     g = analyze_word(cartan, word)
     letters = word.letters
-    for s, i in enumerate(letters):
-        fund = Weight.fundamental(cartan.n, i)
+    n = cartan.n
+    for s, (i, beta) in enumerate(zip(letters, check_reduced(cartan, word))):
+        u = qca.WeylWord(letters[:s])
+        alpha = Weight.simple_root(n, i)
+        assert beta == weyl_apply(cartan, u, alpha) and beta.is_positive_root()
+        for j in range(n):
+            fund = Weight.fundamental(n, j)
+            assert pair_weight_root(cartan, weyl_apply(cartan, u, fund), beta) == (
+                pair_weight_root(cartan, fund, alpha))
+        fund = Weight.fundamental(n, i)
         lam = weyl_apply(cartan, qca.WeylWord(letters[: s + 1]), fund)
         assert (g.lambda_wts[s], g.d[s]) == (lam, lam - fund)
     ex = set(g.exchangeable)

@@ -25,7 +25,7 @@ from qca.seeds import (
 )
 from qca.torus import LMatrix, TorusElem
 
-from conftest import SEED_CASES, make_seed
+from conftest import SEED_CASES, make_seed, scale_weight
 
 # the A2 word (1,2,1) seed, written out by hand
 A2_L = LMatrix.from_rows([[0, -1, 1], [1, 0, 0], [-1, 0, 0]])
@@ -174,7 +174,7 @@ def test_mutate_dvector_oracle():
             for i in range(seed.bmat.k):
                 b = seed.bmat.rows[i][kpos]
                 if b < 0:
-                    alt = alt + seed.dvec[i].scale(-b)
+                    alt = alt + scale_weight(seed.dvec[i], -b)
             assert d2[k] == alt
 
 
