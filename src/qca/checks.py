@@ -8,7 +8,16 @@ seeds.py, shared with mutate and the GLS build; this module adds the checks
 that need a step, the q = 1 oracle, and two independent oracles: the matrix
 route of mutation, and q-commutation of each new variable by torus
 products, which mutate proves instead of computing.  The report serializes
-deterministically; timings stay on the in-memory object only.
+deterministically; timings and step counts stay on the in-memory object.
+
+The tree reaches one quantum seed by many paths (mu_k mu_k = id, and
+mu_j mu_k = mu_k mu_j when b_jk = 0), so run_suite evaluates each distinct
+step once.  A step's outcome (the child seed and shadow, the witnesses of
+every check, or the refusal) is a function of the parent's content
+(L, B~, D and the variables), its q = 1 shadow and the direction alone,
+and the walk never mutates a seed; a memo keyed by exactly that content,
+compared with ==, therefore returns what evaluating the step again would.
+Each path records the outcome under its own sequence and step text.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from .seeds import (
     _mutate_unchecked,
     balance_witness,
     check_compatible,
-    check_exchange_size,
+    exchange_size_witness,
     homogeneity_witness,
     mutate_dvector,
     mutate_matrices,
@@ -87,7 +96,11 @@ class CheckEntry:
 class CheckReport:
     entries: tuple[CheckEntry, ...]
     meta: dict
-    timings: dict = field(default_factory=dict)  # not serialized
+    # not serialized: wall time, the steps of the tree walked, and the
+    # distinct ones among them, which are all that was evaluated
+    timings: dict = field(default_factory=dict)
+    steps: int = 0
+    evaluated: int = 0
 
     @property
     def passed(self) -> bool:
@@ -247,11 +260,69 @@ def _node_failures(node: QuantumSeed, idx, selected, parent=None, parts=None) ->
     return {c: w for c, w in out.items() if w}
 
 
+class _StepKey:
+    """A step (parent seed, its q = 1 shadow, direction k) as a memo key.
+
+    Equal exactly when the parents are equal seeds (QuantumSeed.__eq__: L,
+    B~, D and the variables; history and the Cartan tag, constant within a
+    run, are left out), the shadows are equal and k agrees.  The hash reads
+    only k, L, B~ and D, so == alone tells apart keys that share those.
+    Holds references to the seeds, not copies.
+    """
+
+    __slots__ = ("seed", "shadow", "k", "_hash")
+
+    def __init__(self, seed: QuantumSeed, shadow, k: int):
+        self.seed, self.shadow, self.k = seed, shadow, k
+        self._hash = hash((k, seed.lmat, seed.bmat, seed.dvec))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return (self.k == other.k and self.seed == other.seed
+                and self.shadow == other.shadow)
+
+
+def _evaluate_step(cur: QuantumSeed, cs, k: int, sel) -> tuple:
+    """(child, child shadow, {check: witness}, refusal) of the step from cur
+    (q = 1 shadow cs, None without q1_oracle) in direction k.
+
+    child is None when the step is not taken: refusal is then the
+    exchange-size witness, checked before any product, or None after a
+    failed division, whose witness is under "laurent".  Witnesses carry no
+    step text, which depends on the path.
+    """
+    refusal = exchange_size_witness(cur, k)
+    if refusal:
+        return None, None, {}, refusal
+    try:
+        child, parts = _mutate_unchecked(cur, k)
+    except NotDivisibleError as e:
+        return None, None, {"laurent": str(e)}, None
+    failures = {}
+    child_cs = None
+    if cs is not None:
+        child_cs = classical_mutate(cs, k)
+        bad = compare_q1(child, child_cs)
+        if bad:
+            failures["q1_oracle"] = (
+                "variables %s disagree with the classical shadow" % [i + 1 for i in bad])
+    failures.update(_node_failures(child, (k,), sel, cur, parts))
+    return child, child_cs, failures, None
+
+
 def run_suite(seed: QuantumSeed, sequences, checks=None, meta=None) -> CheckReport:
     """Evaluate the selected checks over the given sequences (0-based
-    directions).  Unknown check names raise ValueError, and so does a step
-    that seeds.check_exchange_size refuses, before the step is computed;
-    everything else is reported, not raised."""
+    directions).  Unknown check names raise ValueError; everything else is
+    reported, not raised.  A step whose exchange numerator could exceed
+    seeds.MAX_EXCHANGE_TERMS terms is not taken: like a failed division, it
+    marks the sequences through it "not evaluated".
+
+    Each distinct step (parent content, shadow, direction) is evaluated once
+    per call; see the module docstring for why that is exact.  The report's
+    steps and evaluated count the tree steps walked and the distinct ones.
+    """
     if checks is None:
         selected = list(ALL_CHECKS)
     else:
@@ -276,9 +347,9 @@ def run_suite(seed: QuantumSeed, sequences, checks=None, meta=None) -> CheckRepo
     for check, w in _node_failures(seed, range(seed.k), sel).items():
         fail[(check, ())] = w
 
-    want_classical = "q1_oracle" in sel
-    cs0 = classical_shadow(seed) if want_classical else None
-    if want_classical:
+    cs0 = None
+    if "q1_oracle" in sel:
+        cs0 = classical_shadow(seed)
         bad = compare_q1(seed, cs0)
         if bad:
             fail[("q1_oracle", ())] = (
@@ -292,31 +363,28 @@ def run_suite(seed: QuantumSeed, sequences, checks=None, meta=None) -> CheckRepo
             children.setdefault(s[:i], set()).add(s[i])
             children.setdefault(s[: i + 1], set())
 
+    memo: dict = {}  # _StepKey -> _evaluate_step's outcome
+    steps = 0
     stack = [((), seed, cs0)]
     while stack:
         path, cur, cs = stack.pop()
         for k in sorted(children.get(path, ()), reverse=True):
             child = path + (k,)
             step_txt = "step %d (direction %d)" % (len(child), k + 1)
-            check_exchange_size(
-                cur, k, "sequence %s, %s" % (tuple(j + 1 for j in child), step_txt))
-            try:
-                new_seed, parts = _mutate_unchecked(cur, k)
-            except NotDivisibleError as e:
-                fail[("laurent", child)] = "%s: %s" % (step_txt, e)
-                pruned[child] = "division failed at step %d" % len(child)
-                continue
-            new_cs = None
-            if want_classical:
-                new_cs = classical_mutate(cs, k)
-                bad = compare_q1(new_seed, new_cs)
-                if bad:
-                    fail[("q1_oracle", child)] = (
-                        "%s: variables %s disagree with the classical shadow"
-                        % (step_txt, [i + 1 for i in bad]))
-            for check, w in _node_failures(new_seed, (k,), sel, cur, parts).items():
+            key = _StepKey(cur, cs, k)
+            outcome = memo.get(key)
+            if outcome is None:
+                outcome = memo[key] = _evaluate_step(cur, cs, k, sel)
+            steps += 1
+            new_seed, new_cs, failures, refusal = outcome
+            for check, w in failures.items():
                 fail[(check, child)] = "%s: %s" % (step_txt, w)
-            stack.append((child, new_seed, new_cs))
+            if refusal:
+                pruned[child] = "%s: %s" % (step_txt, refusal)
+            elif new_seed is None:
+                pruned[child] = "division failed at step %d" % len(child)
+            else:
+                stack.append((child, new_seed, new_cs))
     elapsed = time.monotonic() - t0
 
     entries = []
@@ -344,6 +412,7 @@ def run_suite(seed: QuantumSeed, sequences, checks=None, meta=None) -> CheckRepo
     full_meta = {"checks": list(order), "n_sequences": len(set(sequences))}
     if meta:
         full_meta.update(meta)
-    report = CheckReport(entries=tuple(entries), meta=full_meta)
+    report = CheckReport(entries=tuple(entries), meta=full_meta,
+                         steps=steps, evaluated=len(memo))
     report.timings["total"] = elapsed
     return report

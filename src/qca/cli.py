@@ -3,8 +3,8 @@
 Subcommands: build, mutate, verify, export, info.  JSON results go to
 --out (atomic write) or stdout; human summaries go to stderr.  Exit codes:
 0 all good, 1 a verified identity or mutation invariant failed, 2 bad
-input / parse / IO / unknown names, or a mutate or verify step whose
-exchange numerator could exceed seeds.MAX_EXCHANGE_TERMS terms.
+input / parse / IO / unknown names, or a mutate step whose exchange
+numerator could exceed seeds.MAX_EXCHANGE_TERMS terms.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import (
     NotReducedError,
 )
 from .gls import _assemble, build_initial_seed
-from .seeds import check_compatible, check_exchange_size, mutate
+from .seeds import check_compatible, exchange_size_witness, mutate
 from .serialize import (
     atomic_write_text,
     canonical_dumps,
@@ -184,7 +184,9 @@ def cmd_mutate(args) -> int:
         start = build_initial_seed(cartan, word)
     result = start
     for step, k in enumerate(seq, 1):
-        check_exchange_size(result, k - 1, "step %d (direction %d)" % (step, k))
+        refusal = exchange_size_witness(result, k - 1)
+        if refusal:
+            raise ValueError("step %d (direction %d): %s" % (step, k, refusal))
         result = mutate(result, k - 1)
     text = pretty_dumps(seed_to_json(result))
     if not args.no_cache:
@@ -220,7 +222,8 @@ def cmd_verify(args) -> int:
                  % (name, n_fail, len(ents), first.witness))
         else:
             _say("%s: pass (%d entries)" % (name, len(ents)))
-    _say("total %.2fs" % report.timings.get("total", 0.0))
+    _say("total %.2fs, %d steps, %d evaluated"
+         % (report.timings.get("total", 0.0), report.steps, report.evaluated))
     return 0 if report.passed else 1
 
 

@@ -55,7 +55,7 @@ __all__ = [
     "exchange_exponents",
     "exchange_parts",
     "exchange_term_bound",
-    "check_exchange_size",
+    "exchange_size_witness",
     "MAX_EXCHANGE_TERMS",
     "mutate_variable",
     "mutate",
@@ -425,8 +425,8 @@ def exchange_parts(seed: QuantumSeed, k: int) -> ExchangeParts:
     return ExchangeParts(k, *terms, numerator, exact_left_div(seed.vars[k], numerator))
 
 
-# `qca mutate` and run_suite refuse a step whose exchange numerator could
-# have more terms (check_exchange_size); qca.mutate itself stays unbounded
+# `qca mutate` refuses, and run_suite prunes, a step whose exchange numerator
+# could have more terms (exchange_size_witness); qca.mutate stays unbounded
 MAX_EXCHANGE_TERMS = 10**6
 
 
@@ -446,13 +446,14 @@ def exchange_term_bound(seed: QuantumSeed, k: int) -> int:
     )
 
 
-def check_exchange_size(seed: QuantumSeed, k: int, where: str) -> None:
-    """ValueError, prefixed by where, if the exchange numerator in direction
-    k could have more than MAX_EXCHANGE_TERMS terms."""
+def exchange_size_witness(seed: QuantumSeed, k: int) -> str | None:
+    """Why the step in direction k is refused, if its exchange numerator
+    could have more than MAX_EXCHANGE_TERMS terms; None otherwise."""
     bound = exchange_term_bound(seed, k)
     if bound > MAX_EXCHANGE_TERMS:
-        raise ValueError("%s: the exchange numerator could have up to %d terms, "
-                         "over the limit of %d" % (where, bound, MAX_EXCHANGE_TERMS))
+        return ("the exchange numerator could have up to %d terms, over the "
+                "limit of %d" % (bound, MAX_EXCHANGE_TERMS))
+    return None
 
 
 def mutate_variable(seed: QuantumSeed, k: int) -> TorusElem:

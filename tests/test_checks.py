@@ -306,3 +306,103 @@ def test_entries_carry_tier(a2_seed):
     tiers = {e.check: e.tier for e in report.entries}
     assert tiers["compatible"] == "standard"
     assert tiers["bar_invariance"] == "extended"
+
+
+A4_ROWS = ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2))
+A4_WORD = (1, 2, 1, 3, 2, 1, 4, 3, 2, 1)
+
+
+def a4_seed():
+    return qca.build_initial_seed(qca.CartanDatum.from_rows(A4_ROWS),
+                                  qca.WeylWord.from_one_based(A4_WORD))
+
+
+def test_each_distinct_step_is_evaluated_once(monkeypatch):
+    # the tree reaches one seed by many paths (mu_k mu_k = id, commuting
+    # directions); of the 302 steps of this tree 216 are distinct
+    seed = a4_seed()
+    unchecked = qca.checks._mutate_unchecked
+    calls = []
+
+    def counted(cur, k):
+        calls.append(k)
+        return unchecked(cur, k)
+
+    monkeypatch.setattr(qca.checks, "_mutate_unchecked", counted)
+    report = run_suite(seed, default_sequences(seed, depth=3, rng_seed=0))
+    assert report.passed
+    assert (report.steps, report.evaluated, len(calls)) == (302, 216, 216)
+
+
+def test_a_shared_step_is_reported_under_each_path(monkeypatch):
+    # mu_j mu_k = mu_k mu_j when b_jk = 0: (j, k), (k, j) and (j, j, k, j)
+    # reach one seed, the last two by the same step from mu_k(S); a fault
+    # there is reported under every sequence with that sequence's step text
+    seed = a4_seed()
+    j, k = 0, 3
+    assert seed.bmat.rows[j][seed.bmat.pos(k)] == 0
+    target = qca.mutate_seq(seed, (j, k))
+    assert qca.mutate_seq(seed, (k, j)) == target
+    real = qca.checks._node_failures
+
+    def faulty(node, idx, selected, parent=None, parts=None):
+        out = real(node, idx, selected, parent, parts)
+        if node == target:
+            out["positivity"] = "injected"
+        return out
+
+    monkeypatch.setattr(qca.checks, "_node_failures", faulty)
+    report = run_suite(seed, [(j, k), (k, j), (j, j, k, j)], checks=["positivity"])
+    got = {e.sequence: e.witness for e in report.failures()}
+    assert got == {
+        (j + 1, k + 1): "step 2 (direction %d): injected" % (k + 1),
+        (k + 1, j + 1): "step 2 (direction %d): injected" % (j + 1),
+        (j + 1, j + 1, k + 1, j + 1): "step 4 (direction %d): injected" % (j + 1),
+    }
+    # (j), (k), (j, k), (k, j), (j, j) are distinct; (j, j, k) and
+    # (j, j, k, j) repeat (k) and (k, j)
+    assert (report.steps, report.evaluated) == (7, 5)
+
+
+def test_a_step_from_a_different_shadow_is_evaluated_again(a2_seed, monkeypatch):
+    # (1, 1) returns to the starting seed, but with a shadow whose exchange
+    # matrix is corrupted (its variables still agree); the step (1, 1, 1)
+    # from there is not the step (1) and the q = 1 oracle must see it
+    real = qca.checks.classical_mutate
+    calls = []
+
+    def corrupt_second(cs, k):
+        calls.append(k)
+        out = real(cs, k)
+        if len(calls) == 2:
+            out = replace(out, rows=tuple((0,) * len(r) for r in out.rows))
+        return out
+
+    monkeypatch.setattr(qca.checks, "classical_mutate", corrupt_second)
+    report = run_suite(a2_seed, [(0,), (0, 0, 0)], checks=["q1_oracle"])
+    got = {e.sequence: e.witness for e in report.failures()}
+    assert got == {(1, 1, 1): "step 3 (direction 1): variables [1] disagree "
+                                "with the classical shadow"}
+    assert report.evaluated == 3
+
+
+def test_a_step_from_a_different_d_is_evaluated_again(a2_seed, monkeypatch):
+    # (1, 1) returns to the starting L, B~ and variables, but the corrupted
+    # second d-vector step shifts the frozen weights; mu_1 of that D is not
+    # the weight of the new variable, so (1, 1, 1) fails homogeneity
+    real = qca.seeds.mutate_dvector
+    calls = []
+
+    def corrupt_second(dvec, k, a_pos):
+        calls.append(k)
+        out = real(dvec, k, a_pos)
+        if len(calls) == 2:
+            shift = Weight.fundamental(out[0].n, 0)
+            out = tuple(d if i == k else d + shift for i, d in enumerate(out))
+        return out
+
+    monkeypatch.setattr(qca.seeds, "mutate_dvector", corrupt_second)
+    report = run_suite(a2_seed, [(0,), (0, 0, 0)], checks=["homogeneity"])
+    got = {e.sequence: e.witness for e in report.failures()}
+    assert got == {(1, 1, 1): "step 3 (direction 1): variable 1 is not "
+                                "homogeneous of weight D_1"}

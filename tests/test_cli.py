@@ -302,6 +302,8 @@ def test_verify_passes(tmp_path, capsys):
     assert report["summary"]["pass"] > 0
     for name in qca.ALL_CHECKS:
         assert ("%s: pass" % name) in err
+    # every sequence is a power of the one direction: mu_1 mu_1 = id
+    assert "6 steps, 2 evaluated" in err
 
 
 def test_verify_subset_of_checks(tmp_path, capsys):
@@ -351,7 +353,8 @@ def test_verify_refuses_explosive_depth(tmp_path, capsys):
 def test_verify_refuses_an_exploding_exchange(tmp_path, capsys, monkeypatch):
     # the wild rank-2 word of test_mutate_refuses_an_exploding_exchange: a
     # random sequence reaches the step that would raise a 19-term variable to
-    # the power 55, and run_suite refuses it before any product
+    # the power 55; run_suite refuses it before any product and reports the
+    # sequences through it as not evaluated, keeping the rest of the report
     pow_ = qca.TorusElem.pow
 
     def guarded(x, n):
@@ -362,7 +365,16 @@ def test_verify_refuses_an_exploding_exchange(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(qca.TorusElem, "pow", guarded)
     inp = write_input(tmp_path, ((2, -3), (-3, 2)), (1, 2, 1, 2, 1, 2))
     code, out, err = run(capsys, ["verify", "--cartan", inp, "--depth", "0"])
-    assert (code, out) == (2, "")
+    assert code == 1
+    entries = json.loads(out)["entries"]
+    refused = [e for e in entries if e["status"] == "fail"]
+    assert refused and all(
+        e["witness"].startswith("not evaluated: step 4 (direction ")
+        and "exchange numerator could have up to" in e["witness"] for e in refused)
+    assert all(e["status"] == "pass" for e in entries if e["sequence"] == [])
+    assert {e["witness"] for e in refused if e["sequence"][:4] == [2, 3, 2, 1]} == {
+        "not evaluated: step 4 (direction 1): the exchange numerator could have "
+        "up to 62359599116 terms, over the limit of 1000000"}
     assert "exchange numerator" in err and "step 4" in err
 
 
