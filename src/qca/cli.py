@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -190,9 +191,14 @@ def cmd_mutate(args) -> int:
         result = mutate(result, k - 1)
     text = pretty_dumps(seed_to_json(result))
     if not args.no_cache:
-        os.makedirs(_cache_dir(), exist_ok=True)
-        atomic_write_text(cache_path, text)
-        _say("cache store %s" % key[:16])
+        try:
+            os.makedirs(_cache_dir(), exist_ok=True)
+            atomic_write_text(cache_path, text)
+        except OSError as e:
+            # the result is correct; an unusable cache only loses the entry
+            _say("cache store failed (%s); result not cached" % e)
+        else:
+            _say("cache store %s" % key[:16])
     _emit(text, args.out)
     _seed_summary(result)
     return 0
@@ -265,7 +271,9 @@ def cmd_info(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; main never changes it."""
     p = argparse.ArgumentParser(
         prog="qca",
         description="Exact quantum cluster algebra engine "

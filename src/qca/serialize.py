@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from .cartan import CartanDatum, Weight, WeylWord
 from .checks import CheckReport
@@ -39,7 +41,75 @@ def canonical_dumps(obj) -> str:
 
 
 def pretty_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2) plus a newline, byte for byte.
+
+    json only uses its C encoder when there is no indent, so this writes the
+    indented form directly; what it does not know how to write (floats,
+    tuples, subclasses, dicts with non-str keys) it hands to json.dumps.
+    """
+    out: list[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_INT = {int}
+_LIST = {list}
+_STR = {str}
+
+
+def _write(o, nl: str, out: list) -> None:
+    """Append the indented JSON of o; nl is a newline plus o's indent."""
+    t = type(o)
+    if t is list:
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        kinds = {*map(type, o)}
+        # repr of a list of plain ints is "[1, -2]", so the JSON separators
+        # are one replace away; bool and int subclasses never get here
+        if kinds == _INT:
+            out.append("[" + inner + repr(o)[1:-1].replace(", ", "," + inner) + nl + "]")
+            return
+        if kinds == _LIST and all(o) and {*map(type, chain.from_iterable(o))} == _INT:
+            # non-empty rows of plain ints: "[[1, 2], [3]]"
+            deeper = inner + "  "
+            body = repr(o)[2:-2].replace("], [", inner + "]," + inner + "[" + deeper)
+            out.append("[" + inner + "[" + deeper + body.replace(", ", "," + deeper)
+                       + inner + "]" + nl + "]")
+            return
+        sep = "[" + inner
+        for x in o:
+            out.append(sep)
+            sep = "," + inner
+            _write(x, inner, out)
+        out.append(nl + "]")
+    elif t is dict and {*map(type, o)} <= _STR:
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(o):
+            out.append(sep + encode_basestring_ascii(k) + ": ")
+            sep = "," + inner
+            _write(o[k], inner, out)
+        out.append(nl + "}")
+    elif t is int:
+        out.append(int.__repr__(o))
+    elif t is str:
+        out.append(encode_basestring_ascii(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    else:
+        # json escapes every newline inside a string, so each one it emits
+        # starts a line and takes o's indent
+        out.append(json.dumps(o, sort_keys=True, indent=2).replace("\n", nl))
 
 
 def atomic_write_text(path: str, text: str) -> None:

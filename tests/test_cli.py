@@ -1,12 +1,14 @@
 """The command line interface, driven in process through cli.main."""
 
+import argparse
 import json
+import os
 
 import pytest
 
 import qca
 from qca.cli import main
-from qca.serialize import seed_from_json, seed_to_json
+from qca.serialize import pretty_dumps, seed_from_json, seed_to_json
 
 from conftest import SEED_CASES, corrupt_a3, make_seed
 
@@ -150,6 +152,33 @@ def test_mutate_no_cache_skips_store(tmp_path, capsys):
     _, _, err1 = run(capsys, argv)
     _, _, err2 = run(capsys, argv)
     assert "cache" not in err1 and "cache" not in err2
+
+
+@pytest.mark.parametrize("blocker", ["file_for_dir", "dir_for_entry"])
+def test_mutate_survives_a_failed_cache_store(tmp_path, capsys, monkeypatch, blocker):
+    # a regular file where the cache directory should be, or a directory
+    # where the entry should be: the store fails, but the result is correct,
+    # so it is still emitted with exit 0 and no temp file is left behind
+    inp = write_input(tmp_path, *SEED_CASES["a2"])
+    argv = ["mutate", "--cartan", inp, "--seq", "1"]
+    _, expected, _ = run(capsys, argv + ["--no-cache"])
+    cache = tmp_path / "cache"
+    if blocker == "file_for_dir":
+        cache.write_text("not a directory")
+    else:
+        run(capsys, argv)
+        (entry,) = cache.iterdir()
+        entry.unlink()
+        entry.mkdir()
+
+    def contents():
+        return sorted(os.listdir(cache)) if cache.is_dir() else cache.read_text()
+
+    before = contents()
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (0, expected)
+    assert "cache store failed (" in err and "); result not cached" in err
+    assert contents() == before
 
 
 def test_mutate_rejects_frozen_direction(tmp_path, capsys):
@@ -446,6 +475,40 @@ def test_malformed_json(tmp_path, capsys):
     path.write_text("{not json")
     code, _, err = run(capsys, ["build", "--cartan", str(path)])
     assert code == 2
+
+
+def test_the_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
+    # main reuses one parser per process; a failed parse, --help and each
+    # subcommand's flags must leave nothing behind for the next call
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    qca.cli._build_parser.cache_clear()
+    inp = write_input(tmp_path, *SEED_CASES["a2"])
+    code, out, err = run(capsys, ["info", "--bogus-flag"])
+    assert (code, out) == (2, "") and "unrecognized arguments: --bogus-flag" in err
+    code1, help1, _ = run(capsys, ["--help"])
+    code2, help2, _ = run(capsys, ["--help"])
+    assert (code1, code2) == (0, 0) and help1 == help2 and help1.startswith("usage: qca")
+    expected = pretty_dumps(seed_to_json(qca.mutate(make_seed("a2"), 0)))
+    argv = ["mutate", "--cartan", inp, "--seq", "1"]
+    code, out, _ = run(capsys, argv + ["--no-cache"])
+    assert (code, out) == (0, expected)
+    assert not (tmp_path / "cache").exists()
+    code, out, err = run(capsys, argv)  # --no-cache must not carry over
+    assert (code, out) == (0, expected) and "cache store" in err
+    assert len(os.listdir(tmp_path / "cache")) == 1
+    code, out, _ = run(capsys, ["verify", "--cartan", inp, "--depth", "1"])
+    report = json.loads(out)
+    assert code == 0 and report["summary"]["fail"] == 0
+    assert (report["meta"]["depth"], report["meta"]["rng_seed"]) == (1, 0)
+    # the root parser and one per subcommand: build, mutate, verify, export, info
+    assert len(built) == 6
 
 
 def test_argparse_exit_codes(capsys):

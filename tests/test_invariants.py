@@ -167,8 +167,10 @@ def test_gls_build_raises_on_a_witness(monkeypatch):
 @st.composite
 def gcm_and_word(draw, min_rank=2, max_rank=4):
     """A random symmetric GCM of rank min_rank to max_rank, off-diagonal entries
-    in {0, -1, -2, -3}, and a reduced word of length 3-6 (shorter when a
-    finite Weyl group runs out of longer reduced words)."""
+    in {0, -1, -2, -3}, and a reduced word of length n + 1 to max(n + 1, 6)
+    (shorter when a finite Weyl group runs out of longer reduced words).
+    With n + 1 letters some letter repeats, so the seed has an exchangeable
+    index; shorter words left most rank-4 and rank-5 draws with none."""
     n = draw(st.integers(min_rank, max_rank))
     rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for i in range(n):
@@ -176,7 +178,7 @@ def gcm_and_word(draw, min_rank=2, max_rank=4):
             rows[i][j] = rows[j][i] = draw(st.sampled_from((0, -1, -2, -3)))
     cartan = qca.CartanDatum.from_rows(rows)
     letters = ()
-    for _ in range(draw(st.integers(3, 6))):
+    for _ in range(draw(st.integers(n + 1, max(n + 1, 6)))):
         # a reduced word stays reduced iff its new inversion root is positive
         u = qca.WeylWord(letters)
         keep = [a for a in range(n)

@@ -4,22 +4,26 @@ import json
 import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qca
 from qca.cartan import Weight
+from qca.checks import default_sequences, run_suite
 from qca.gls import analyze_word, build_quiver
 from qca.serialize import (
     atomic_write_text,
     canonical_dumps,
     gls_block,
     pretty_dumps,
+    report_to_json,
     seed_from_json,
     seed_to_json,
     weight_from_json,
     weight_to_json,
 )
 
-from conftest import SEED_CASES, make_seed
+from conftest import SEED_CASES, corrupt_a3, make_seed
 
 
 def test_canonical_dumps_is_sorted_and_compact():
@@ -33,6 +37,61 @@ def test_pretty_dumps_stable():
     assert s.endswith("\n")
     assert s.index('"a"') < s.index('"b"')
     assert json.loads(s) == {"a": 2, "b": 1}
+
+
+def json_oracle(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+TRICKY = ('"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028",
+          "\U0001f600", "\ud800", "], [", ", ")
+ints = st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-2**64)
+texts = st.text() | st.lists(st.sampled_from(TRICKY)).map("".join)
+# lists of int rows, empty rows and bools included, reach the writer's row
+# path; floats, tuples and int keys reach its hand-off to json.dumps
+json_trees = st.recursive(
+    st.none() | st.booleans() | ints | texts | st.floats(),
+    lambda kids: (st.lists(kids) | st.lists(st.lists(ints | st.booleans()))
+                  | st.dictionaries(texts, kids) | st.lists(kids).map(tuple)
+                  | st.dictionaries(st.integers(), kids)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(json_trees)
+@example([[-1, 2**70], [3]])
+@example([[1], []])
+@example([[]])
+@example([[1, True], [2]])
+@example([1, False])
+@example({"b": [[0, 1]], "a": {"": None, "2": 1.5}, "c": {3: "x", -1: (True,)}})
+def test_pretty_dumps_is_json_dumps(obj):
+    assert pretty_dumps(obj) == json_oracle(obj)
+
+
+@pytest.mark.parametrize("key", sorted(SEED_CASES))
+def test_pretty_dumps_is_json_dumps_on_qca_output(key):
+    # qca build output with its gls block, and a mutated seed
+    rows, letters = SEED_CASES[key]
+    cartan = qca.CartanDatum.from_rows(rows)
+    word = qca.WeylWord.from_one_based(letters)
+    g = analyze_word(cartan, word)
+    seed = make_seed(key)
+    built = seed_to_json(seed)
+    built["gls"] = gls_block(word, g, build_quiver(cartan, g))
+    mutated = seed_to_json(qca.mutate(seed, seed.bmat.ex[-1]))
+    for obj in (built, mutated):
+        assert pretty_dumps(obj) == json_oracle(obj)
+
+
+def test_pretty_dumps_is_json_dumps_on_a_failing_report():
+    seed = corrupt_a3()
+    report = run_suite(seed, default_sequences(seed, depth=1),
+                       meta={"depth": 1, "rng_seed": 0})
+    assert not report.passed
+    obj = report_to_json(report, qca.__version__)
+    assert pretty_dumps(obj) == json_oracle(obj)
 
 
 def test_atomic_write(tmp_path):
