@@ -1,5 +1,6 @@
 """The verification suite: full passes, fault injection, determinism."""
 
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -299,6 +300,60 @@ def test_seed_without_cartan():
     assert "Cartan" in first_failure(report, "parity").witness
     rest = [c for c in ALL_CHECKS if c != "parity"]
     assert run_suite(seed, [(0,)], checks=rest).passed
+
+
+def _with_var(seed, i, x):
+    return corrupted(seed, vars=seed.vars[:i] + (x,) + seed.vars[i + 1:])
+
+
+def _with_d(seed, i, w):
+    return corrupted(seed, dvec=seed.dvec[:i] + (w,) + seed.dvec[i + 1:])
+
+
+# the sha256 of canonical_dumps(report_to_json(report, "x")) of every check
+# over default_sequences, with the report's (steps, evaluated)
+FAILING_REPORTS = {
+    "flip_l_01": ("3f8ec746d132737a3137dc89b72f065ef98d0bcc7ddd787cf6663de18e5cf876", 2, 2),
+    "flip_l_12": ("9a139d4ea58a05f3ba4956352b583ff49fd1837cd78dec3d63712841373fe616", 2, 2),
+    "flip_l_12_4": ("5883485a6a09794b66d9cbbad4a7429e6b22384337612beffb80f86be6aeaec0", 2, 2),
+    "bad_d": ("62dcb31cbd373913de7837a44e3f3e6284b6d667848dd0faeb88bafd0222a404", 6, 6),
+    "x1_plus_x2": ("c1e10b6cd3b632412fbdbc498206f40a61bedc3aa76f1a5ae85b4df33df0ae71", 1, 1),
+    "negated": ("6d96be1a6bb61085b25e50a26efa0f5766c5ae5aaa5f915ccba66a52b1e50bc4", 6, 2),
+    "doubled": ("09421a211e437e6490e82db263057780f4d6908ee6788056d9dad5eeb1d7595c", 6, 2),
+    "no_cartan": ("cde8ba8fbf9b93cd9f0f6509622524105d45aaa33707eedca34dd834df730d63", 6, 2),
+    "wild": ("02ced00944bbfeb3c28643f0e127304beb3e020248a214d28df06d56ad98a7e4", 64, 55),
+}
+
+
+def _wild_seed():
+    return qca.build_initial_seed(qca.CartanDatum.from_rows(((2, -3), (-3, 2))),
+                                  qca.WeylWord.from_one_based((1, 2, 1, 2, 1, 2)))
+
+
+# each from the A2 seed but the wild one, whose 33 "not evaluated" entries
+# lie past steps over the exchange-size bound
+FAILING_SEEDS = {
+    "flip_l_01": lambda a2: flip_l(a2, 0, 1, 1),
+    "flip_l_12": lambda a2: flip_l(a2, 1, 2, 1),
+    "flip_l_12_4": lambda a2: flip_l(a2, 1, 2, 4),
+    "bad_d": lambda a2: _with_d(a2, 1, Weight((0, 0), (2, 0))),
+    "x1_plus_x2": lambda a2: _with_var(a2, 0, a2.vars[0] + a2.vars[1]),
+    "negated": lambda a2: _with_var(a2, 0, a2.vars[0].scaled(-1)),
+    "doubled": lambda a2: _with_var(a2, 1, a2.vars[1].scaled(2)),
+    "no_cartan": lambda a2: qca.QuantumSeed.initial(a2.lmat, a2.bmat, a2.dvec),
+    "wild": lambda a2: _wild_seed(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_REPORTS))
+def test_failing_reports_keep_their_bytes(name):
+    # pins every witness, status and entry order of reports that fail
+    seed = FAILING_SEEDS[name](make_seed("a2"))
+    report = run_suite(seed, default_sequences(seed, depth=0 if name == "wild" else 4))
+    assert not report.passed
+    text = canonical_dumps(report_to_json(report, "x"))
+    got = hashlib.sha256(text.encode()).hexdigest(), report.steps, report.evaluated
+    assert got == FAILING_REPORTS[name]
 
 
 def test_entries_carry_tier(a2_seed):
