@@ -1,14 +1,18 @@
 """Named identity checks over mutation sequences, with reporting.
 
-run_suite walks the prefix tree of the requested sequences (shared prefixes
-are mutated once), evaluates the selected checks at the starting seed and
-at every mutation step, and returns a CheckReport whose entries never throw:
-every failure is data.  The seed invariants are the witness functions of
-seeds.py, shared with mutate and the GLS build; this module adds the checks
-that need a step, the q = 1 oracle, and two independent oracles: the matrix
-route of mutation, and q-commutation of each new variable by torus
-products, which mutate proves instead of computing.  The report serializes
-deterministically; timings and step counts stay on the in-memory object.
+A check is one row of the ordered table _CHECKS: its name, its tier and its
+witness at one tree node.  The row order is the report order, and
+ALL_CHECKS, the tiers and check_tier are read off the table, so a new check
+(the planned shuffle and g_vector checks among them) is one more row.
+run_suite evaluates the selected checks at the starting seed and after
+every step of the requested sequences (a shared prefix is mutated once),
+and returns a CheckReport whose entries never throw: every failure is data.
+The seed invariants are the witness functions of seeds.py, shared with
+mutate and the GLS build; this module adds the checks that need a step, the
+q = 1 oracle, and two independent oracles: the matrix route of mutation,
+and q-commutation of each new variable by torus products, which mutate
+proves instead of computing.  The report serializes deterministically;
+timings and step counts stay on the in-memory object.
 
 The tree reaches one quantum seed by many paths (mu_k mu_k = id, and
 mu_j mu_k = mu_k mu_j when b_jk = 0), so run_suite evaluates each distinct
@@ -54,33 +58,10 @@ __all__ = [
     "ef_matrices",
 ]
 
-STANDARD_CHECKS = (
-    "compatible",
-    "parity",
-    "weight_balance",
-    "exchange_identity",
-    "lambda_mutation",
-    "homogeneity",
-    "laurent",
-    "positivity",
-    "q1_oracle",
-    "involutivity",
-)
-EXTENDED_CHECKS = ("bar_invariance",)
-ALL_CHECKS = STANDARD_CHECKS + EXTENDED_CHECKS
-
 # default_sequences refuses a depth whose enumerated sequences would hold
 # more directions than this (sum_{l <= depth} l |K_ex|^l): memory and the
 # report both grow with it
 MAX_DIRECTIONS = 1_000_000
-
-
-def check_tier(name: str) -> str:
-    if name in EXTENDED_CHECKS:
-        return "extended"
-    if name in STANDARD_CHECKS:
-        return "standard"
-    raise ValueError("unknown check %r; valid names: %s" % (name, ", ".join(ALL_CHECKS)))
 
 
 @dataclass(frozen=True)
@@ -139,13 +120,7 @@ def default_sequences(seed: QuantumSeed, depth: int = 4, n_random: int = 32,
         for _ in range(n_random):
             length = rng.randint(1, random_len)
             seqs.append(tuple(rng.choice(ex) for _ in range(length)))
-    seen = set()
-    out = []
-    for s in seqs:
-        if s not in seen:
-            seen.add(s)
-            out.append(s)
-    return out
+    return list(dict.fromkeys(seqs))
 
 
 # -- independent oracle: the matrix route of mutation ----------------------
@@ -194,97 +169,112 @@ def _matrix_route_witness(parent: QuantumSeed, node: QuantumSeed, k: int) -> str
 
 
 # -- the checks at one tree node ----------------------------------------------
+#
+# Each takes (node, idx, shadow, parent, parts): idx is every index at the
+# starting seed and (k,) after a step in direction k; shadow is node's q = 1
+# shadow (None without q1_oracle); parent and parts, the parent seed and the
+# exchange parts of the step, are None at the starting seed.
 
-def _positivity_witness(seed: QuantumSeed, idx) -> str | None:
+def _compatible_witness(node, *_) -> str | None:
+    try:
+        check_compatible(node.lmat, node.bmat)
+    except IncompatibleError as e:
+        return str(e)
+    return None
+
+
+def _exchange_witness(node, idx, shadow, parent, parts) -> str | None:
+    if parts is None:
+        return None
+    lhs = parent.vars[parts.k] * parts.new_var
+    rhs = (parts.m_pos.v_shift(2 - parts.shift_pos)
+           + parts.m_neg.v_shift(-parts.shift_neg)).v_shift(parts.shift_neg)
+    if lhs != rhs:
+        return "vars_k * new_var differs from v^{p''}(v^2 M' + M'')"
+    return None
+
+
+def _lambda_witness(node, idx, shadow, parent, parts) -> str | None:
+    """q-commutation per the current L over idx, by torus products (the
+    oracle for what mutate proves), after the matrix route of a step."""
+    route = _matrix_route_witness(parent, node, parts.k) if parts else None
+    return route or qcommute_witness(node, idx)
+
+
+def _positivity_witness(node, idx, *_) -> str | None:
     for i in idx:
-        if not seed.vars[i].is_nonneg():
+        if not node.vars[i].is_nonneg():
             return "variable %d has a negative coefficient" % (i + 1)
     return None
 
 
-def _bar_witness(seed: QuantumSeed, idx) -> str | None:
+def _q1_witness(node, idx, shadow, parent, parts) -> str | None:
+    bad = [i + 1 for i in compare_q1(node, shadow)]
+    if not bad:
+        return None
+    if parent is None:
+        return "initial variables %s disagree with the classical seed" % bad
+    return "variables %s disagree with the classical shadow" % bad
+
+
+def _involutivity_witness(node, idx, shadow, parent, parts) -> str | None:
+    if parts is None:
+        return None
+    # the torus is a domain, so the back division returns parent.vars[k]
+    # exactly when one product equals the back numerator
+    k = parts.k
+    a_pos, a_neg, *_, m_pos, m_neg = _exchange_terms(node, k)
+    if (mutate_matrices(node.lmat, node.bmat, k, a_neg) != (parent.lmat, parent.bmat)
+            or mutate_dvector(node.dvec, k, a_pos) != parent.dvec
+            or node.vars[k] * parent.vars[k] != m_pos + m_neg):
+        return "mutating back does not restore the seed"
+    return None
+
+
+def _bar_witness(node, idx, *_) -> str | None:
     for i in idx:
-        if seed.vars[i].bar() != seed.vars[i]:
+        if node.vars[i].bar() != node.vars[i]:
             return "variable %d is not bar-invariant" % (i + 1)
     return None
 
 
-_WITNESSES = (
-    ("parity", parity_witness),
-    ("weight_balance", balance_witness),
-    ("homogeneity", homogeneity_witness),
-    ("positivity", _positivity_witness),
-    ("bar_invariance", _bar_witness),
-)
+# check name -> (tier, witness); the order is the report's
+_CHECKS = {
+    "compatible": ("standard", _compatible_witness),
+    "parity": ("standard", lambda node, idx, *_: parity_witness(node, idx)),
+    "weight_balance": ("standard", lambda node, idx, *_: balance_witness(node, idx)),
+    "exchange_identity": ("standard", _exchange_witness),
+    "lambda_mutation": ("standard", _lambda_witness),
+    "homogeneity": ("standard", lambda node, idx, *_: homogeneity_witness(node, idx)),
+    # a failed division, reported by _evaluate_step
+    "laurent": ("standard", lambda *_: None),
+    "positivity": ("standard", _positivity_witness),
+    "q1_oracle": ("standard", _q1_witness),
+    "involutivity": ("standard", _involutivity_witness),
+    "bar_invariance": ("extended", _bar_witness),
+}
+ALL_CHECKS = tuple(_CHECKS)
+STANDARD_CHECKS = tuple(c for c, (tier, _) in _CHECKS.items() if tier == "standard")
+EXTENDED_CHECKS = tuple(c for c, (tier, _) in _CHECKS.items() if tier == "extended")
 
 
-def _node_failures(node: QuantumSeed, idx, selected, parent=None, parts=None) -> dict:
-    """{check: witness} for the selected checks that fail at one tree node.
+def check_tier(name: str) -> str:
+    if name not in _CHECKS:
+        raise ValueError("unknown check %r; valid names: %s" % (name, ", ".join(ALL_CHECKS)))
+    return _CHECKS[name][0]
 
-    idx is every index at the starting seed and (k,) after a step in
-    direction k.  lambda_mutation is q-commutation per the current L over
-    idx, by torus products (the oracle for what mutate proves), plus the
-    matrix route after a step.  exchange_identity and involutivity need the
-    step (parent seed and exchange parts); q1_oracle is run by run_suite,
-    which carries the classical shadow along the tree.
-    """
+
+def _node_failures(node, idx, selected, shadow, parent=None, parts=None) -> dict:
+    """{check: witness} for the selected checks that fail at one tree node."""
     out = {}
-    if "compatible" in selected:
-        try:
-            check_compatible(node.lmat, node.bmat)
-        except IncompatibleError as e:
-            out["compatible"] = str(e)
-    for name, witness in _WITNESSES:
-        if name in selected:
-            out[name] = witness(node, idx)
-    if "lambda_mutation" in selected:
-        route = _matrix_route_witness(parent, node, parts.k) if parts else None
-        out["lambda_mutation"] = route or qcommute_witness(node, idx)
-    if parts is not None:
-        k = parts.k
-        if "exchange_identity" in selected:
-            lhs = parent.vars[k] * parts.new_var
-            rhs = (parts.m_pos.v_shift(2 - parts.shift_pos)
-                   + parts.m_neg.v_shift(-parts.shift_neg)).v_shift(parts.shift_neg)
-            if lhs != rhs:
-                out["exchange_identity"] = (
-                    "vars_k * new_var differs from v^{p''}(v^2 M' + M'')")
-        if "involutivity" in selected:
-            # the torus is a domain, so the back division returns parent.vars[k]
-            # exactly when one product equals the back numerator
-            a_pos, a_neg, *_, m_pos, m_neg = _exchange_terms(node, k)
-            if (mutate_matrices(node.lmat, node.bmat, k, a_neg) != (parent.lmat, parent.bmat)
-                    or mutate_dvector(node.dvec, k, a_pos) != parent.dvec
-                    or node.vars[k] * parent.vars[k] != m_pos + m_neg):
-                out["involutivity"] = "mutating back does not restore the seed"
-    return {c: w for c, w in out.items() if w}
+    for name in selected:
+        w = _CHECKS[name][1](node, idx, shadow, parent, parts)
+        if w:
+            out[name] = w
+    return out
 
 
-class _StepKey:
-    """A step (parent seed, its q = 1 shadow, direction k) as a memo key.
-
-    Equal exactly when the parents are equal seeds (QuantumSeed.__eq__: L,
-    B~, D and the variables; history and the Cartan tag, constant within a
-    run, are left out), the shadows are equal and k agrees.  The hash reads
-    only k, L, B~ and D, so == alone tells apart keys that share those.
-    Holds references to the seeds, not copies.
-    """
-
-    __slots__ = ("seed", "shadow", "k", "_hash")
-
-    def __init__(self, seed: QuantumSeed, shadow, k: int):
-        self.seed, self.shadow, self.k = seed, shadow, k
-        self._hash = hash((k, seed.lmat, seed.bmat, seed.dvec))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return (self.k == other.k and self.seed == other.seed
-                and self.shadow == other.shadow)
-
-
-def _evaluate_step(cur: QuantumSeed, cs, k: int, sel) -> tuple:
+def _evaluate_step(cur: QuantumSeed, cs, k: int, selected) -> tuple:
     """(child, child shadow, {check: witness}, refusal) of the step from cur
     (q = 1 shadow cs, None without q1_oracle) in direction k.
 
@@ -300,119 +290,89 @@ def _evaluate_step(cur: QuantumSeed, cs, k: int, sel) -> tuple:
         child, parts = _mutate_unchecked(cur, k)
     except NotDivisibleError as e:
         return None, None, {"laurent": str(e)}, None
-    failures = {}
-    child_cs = None
-    if cs is not None:
-        child_cs = classical_mutate(cs, k)
-        bad = compare_q1(child, child_cs)
-        if bad:
-            failures["q1_oracle"] = (
-                "variables %s disagree with the classical shadow" % [i + 1 for i in bad])
-    failures.update(_node_failures(child, (k,), sel, cur, parts))
-    return child, child_cs, failures, None
+    child_cs = classical_mutate(cs, k) if cs is not None else None
+    return child, child_cs, _node_failures(child, (k,), selected, child_cs, cur, parts), None
+
+
+def _sequence_witness(paths: dict, s: tuple, check: str) -> str | None:
+    """The check's witness for sequence s: the first failure or untaken step
+    along its prefixes, with that step's text."""
+    for i in range(1, len(s) + 1):
+        child, _, failures, refusal = paths[s[:i]]
+        if child is not None and check not in failures:
+            continue
+        step_txt = "step %d (direction %d)" % (i, s[i - 1] + 1)
+        if check in failures:
+            return "%s: %s" % (step_txt, failures[check])
+        if refusal:
+            return "not evaluated: %s: %s" % (step_txt, refusal)
+        return "not evaluated: division failed at step %d" % i
+    return None
 
 
 def run_suite(seed: QuantumSeed, sequences, checks=None, meta=None) -> CheckReport:
     """Evaluate the selected checks over the given sequences (0-based
-    directions).  Unknown check names raise ValueError; everything else is
-    reported, not raised.  A step whose exchange numerator could exceed
-    seeds.MAX_EXCHANGE_TERMS terms is not taken: like a failed division, it
-    marks the sequences through it "not evaluated".
+    directions).  Unknown check names and an empty selection raise
+    ValueError; everything else is reported, not raised.  A step whose
+    exchange numerator could exceed seeds.MAX_EXCHANGE_TERMS terms is not
+    taken: like a failed division, it marks the sequences through it "not
+    evaluated".
 
     Each distinct step (parent content, shadow, direction) is evaluated once
     per call; see the module docstring for why that is exact.  The report's
     steps and evaluated count the tree steps walked and the distinct ones.
     """
-    if checks is None:
-        selected = list(ALL_CHECKS)
-    else:
-        selected = list(checks)
-        bad = [c for c in selected if c not in ALL_CHECKS]
-        if bad:
-            raise ValueError(
-                "unknown check name(s) %s; valid names: %s"
-                % (", ".join(sorted(bad)), ", ".join(ALL_CHECKS))
-            )
-    sel = frozenset(selected)
-    sequences = [tuple(int(k) for k in s) for s in sequences]
+    chosen = ALL_CHECKS if checks is None else list(checks)
+    bad = [c for c in chosen if c not in _CHECKS]
+    if bad:
+        raise ValueError("unknown check name(s) %s; valid names: %s"
+                         % (", ".join(sorted(bad)), ", ".join(ALL_CHECKS)))
+    if not chosen:
+        raise ValueError("no checks selected; valid names: %s" % ", ".join(ALL_CHECKS))
+    selected = [c for c in ALL_CHECKS if c in chosen]
+    sequences = sorted({tuple(int(k) for k in s) for s in sequences},
+                       key=lambda t: (len(t), t))
     for s in sequences:
         for k in s:
             if k not in seed.ex:
                 raise ValueError("direction %d is not exchangeable" % (k + 1))
 
     t0 = time.monotonic()
-    fail: dict = {}
-    pruned: dict = {}  # path -> reason, subtree below was not evaluated
-
-    for check, w in _node_failures(seed, range(seed.k), sel).items():
-        fail[(check, ())] = w
-
-    cs0 = None
-    if "q1_oracle" in sel:
-        cs0 = classical_shadow(seed)
-        bad = compare_q1(seed, cs0)
-        if bad:
-            fail[("q1_oracle", ())] = (
-                "initial variables %s disagree with the classical seed"
-                % [i + 1 for i in bad])
-
-    # prefix tree of all requested sequences
-    children: dict = {(): set()}
+    cs0 = classical_shadow(seed) if "q1_oracle" in selected else None
+    # path -> (seed, shadow, {check: witness}, refusal) after its last step
+    paths = {(): (seed, cs0, _node_failures(seed, range(seed.k), selected, cs0), None)}
+    # (k, L, B~, D) -> [(parent, shadow, outcome)]: the parents in one list
+    # share those and are told apart by ==
+    memo: dict = {}
     for s in sequences:
-        for i in range(len(s)):
-            children.setdefault(s[:i], set()).add(s[i])
-            children.setdefault(s[: i + 1], set())
-
-    memo: dict = {}  # _StepKey -> _evaluate_step's outcome
-    steps = 0
-    stack = [((), seed, cs0)]
-    while stack:
-        path, cur, cs = stack.pop()
-        for k in sorted(children.get(path, ()), reverse=True):
-            child = path + (k,)
-            step_txt = "step %d (direction %d)" % (len(child), k + 1)
-            key = _StepKey(cur, cs, k)
-            outcome = memo.get(key)
+        for i in range(1, len(s) + 1):
+            if s[:i] in paths:
+                continue
+            cur, cs = paths[s[:i - 1]][:2]
+            if cur is None:
+                break
+            k = s[i - 1]
+            same = memo.setdefault((k, cur.lmat, cur.bmat, cur.dvec), [])
+            outcome = next((o for p, c, o in same if p == cur and c == cs), None)
             if outcome is None:
-                outcome = memo[key] = _evaluate_step(cur, cs, k, sel)
-            steps += 1
-            new_seed, new_cs, failures, refusal = outcome
-            for check, w in failures.items():
-                fail[(check, child)] = "%s: %s" % (step_txt, w)
-            if refusal:
-                pruned[child] = "%s: %s" % (step_txt, refusal)
-            elif new_seed is None:
-                pruned[child] = "division failed at step %d" % len(child)
-            else:
-                stack.append((child, new_seed, new_cs))
+                outcome = _evaluate_step(cur, cs, k, selected)
+                same.append((cur, cs, outcome))
+            paths[s[:i]] = outcome
     elapsed = time.monotonic() - t0
 
     entries = []
-    order = [c for c in ALL_CHECKS if c in sel]
-    for check in order:
-        ent = fail.get((check, ()))
-        entries.append(CheckEntry(
-            check=check, tier=check_tier(check), sequence=(),
-            status="fail" if ent else "pass", witness=ent))
-        for s in sorted(set(sequences), key=lambda t: (len(t), t)):
-            status, witness = "pass", None
-            for i in range(1, len(s) + 1):
-                prefix = s[:i]
-                if (check, prefix) in fail:
-                    status, witness = "fail", fail[(check, prefix)]
-                    break
-                if prefix in pruned:
-                    status = "fail"
-                    witness = "not evaluated: %s" % pruned[prefix]
-                    break
+    for check in selected:
+        witnesses = [paths[()][2].get(check)] + [
+            _sequence_witness(paths, s, check) for s in sequences]
+        for s, w in zip([()] + sequences, witnesses):
             entries.append(CheckEntry(
-                check=check, tier=check_tier(check),
-                sequence=tuple(k + 1 for k in s), status=status, witness=witness))
+                check=check, tier=_CHECKS[check][0], sequence=tuple(k + 1 for k in s),
+                status="fail" if w else "pass", witness=w))
 
-    full_meta = {"checks": list(order), "n_sequences": len(set(sequences))}
+    full_meta = {"checks": selected, "n_sequences": len(sequences)}
     if meta:
         full_meta.update(meta)
-    report = CheckReport(entries=tuple(entries), meta=full_meta,
-                         steps=steps, evaluated=len(memo))
+    report = CheckReport(entries=tuple(entries), meta=full_meta, steps=len(paths) - 1,
+                         evaluated=sum(map(len, memo.values())))
     report.timings["total"] = elapsed
     return report

@@ -207,7 +207,7 @@ def cmd_mutate(args) -> int:
 def cmd_verify(args) -> int:
     seed = _load_seed(args)
     checks = None
-    if args.checks:
+    if args.checks is not None:
         checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     sequences = default_sequences(seed, depth=args.depth, rng_seed=args.rng_seed)
     report = run_suite(

@@ -195,7 +195,8 @@ def seed_to_json(seed: QuantumSeed) -> dict:
 def seed_from_json(obj) -> QuantumSeed:
     """Structural inverse of seed_to_json.  Semantic validity (compatibility
     and friends) is deliberately not enforced here; the verify checks and
-    mutation re-checks own that."""
+    mutation re-checks own that.  A history direction outside K_ex, which no
+    mutation takes, is refused with ValueError."""
     if "normalization" in obj:
         raise ValueError(
             "normalized exports are display artifacts, not loadable seeds"
@@ -208,6 +209,10 @@ def seed_from_json(obj) -> QuantumSeed:
     d_init = tuple(weight_from_json(w) for w in obj["Dinit"])
     vars_ = tuple(torus_from_json(l_init, v) for v in obj["vars"])
     history = tuple(as_int(k) - 1 for k in obj["history"])
+    # mutation only takes exchangeable directions, and K_ex never changes
+    off = [k + 1 for k in history if k not in ex]
+    if off:
+        raise ValueError("history has non-exchangeable direction(s) %s" % off)
     cartan = None
     if "cartan" in obj:
         cartan = CartanDatum.from_rows(obj["cartan"])

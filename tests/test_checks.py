@@ -122,6 +122,13 @@ def test_unknown_check_name(a2_seed):
         run_suite(a2_seed, [(0,)], checks=["compatible", "bogus"])
 
 
+def test_an_empty_check_selection_is_refused(a2_seed, monkeypatch):
+    # before any step: an empty selection would pass vacuously
+    monkeypatch.setattr(qca.checks, "_mutate_unchecked", None)
+    with pytest.raises(ValueError, match="no checks selected"):
+        run_suite(a2_seed, [(0,)], checks=[])
+
+
 def test_invalid_direction(a2_seed):
     with pytest.raises(ValueError):
         run_suite(a2_seed, [(1,)])
@@ -400,8 +407,8 @@ def test_a_shared_step_is_reported_under_each_path(monkeypatch):
     assert qca.mutate_seq(seed, (k, j)) == target
     real = qca.checks._node_failures
 
-    def faulty(node, idx, selected, parent=None, parts=None):
-        out = real(node, idx, selected, parent, parts)
+    def faulty(node, idx, selected, shadow, parent=None, parts=None):
+        out = real(node, idx, selected, shadow, parent, parts)
         if node == target:
             out["positivity"] = "injected"
         return out

@@ -3,10 +3,13 @@
 import argparse
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
 import qca
+from qca.checks import ALL_CHECKS
 from qca.cli import main
 from qca.serialize import pretty_dumps, seed_from_json, seed_to_json
 
@@ -362,6 +365,42 @@ def test_verify_unknown_check(tmp_path, capsys):
     code, _, err = run(capsys, ["verify", "--cartan", inp, "--checks", "bogus"])
     assert code == 2
     assert "bogus" in err
+
+
+@pytest.mark.parametrize("spelling", ["", " , "])
+def test_verify_refuses_an_empty_check_selection(tmp_path, capsys, monkeypatch, spelling):
+    # refused before any step, instead of running every check or none
+    monkeypatch.setattr(qca.checks, "_mutate_unchecked", None)
+    inp = write_input(tmp_path, *SEED_CASES["a2"])
+    code, out, err = run(capsys, ["verify", "--cartan", inp, "--checks", spelling])
+    assert (code, out) == (2, "")
+    assert "no checks selected" in err
+
+
+@pytest.mark.parametrize("argv", [["mutate", "--seq", "1", "--no-cache"], ["info"]])
+def test_a_seed_with_an_impossible_history_is_refused(tmp_path, capsys, argv):
+    # mutation only takes exchangeable directions: A2's K_ex is {1}
+    js = seed_to_json(make_seed("a2"))
+    js["history"] = [99, 1, -5]
+    seed_path = tmp_path / "seed.json"
+    seed_path.write_text(json.dumps(js))
+    code, out, err = run(capsys, [argv[0], "--seed", str(seed_path), *argv[1:]])
+    assert (code, out) == (2, "")
+    assert "history has non-exchangeable direction(s) [99, -5]" in err
+
+
+def _names_after(text, lead):
+    # the comma-separated check names that follow lead, across line breaks
+    tail = " ".join(text.split()).split(lead, 1)[1]
+    return tuple(re.match(r" *(\w+(?:, \w+)*)", tail).group(1).split(", "))
+
+
+def test_every_check_is_documented_in_order(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert _names_after(readme, "`--checks` selects a subset of:") == ALL_CHECKS
+    code, out, _ = run(capsys, ["verify", "--help"])
+    assert code == 0
+    assert _names_after(out, "CSV subset of:") == ALL_CHECKS
 
 
 def test_verify_refuses_explosive_depth(tmp_path, capsys):
