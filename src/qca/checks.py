@@ -9,9 +9,12 @@ every step of the requested sequences (a shared prefix is mutated once),
 and returns a CheckReport whose entries never throw: every failure is data.
 The seed invariants are the witness functions of seeds.py, shared with
 mutate and the GLS build; this module adds the checks that need a step, the
-q = 1 oracle, and two independent oracles: the matrix route of mutation,
-and q-commutation of each new variable by torus products, which mutate
-proves instead of computing.  The report serializes deterministically;
+q = 1 oracle, and two independent oracles: the matrix route of mutation
+(full triple products E^T L E and E B~ F), and q-commutation of each new
+variable in the torus, which mutate proves instead of computing.  That
+oracle settles a pair with a single-term side by the torus relation
+X^a X^b = v^{2 aT L b} X^b X^a, and every other pair by torus products
+(see torus.q_commute_exponent).  The report serializes deterministically;
 timings and step counts stay on the in-memory object.
 
 The tree reaches one quantum seed by many paths (mu_k mu_k = id, and
@@ -146,7 +149,7 @@ def ef_matrices(bmat, k: int):
 
 def _matmul(a, b):
     """a b, each row a combination of the rows of b weighted by the nonzero
-    entries of that row of a (E and F are mostly zero)."""
+    entries of that row of a, so a sparse left factor is cheap."""
     out = []
     for row in a:
         acc = [0] * len(b[0])
@@ -157,11 +160,23 @@ def _matmul(a, b):
     return tuple(out)
 
 
+def _transpose(m):
+    return tuple(zip(*m))
+
+
 def _matrix_route_witness(parent: QuantumSeed, node: QuantumSeed, k: int) -> str | None:
-    """node's (L, B~) against (E^T L E, E B~ F) of its parent."""
+    """node's (L, B~) against (E^T L E, E B~ F) of its parent.
+
+    Both are full triple products, associated so that every left factor is
+    E, E^T or F^T, which differ from the identity in one row or column:
+    E^T L E = (E^T (E^T L)^T)^T and E B~ F = (F^T (E B~)^T)^T.
+    """
     e_mat, f_mat = ef_matrices(parent.bmat, k)
-    l_ok = _matmul(tuple(zip(*e_mat)), _matmul(parent.lmat.rows, e_mat)) == node.lmat.rows
-    b_ok = _matmul(_matmul(e_mat, parent.bmat.rows), f_mat) == node.bmat.rows
+    e_t = _transpose(e_mat)
+    l_route = _transpose(_matmul(e_t, _transpose(_matmul(e_t, parent.lmat.rows))))
+    b_route = _transpose(_matmul(_transpose(f_mat), _transpose(_matmul(e_mat, parent.bmat.rows))))
+    l_ok = l_route == node.lmat.rows
+    b_ok = b_route == node.bmat.rows
     if l_ok and b_ok:
         return None
     return "matrix mutation disagrees with the closed forms (E^T L E %s, E B F %s)" % (
@@ -195,8 +210,8 @@ def _exchange_witness(node, idx, shadow, parent, parts) -> str | None:
 
 
 def _lambda_witness(node, idx, shadow, parent, parts) -> str | None:
-    """q-commutation per the current L over idx, by torus products (the
-    oracle for what mutate proves), after the matrix route of a step."""
+    """q-commutation per the current L over idx, re-derived in the torus
+    (the oracle for what mutate proves), after the matrix route of a step."""
     route = _matrix_route_witness(parent, node, parts.k) if parts else None
     return route or qcommute_witness(node, idx)
 
@@ -330,7 +345,8 @@ def run_suite(seed: QuantumSeed, sequences, checks=None, meta=None) -> CheckRepo
     if not chosen:
         raise ValueError("no checks selected; valid names: %s" % ", ".join(ALL_CHECKS))
     selected = [c for c in ALL_CHECKS if c in chosen]
-    sequences = sorted({tuple(int(k) for k in s) for s in sequences},
+    # the starting seed always has its own entry, so () is not a sequence
+    sequences = sorted({tuple(int(k) for k in s) for s in sequences} - {()},
                        key=lambda t: (len(t), t))
     for s in sequences:
         for k in s:

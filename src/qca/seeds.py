@@ -23,8 +23,8 @@ checks compatibility of degree 2 and the homogeneity of the new variable
 per mu_k(D), and proves its q-commutation per mu_k(L) from those facts and
 a certified parent (see mutate).  Matrix mutation uses closed forms only:
 row k of mu_k(L) is a''^T L and B~ changes entrywise.  The matrix-product
-route (E^T L E, E B~ F) and the torus products that re-derive each new
-variable's q-commutation are independent oracles in checks.py.  Every such
+route (E^T L E, E B~ F) and the torus arithmetic that re-derives each
+new variable's q-commutation are independent oracles in checks.py.  Every such
 integer identity is a sum of rows of L or of the (flattened) D weights,
 computed by torus._combine_rows.
 
@@ -192,7 +192,8 @@ def balance_witness(seed: "QuantumSeed", idx) -> str | None:
 def mutate_matrices(lmat: LMatrix, bmat: BMatrix, k: int, a_neg):
     """(mu_k L, mu_k B~) by the closed forms: row k of mu_k(L) is a''^T L
     off the diagonal (a'' from exchange_exponents) and column k its
-    negative; B~ changes entrywise.
+    negative; B~ changes entrywise, and a row i != k with b_ik = 0 is
+    kept as it is.
 
     The matrix-product route (E^T L E, E B~ F) is an independent oracle in
     checks.py; mutate certifies the result through compatibility.
@@ -208,6 +209,10 @@ def mutate_matrices(lmat: LMatrix, bmat: BMatrix, k: int, a_neg):
     col = bmat.column(k)
     bp_closed = []
     for i in range(n):
+        if i != k and not col[i]:
+            # b_ik = 0: the entries below and -b_ik leave the row as it is
+            bp_closed.append(bmat.rows[i])
+            continue
         row = []
         for jpos, j in enumerate(bmat.ex):
             b_ij = bmat.rows[i][jpos]
@@ -505,8 +510,8 @@ def mutate(seed: QuantumSeed, k: int) -> QuantumSeed:
     The argument needs a certified parent.  A seed that did not come from
     validate_full or mutate (the JSON loader, dataclasses.replace) is
     validated in full once first.  run_suite's lambda_mutation re-derives
-    every new variable's q-commutation by torus products, as the
-    independent oracle.
+    every new variable's q-commutation in the torus, as the independent
+    oracle.
     """
     if not seed._certified:
         seed.validate_full()

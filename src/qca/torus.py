@@ -16,7 +16,8 @@ work on a packed copy of it (``qca.coeffs``): each coefficient becomes one
 Python int holding its balanced base-2^W digits (Kronecker substitution),
 so a coefficient convolution is a single bigint multiply.  The digit width
 W always comes from a proven bound on the result, so the packing is exact
-for every input.
+for every input.  A product with a monomial operand c v^s X^a needs no
+packing, and q-commutation with a single-term side needs no product.
 """
 
 from __future__ import annotations
@@ -77,11 +78,28 @@ def _combine_rows(rows, a) -> list:
 def _mul_terms(xt: dict, yt: dict, lam) -> dict:
     """Product of two term dicts: (c X^a)(d X^b) = c d v^{aT L b} X^{a+b}.
 
-    Each pair of runs contributes one bigint product, added into the runs
-    of its output monomial.  An output coefficient is a sum of products of
-    input coefficients, so every partial sum is at most ||x||_1 ||y||_1 in
-    absolute value; that fixes W.
+    When one operand is a monomial c v^s X^m (one term, one coefficient
+    entry), the exponents of the product are distinct, so each term of the
+    other operand is only scaled by c and shifted: X^m X^b = v^{mT L b}
+    X^{m+b} on the left, and X^a X^m = v^{aT L m} = v^{-mT L a} X^{a+m}
+    on the right (L is skew-symmetric).  Nothing is packed.
+
+    Otherwise each pair of runs contributes one bigint product, added into
+    the runs of its output monomial.  An output coefficient is a sum of
+    products of input coefficients, so every partial sum is at most
+    ||x||_1 ||y||_1 in absolute value; that fixes W.
     """
+    for mono, other, sign in ((xt, yt, 1), (yt, xt, -1)):
+        if len(mono) == 1:
+            ((m, cf),) = mono.items()
+            if len(cf) == 1:
+                ((s, c),) = cf.items()
+                row = _combine_rows(lam, m)
+                out = {}
+                for b, df in other.items():
+                    t = s + sign * sum(map(mul, row, b))
+                    out[tuple(map(add, m, b))] = {e + t: c * d for e, d in df.items()}
+                return out
     x_l1, x_g = norm_and_stride(xt)
     y_l1, y_g = norm_and_stride(yt)
     g = gcd(x_g, y_g) or 1
@@ -414,24 +432,48 @@ def _is_bar_invariant(x: TorusElem) -> bool:
 def q_commute_exponent(x: TorusElem, y: TorusElem) -> int | None:
     """gamma with x y = q^gamma y x, or None if no single power works.
 
-    For monomials x = X^a, y = X^b the torus relation gives
-    x y = v^{2 aT L b} y x, so gamma = aT L b.  None is also returned when
-    the uniform v-exponent comes out odd (a genuine half-integer q-power,
-    which the engine treats as not q-commuting since gamma must be an
-    integer).
+    When one side has a single term, the torus relation settles the pair
+    without a product.  Take x = c X^a with c in Z[v^{+-1}] (coefficients
+    are central) and y = sum_b d_b X^b.  Then
 
-    Coefficients are central, so that relation settles every pair of
-    single-term elements without a product.  Otherwise, bar is an
-    anti-automorphism, so when x and y are both bar-invariant (every quantum
-    cluster variable is), y x = bar(x y) and one product suffices; if not,
-    y x is computed as a second product.
+        x y = sum_b c d_b v^{aT L b} X^{a+b},
+        y x = sum_b c d_b v^{-aT L b} X^{a+b},
+
+    and the exponents a + b are distinct, while Z[v^{+-1}] is a domain, so
+    every c d_b is nonzero.  Hence x y = v^{2 gamma} y x exactly when
+    aT L b = gamma for every b in supp(y): gamma exists iff aT L b is the
+    same for all of them, and it is that value.  In the mirror case
+    y = d X^b, x = sum_a c_a X^a, gamma = aT L b over a in supp(x), which
+    is -(bT L a) since L is skew-symmetric.  For two single-term elements
+    this is gamma = aT L b.
+
+    For other pairs, bar is an anti-automorphism, so when x and y are both
+    bar-invariant (every quantum cluster variable is), y x = bar(x y) and
+    one product suffices; if not, y x is computed as a second product.
+    None is also returned when the uniform v-exponent comes out odd (a
+    genuine half-integer q-power, which the engine treats as not
+    q-commuting since gamma must be an integer).
+
+    >>> L = LMatrix.from_rows([[0, 1], [-1, 0]])
+    >>> x, y = TorusElem.monomial(L, (1, 0)), TorusElem.monomial(L, (0, 1))
+    >>> q_commute_exponent(x, y + TorusElem.monomial(L, (2, 1)))
+    1
+    >>> q_commute_exponent(x, y + TorusElem.monomial(L, (1, 0))) is None
+    True
     """
     if x.is_zero() or y.is_zero():
         raise ValueError("q-commutation is defined for nonzero elements")
     x._require_same(y)
-    if len(x.terms) == 1 and len(y.terms) == 1:
-        ((a,), (b,)) = (x.terms, y.terms)
-        return sum(map(mul, _combine_rows(x.ambient.rows, a), b))
+    if len(x.terms) == 1 or len(y.terms) == 1:
+        lam = x.ambient.rows
+        if len(x.terms) == 1:
+            (a,) = x.terms
+            row, sign, others = _combine_rows(lam, a), 1, y.terms
+        else:
+            (b,) = y.terms
+            row, sign, others = _combine_rows(lam, b), -1, x.terms
+        gammas = {sum(map(mul, row, e)) for e in others}
+        return sign * gammas.pop() if len(gammas) == 1 else None
     both_bar = _is_bar_invariant(x) and _is_bar_invariant(y)
     prod = x * y
     xy = prod.terms

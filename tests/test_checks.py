@@ -117,6 +117,16 @@ def test_entry_ordering(a2_seed):
     ]
 
 
+def test_an_empty_sequence_is_the_starting_seed_entry(a2_seed):
+    # () is the starting seed, which always has its own entry; it is not a
+    # second sequence
+    report = run_suite(a2_seed, [(), (0,)], checks=["compatible"])
+    assert [e.sequence for e in report.entries] == [(), (1,)]
+    assert report.meta["n_sequences"] == 1
+    assert report_to_json(report, "x") == report_to_json(
+        run_suite(a2_seed, [(0,)], checks=["compatible"]), "x")
+
+
 def test_unknown_check_name(a2_seed):
     with pytest.raises(ValueError, match="compatible"):
         run_suite(a2_seed, [(0,)], checks=["compatible", "bogus"])

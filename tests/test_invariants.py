@@ -3,6 +3,7 @@ and the GLS build share, and a property sweep over random symmetric GCMs."""
 
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import qca
 from qca.cartan import Weight, check_reduced, pair_weight_root, weyl_apply
-from qca.checks import default_sequences, run_suite
+from qca.checks import _matrix_route_witness, default_sequences, run_suite
 from qca.errors import EngineInvariantError, IncompatibleError, NotReducedError
 from qca.gls import analyze_word, build_quiver
 from qca.seeds import (
@@ -272,3 +273,62 @@ def test_mutate_proof_agrees_with_the_product_oracle(case, data):
     uncertified = replace(seed)
     assert not uncertified._certified
     assert mutate_seq(uncertified, seq) == final
+
+
+def dense_route(parent, k):
+    """(E^T L E, E B~ F) of parent in direction k, every entry a full sum
+    over the inner index; E and F written out from column and row k of B~."""
+    lrows, brows, ex = parent.lmat.rows, parent.bmat.rows, parent.ex
+    n, m, kpos = len(lrows), len(ex), ex.index(k)
+    e = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        e[i][k] = -1 if i == k else max(0, -brows[i][kpos])
+    f = [[int(i == j) for j in range(m)] for i in range(m)]
+    f[kpos] = [-1 if j == kpos else max(0, brows[k][j]) for j in range(m)]
+
+    def prod(a, b):
+        return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(len(b)))
+                           for j in range(len(b[0]))) for i in range(len(a)))
+
+    return prod(prod(list(zip(*e)), lrows), e), prod(prod(e, brows), f)
+
+
+def assert_matrix_route(parent):
+    def node(lrows, brows):
+        return SimpleNamespace(lmat=SimpleNamespace(rows=lrows),
+                               bmat=SimpleNamespace(rows=brows))
+
+    def bumped(rows):
+        return (tuple(x + 1 if j == 0 else x for j, x in enumerate(rows[0])),) + rows[1:]
+
+    for k in parent.ex:
+        lp, bp = dense_route(parent, k)
+        child = mutate(parent, k)
+        assert (child.lmat.rows, child.bmat.rows) == (lp, bp)
+        assert _matrix_route_witness(parent, child, k) is None
+        # one entry off in either product is seen, and attributed to it
+        assert "E^T L E differs, E B F agrees" in _matrix_route_witness(
+            parent, node(bumped(lp), bp), k)
+        assert "E^T L E agrees, E B F differs" in _matrix_route_witness(
+            parent, node(lp, bumped(bp)), k)
+
+
+def parents(seed):
+    """seed and its children within the product oracle's size bound."""
+    yield seed
+    for k in seed.ex:
+        if exchange_term_bound(seed, k) <= ORACLE_MAX_TERMS:
+            yield mutate(seed, k)
+
+
+@pytest.mark.parametrize("key", sorted(SEED_CASES))
+def test_matrix_route_is_the_full_triple_product(key):
+    for parent in parents(make_seed(key)):
+        assert_matrix_route(parent)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(gcm_and_word(2, 5))
+def test_matrix_route_is_the_full_triple_product_on_random_gcms(case):
+    for parent in parents(qca.build_initial_seed(*case)):
+        assert_matrix_route(parent)

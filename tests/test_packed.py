@@ -5,8 +5,12 @@ coefficient into one integer (Kronecker substitution).  These tests compare
 them with a plain dict-of-dicts product written out here, on inputs chosen
 to break a packing whose digit width or span is wrong: coefficients at
 machine-word boundaries, cancellation, digits at the edge of the width,
-sparse and wide v-spans, and ranks above 64.
+sparse and wide v-spans, and ranks above 64.  A monomial operand and a
+single-term side of q-commutation skip the packing; they are drawn on
+either side of every property.
 """
+
+import itertools
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -100,17 +104,22 @@ coeff_dicts = st.dictionaries(
 
 
 @st.composite
-def elems(draw, lam, max_terms=4, span=3):
+def exponents(draw, lam, span=3):
     k = lam.k
+    if k > 4:
+        exp = [0] * k
+        for i in draw(st.lists(st.integers(0, k - 1), max_size=3)):
+            exp[i] = draw(st.integers(-span, span))
+    else:
+        exp = [draw(st.integers(-span, span)) for _ in range(k)]
+    return tuple(exp)
+
+
+@st.composite
+def elems(draw, lam, max_terms=4, span=3):
     terms = {}
     for _ in range(draw(st.integers(1, max_terms))):
-        if k > 4:
-            exp = [0] * k
-            for i in draw(st.lists(st.integers(0, k - 1), max_size=3)):
-                exp[i] = draw(st.integers(-span, span))
-        else:
-            exp = [draw(st.integers(-span, span)) for _ in range(k)]
-        terms[tuple(exp)] = draw(coeff_dicts)
+        terms[draw(exponents(lam, span))] = draw(coeff_dicts)
     return TorusElem(lam, terms)
 
 
@@ -120,12 +129,35 @@ def elem_pairs(draw):
     return draw(elems(lam)), draw(elems(lam))
 
 
+@st.composite
+def one_term(draw, lam, coeffs):
+    """c X^a, with a nonzero coefficient c drawn from coeffs."""
+    return TorusElem(lam, {draw(exponents(lam)): draw(coeffs)})
+
+
+# a monomial c v^s X^a, and one term whose coefficient has several entries
+monomial_coeffs = st.builds(lambda e, c: {e: c}, st.integers(-200, 200),
+                            coeff_values.filter(bool))
+wide_coeffs = st.dictionaries(st.integers(-200, 200), coeff_values.filter(bool),
+                              min_size=2, max_size=5)
+
+
+@st.composite
+def operand_sets(draw):
+    """Two general elements, a monomial and a single-term element with a
+    multi-entry coefficient, in one ambient."""
+    lam = draw(ambients())
+    return (draw(elems(lam)), draw(elems(lam)),
+            draw(one_term(lam, monomial_coeffs)), draw(one_term(lam, wide_coeffs)))
+
+
 @PROFILE
-@given(elem_pairs())
-def test_product_matches_schoolbook(pair):
-    x, y = pair
-    assert (x * y).terms == schoolbook_mul(x, y)
-    assert (y * x).terms == schoolbook_mul(y, x)
+@given(operand_sets())
+def test_product_matches_schoolbook(ops):
+    # every ordered pair: general operands, and a monomial or single-term
+    # operand on the left and on the right
+    for x, y in itertools.permutations(ops, 2):
+        assert (x * y).terms == schoolbook_mul(x, y)
 
 
 @PROFILE
@@ -137,12 +169,30 @@ def test_division_recovers_factor(pair):
     assert exact_left_div(p, p * s) == s
 
 
+def commuting_with(m, y):
+    """An element with terms d_t X^{b + t a} (t = 0, 1, 2) for m = c X^a and
+    b, d_t taken from y: aT L (b + t a) = aT L b for every t, so it
+    q-commutes with m."""
+    (a,) = m.terms
+    b = next(iter(y.terms))
+    cfs = list(y.terms.values())
+    return TorusElem(m.ambient, {tuple(bi + t * ai for ai, bi in zip(a, b)): cfs[t % len(cfs)]
+                                 for t in range(3)})
+
+
 @PROFILE
-@given(elem_pairs())
-def test_q_commute_matches_two_product_definition(pair):
-    x, y = pair
+@given(operand_sets())
+def test_q_commute_matches_two_product_definition(ops):
+    x, y, m, s = ops
     if x.is_zero() or y.is_zero():
         return
+    # a single-term side is settled by the torus relation, without a product
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TorusElem, "__mul__", None)
+        for u in (m, s):
+            for z in (x, y, commuting_with(u, x), m, s):
+                assert q_commute_exponent(u, z) == two_product_gamma(u, z)
+                assert q_commute_exponent(z, u) == two_product_gamma(z, u)
     # as drawn (rarely bar-invariant), and symmetrized (always bar-invariant)
     assert q_commute_exponent(x, y) == two_product_gamma(x, y)
     xb, yb = x + x.bar(), y + y.bar()
