@@ -3,11 +3,15 @@
 The dict form maps a v-exponent to a nonzero Python int; it is what
 ``TorusElem.terms`` holds.  The packed form is what products and exact
 division in the torus compute with (see the comment above ``digit_width``).
-Everything is exact: no fixed-width integer appears anywhere.
+Everything is exact: fixed-width integers only carry digits that the
+chosen width is proven to hold, and a digit outside it raises, never wraps.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from functools import lru_cache
 from math import gcd
 
 # ---------------------------------------------------------------------------
@@ -76,6 +80,16 @@ def qc_div_exact(num: dict, den: dict) -> dict | None:
         raise ZeroDivisionError("coefficient division by zero")
     if not num:
         return {}
+    if len(den) == 1:
+        # a single entry d v^f divides entry by entry, top down as below
+        ((f, d),) = den.items()
+        out = {}
+        for e in sorted(num, reverse=True):
+            c, r = divmod(num[e], d)
+            if r:
+                return None
+            out[e - f] = c
+        return out
     dmax = max(den)
     dc = den[dmax]
     emin = min(num) - min(den)
@@ -132,15 +146,64 @@ def qc_str(a: dict) -> str:
 # multiple of g and the starts lo..hi of its pieces stay within _SPAN
 # strides, so no int grows with the gaps between exponents; a dense
 # coefficient is one run.
+#
+# Runs are encoded and decoded in offset binary: adding H(W, m) =
+# sum_{i<m} 2^(W-1) 2^(W i) to a run of m balanced digits makes every digit
+# c + 2^(W-1), in [0, 2^W), with no carry between digits.  The whole run
+# then converts in one call between an int and its little-endian bytes,
+# and the bytes to and from a list of digits in one ``array`` conversion
+# at W = 8, 16, 32 and 64, or by slicing above that.  W is rounded up to
+# one of those four widths while the bound allows it.
 
 _SPAN = 512
+_WIDTHS = (8,) * 8 + (16,) * 8 + (32,) * 16 + (64,) * 32  # by bit length
+_TYPECODES = {8 * array(tc).itemsize: tc for tc in "BHILQ"}  # W -> unsigned
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def digit_width(bound: int) -> int:
     """Digit width W for integers of absolute value at most ``bound``:
-    bound < 2^(W-1), so one bit is left for the sign, and W is a whole
-    number of bytes, so that unpack can slice digits out of bytes."""
-    return (bound.bit_length() + 8) & ~7
+    bound < 2^(W-1), so one bit is left for the sign.  W is the least of
+    8, 16, 32 and 64 that fits, so that runs convert through ``array``,
+    and above 64 bits a whole number of bytes, so that unpack can slice
+    digits out of bytes.
+
+    >>> [digit_width((1 << bits) - 1) for bits in (7, 15, 16, 40, 63, 64)]
+    [8, 16, 32, 64, 64, 72]
+    """
+    bits = bound.bit_length()
+    return _WIDTHS[bits] if bits < 64 else (bits + 8) & ~7
+
+
+@lru_cache(maxsize=1024)
+def _offset(w: int, m: int) -> int:
+    """H(W, m): the digit 2^(W-1) in each of m places of width W."""
+    return int.from_bytes((bytes((w >> 3) - 1) + b"\x80") * m, "little")
+
+
+def _digit_bytes(digits: list, w: int) -> bytes:
+    """Little-endian bytes of unsigned W-bit digits; OverflowError if one
+    of them lies outside [0, 2^W)."""
+    tc = _TYPECODES.get(w)
+    if tc is None:
+        nb = w >> 3
+        return b"".join([d.to_bytes(nb, "little") for d in digits])
+    arr = array(tc, digits)
+    if _BIG_ENDIAN:
+        arr.byteswap()
+    return arr.tobytes()
+
+
+def _byte_digits(buf: bytes, w: int):
+    """The unsigned W-bit digits of little-endian bytes."""
+    tc = _TYPECODES.get(w)
+    if tc is None:
+        nb = w >> 3
+        return [int.from_bytes(buf[i:i + nb], "little") for i in range(0, len(buf), nb)]
+    arr = array(tc, buf)
+    if _BIG_ENDIAN:
+        arr.byteswap()
+    return arr
 
 
 def norm_and_stride(terms: dict) -> tuple[int, int]:
@@ -186,13 +249,30 @@ def add_piece(runs: list, s: int, m: int, w: int, g: int) -> None:
 
 
 def pack(cf: dict, w: int, g: int) -> list:
-    """The runs of a nonzero coefficient dict."""
+    """The runs of a nonzero coefficient dict.
+
+    The caller's W bounds every entry: |c| < 2^(W-1).  A dense coefficient
+    is encoded in offset binary, and an entry outside that bound raises
+    OverflowError there; nothing wraps.
+
+    >>> pack({0: 1, 2: -1}, 8, 2)
+    [[0, 2, -255]]
+    >>> pack({0: 128, 1: 1}, 8, 1)  # doctest: +IGNORE_EXCEPTION_DETAIL
+    Traceback (most recent call last):
+    OverflowError: the digit 128 does not fit in 8 bits
+    """
     if len(cf) == 1:
         ((e, c),) = cf.items()
         return [[e, e, c]]
     lo, hi = min(cf), max(cf)
     if hi - lo <= _SPAN * g and gcd(*[e - lo for e in cf]) % g == 0:
-        return [[lo, hi, sum(c << (w * ((e - lo) // g)) for e, c in cf.items())]]
+        half = 1 << (w - 1)
+        m = (hi - lo) // g + 1
+        digits = [half] * m
+        for e, c in cf.items():
+            digits[(e - lo) // g] = c + half
+        n = int.from_bytes(_digit_bytes(digits, w), "little") - _offset(w, m)
+        return [[lo, hi, n]]
     runs: list = []
     for e in sorted(cf):
         add_piece(runs, e, cf[e], w, g)
@@ -203,32 +283,21 @@ def unpack(lo: int, n: int, w: int, g: int) -> dict:
     """The coefficient dict of a run starting at lo, every digit of n in
     [-2^(W-1), 2^(W-1)).
 
-    The digits of n mod 2^(W m) are read as unsigned bytes and then made
-    balanced by carrying; m leaves at least one byte of headroom above n, so
-    the balanced digits are those of n itself.
+    n has at most m = bit_length(n) // W + 1 such digits.  n + H(W, m) has
+    the unsigned digits d + 2^(W-1), which are read in one conversion and
+    shifted back; a zero digit reads 2^(W-1) and is left out.
 
     >>> unpack(-1, 5 - (7 << 16), 8, 2)
     {-1: 5, 3: -7}
+    >>> unpack(0, 3 + (200 << 16) - (2**15 << 32), 16, 1)
+    {0: 3, 1: 200, 2: -32768}
     """
     half = 1 << (w - 1)
     if -half <= n < half:
         return {lo: n} if n else {}
-    nb = w >> 3
-    m = n.bit_length() // w + 2
-    buf = (n & ((1 << (w * m)) - 1)).to_bytes(nb * m, "little")
-    full = 1 << w
-    out = {}
-    carry = 0
-    for i in range(m):
-        d = int.from_bytes(buf[i * nb:(i + 1) * nb], "little") + carry
-        if d >= half:
-            d -= full
-            carry = 1
-        else:
-            carry = 0
-        if d:
-            out[lo + g * i] = d
-    return out
+    m = n.bit_length() // w + 1
+    digits = _byte_digits((n + _offset(w, m)).to_bytes((w >> 3) * m, "little"), w)
+    return {e: d - half for e, d in zip(range(lo, lo + g * m, g), digits) if d != half}
 
 
 def collect(runs: list, w: int, g: int) -> dict:

@@ -16,8 +16,10 @@ work on a packed copy of it (``qca.coeffs``): each coefficient becomes one
 Python int holding its balanced base-2^W digits (Kronecker substitution),
 so a coefficient convolution is a single bigint multiply.  The digit width
 W always comes from a proven bound on the result, so the packing is exact
-for every input.  A product with a monomial operand c v^s X^a needs no
-packing, and q-commutation with a single-term side needs no product.
+for every input; a run of digits is encoded and decoded in one conversion
+(offset binary through ``array``).  A product with a monomial operand
+c v^s X^a and exact division by a single-term divisor need no packing, and
+q-commutation with a single-term side needs no product.
 """
 
 from __future__ import annotations
@@ -87,8 +89,11 @@ def _mul_terms(xt: dict, yt: dict, lam) -> dict:
     Otherwise each pair of runs contributes one bigint product, added into
     the runs of its output monomial.  An output coefficient is a sum of
     products of input coefficients, so every partial sum is at most
-    ||x||_1 ||y||_1 in absolute value; that fixes W.
+    ||x||_1 ||y||_1 in absolute value; that fixes W.  A zero operand is
+    settled first, since that bound would then not cover the other one.
     """
+    if not xt or not yt:
+        return {}
     for mono, other, sign in ((xt, yt, 1), (yt, xt, -1)):
         if len(mono) == 1:
             ((m, cf),) = mono.items()
@@ -353,6 +358,13 @@ def exact_left_div(p: TorusElem, q: TorusElem) -> TorusElem:
     once per peel.  Every partial sum of a remainder coefficient is bounded
     by ||q||_1 + ||p||_1 ||s_partial||_1, and W is widened when that grows.
 
+    A single-term divisor p = c X^a packs nothing: p * d X^b = c d
+    v^{aT L b} X^{a+b}, so every term of q is one term of p * s, and it is
+    shifted back and divided by c on its own.  The terms are taken in the
+    descending lex order of the peeling, whose Newton box they never leave,
+    so a failure names the same term.  For a monomial c = c0 v^t, the
+    division is entry by entry.
+
     >>> L = LMatrix.from_rows([[0, 1], [-1, 0]])
     >>> q = TorusElem.monomial(L, (2, 1), qc_v(3))
     >>> s = exact_left_div(TorusElem.monomial(L, (1, 0)), q)
@@ -366,11 +378,29 @@ def exact_left_div(p: TorusElem, q: TorusElem) -> TorusElem:
         return TorusElem.zero(p.ambient)
     lam = p.ambient.rows
     pt, qt = p.terms, q.terms
-    box = [(min(qi) - min(pi), max(qi) - max(pi))
-           for qi, pi in zip(zip(*qt), zip(*pt))]
     ap = max(pt)
     cp = pt[ap]
     lead_row = _combine_rows(lam, ap)
+
+    def quotient_coeff(ar, aq, lead):
+        """The coefficient of X^aq in s, forced by the remainder's leading
+        coefficient lead at X^ar."""
+        c = qc_div_exact(qc_shift(lead, -sum(map(mul, lead_row, aq))), cp)
+        if c is None:
+            raise NotDivisibleError(
+                "coefficient",
+                "leading coefficient at X^%s is not divisible" % (ar,),
+            )
+        return c
+
+    if len(pt) == 1:
+        out = {}
+        for ar in sorted(qt, reverse=True):
+            aq = tuple(map(sub, ar, ap))
+            out[aq] = quotient_coeff(ar, aq, qt[ar])
+        return TorusElem(p.ambient, out, _trusted=True)
+    box = [(min(qi) - min(pi), max(qi) - max(pi))
+           for qi, pi in zip(zip(*qt), zip(*pt))]
     # the leading term of p is left out: its product with each quotient
     # term cancels the remainder's leading coefficient, which is popped
     p_rest = [(b, _combine_rows(lam, b), cf) for b, cf in pt.items() if b != ap]
@@ -378,8 +408,9 @@ def exact_left_div(p: TorusElem, q: TorusElem) -> TorusElem:
     s_l1 = 0
     g = gcd(p_g, q_g) or 1
     # the bound reached at the end when p * s has no cancellation, as for
-    # cluster variables; more cancellation only means widening below
-    w = digit_width(2 * q_l1)
+    # cluster variables; more cancellation only means widening below.  It
+    # also covers the entries of p, which are packed at this width
+    w = digit_width(max(2 * q_l1, p_l1))
     pp = [(b, row, lo, n) for b, row, cf in p_rest for lo, _, n in pack(cf, w, g)]
     rem = {a: pack(cf, w, g) for a, cf in qt.items()}  # exponent -> runs
     out: dict = {}
@@ -396,13 +427,7 @@ def exact_left_div(p: TorusElem, q: TorusElem) -> TorusElem:
                     "quotient exponent %s leaves the Newton box %s"
                     % (aq, [list(b) for b in box]),
                 )
-        c = qc_div_exact(qc_shift(lead, -sum(map(mul, lead_row, aq))), cp)
-        if c is None:
-            raise NotDivisibleError(
-                "coefficient",
-                "leading coefficient at X^%s is not divisible" % (ar,),
-            )
-        out[aq] = c
+        c = out[aq] = quotient_coeff(ar, aq, lead)
         s_l1 += sum(map(abs, c.values()))
         need = digit_width(q_l1 + p_l1 * s_l1)
         if need > w:

@@ -5,18 +5,22 @@ coefficient into one integer (Kronecker substitution).  These tests compare
 them with a plain dict-of-dicts product written out here, on inputs chosen
 to break a packing whose digit width or span is wrong: coefficients at
 machine-word boundaries, cancellation, digits at the edge of the width,
-sparse and wide v-spans, and ranks above 64.  A monomial operand and a
-single-term side of q-commutation skip the packing; they are drawn on
-either side of every property.
+sparse and wide v-spans, and ranks above 64.  Packing is drawn at every
+width the code can choose: 8, 16, 32 and 64 bits, which convert through
+``array``, and 72 and 128 bits, which do not.  A monomial operand, a
+single-term divisor and a single-term side of q-commutation skip the
+packing; they are drawn on either side of every property.
 """
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qca.coeffs import collect, digit_width, pack, unpack
+from qca.coeffs import collect, digit_width, pack, qc_div_exact, qc_mul, unpack
+from qca.errors import NotDivisibleError
 from qca.seeds import mutate_seq
 from qca.torus import LMatrix, TorusElem, exact_left_div, q_commute_exponent
 
@@ -34,6 +38,9 @@ WORD_EDGES = (
     2**31, -2**31, 2**31 - 1, 2**63, -2**63, 2**63 - 1,
     2**64 - 1, 2**64 + 1, -(2**64 + 1),
 )
+
+# the digit widths with an ``array`` type, and two above them
+PACK_WIDTHS = (8, 16, 32, 64, 72, 128)
 
 
 def schoolbook_mul(x: TorusElem, y: TorusElem) -> dict:
@@ -169,6 +176,51 @@ def test_division_recovers_factor(pair):
     assert exact_left_div(p, p * s) == s
 
 
+# coefficients of a monomial divisor: units, a non-unit, one past 64 bits
+DIVISOR_COEFFS = (1, -1, 2, -2, 2**64 + 1)
+divisor_coeffs = st.one_of(
+    st.builds(lambda t, c: {t: c}, st.integers(-200, 200), st.sampled_from(DIVISOR_COEFFS)),
+    wide_coeffs,
+)
+
+
+@PROFILE
+@given(ambients().flatmap(lambda lam: st.tuples(elems(lam), one_term(lam, divisor_coeffs))))
+def test_single_term_divisor_matches_schoolbook(case):
+    # a monomial c v^t X^a, or one term with a multi-entry coefficient
+    s, p = case
+    q = TorusElem(s.ambient, schoolbook_mul(p, s))
+    quo = exact_left_div(p, q)
+    assert quo == s
+    assert schoolbook_mul(p, quo) == q.terms
+
+
+@pytest.mark.parametrize("key", ["a2", "a3", "aff", "d4"])
+def test_monomial_divisor_on_seed_variables(key):
+    # the initial cluster variables are monomials; divide their products
+    # with every variable by each of them, times each divisor coefficient
+    seed = make_seed(key)
+    for p0, s in itertools.product(seed.vars, seed.vars):
+        for c in DIVISOR_COEFFS:
+            p = p0.scaled(c)
+            q = TorusElem(p.ambient, schoolbook_mul(p, s))
+            assert exact_left_div(p, q) == s
+
+
+def test_monomial_divisor_failure_names_the_first_bad_term():
+    # 2 v X^(1,0) divides the lex-leading term of q, not the next one: the
+    # error names the lex-largest term whose entries 2 does not divide
+    lam = LMatrix.from_rows([[0, 1], [-1, 0]])
+    p = TorusElem.monomial(lam, (1, 0), {1: 2})
+    q = TorusElem(lam, {(3, 0): {0: 4}, (2, 1): {0: 2, 5: 3}, (1, 2): {0: 1},
+                        (0, -1): {2: 6}})
+    with pytest.raises(NotDivisibleError) as info:
+        exact_left_div(p, q)
+    assert info.value.reason == "coefficient"
+    assert str(info.value) == ("not exactly divisible (coefficient): "
+                               "leading coefficient at X^(2, 1) is not divisible")
+
+
 def commuting_with(m, y):
     """An element with terms d_t X^{b + t a} (t = 0, 1, 2) for m = c X^a and
     b, d_t taken from y: aT L (b + t a) = aT L b for every t, so it
@@ -250,38 +302,58 @@ def test_cancellation():
     # everything cancels: x * 0 after regrouping
     big = TorusElem.monomial(lam, (1, 1), {0: 2**64 + 1, 3: -(2**63)})
     assert (big * (one - one)).is_zero()
+    assert ((one - one) * big).is_zero()
     assert (big * one - one * big).is_zero()
 
 
 @PROFILE
-@given(coeff_dicts, st.sampled_from((1, 2, 3, 4, 1000)))
-def test_pack_collect_roundtrip(cf, g):
+@given(coeff_dicts, st.sampled_from((1, 2, 3, 4, 1000)), st.sampled_from(PACK_WIDTHS))
+def test_pack_collect_roundtrip(cf, g, w):
     # any stride: exponents off the stride, or too far apart, go to own runs
     cf = {e: c for e, c in cf.items() if c}
     if not cf:
         return
-    w = digit_width(max(abs(c) for c in cf.values()))
-    assert collect(pack(cf, w, g), w, g) == cf
+    wc = digit_width(max(abs(c) for c in cf.values()))
+    assert collect(pack(cf, wc, g), wc, g) == cf
+    # the drawn width, with every entry reduced into its balanced digits:
+    # at W = 32 and 64 the word edges land on -2^(W-1) and 2^(W-1) - 1
+    half = 1 << (w - 1)
+    cf = {e: r for e, c in cf.items() if (r := (c + half) % (2 * half) - half)}
+    if cf:
+        assert collect(pack(cf, w, g), w, g) == cf
 
 
 def test_digits_at_the_width_boundary():
-    for w in (8, 16, 64, 72):
+    for w in PACK_WIDTHS:
         half = 1 << (w - 1)
         for digits in ({0: half - 1, 1: -half, 2: half - 1},
                        {0: -half, 3: -half},
                        {5: half - 1, 6: 1 - half}):
             ((lo, _, n),) = pack(digits, w, 1)
             assert unpack(lo, n, w, 1) == digits
+        # a digit outside the width raises; it never packs to a wrong int
+        for bad in (half, -half - 1, 2**200, -2**200):
+            for digits in ({0: bad, 1: 1}, {0: 1, 2: bad}):
+                with pytest.raises(OverflowError):
+                    pack(digits, w, 1)
+    # W is the least of 8, 16, 32, 64 with bound < 2^(W-1), else whole bytes
+    for bits in range(140):
+        assert digit_width((1 << bits) - 1) == next(
+            w for w in (8, 16, 32, 64, *range(72, 160, 8)) if bits < w)
     # a product whose coefficient is exactly ||x||_1 ||y||_1 = 2^(W-1) - 1,
     # the largest value the chosen width holds
     lam = LMatrix.from_rows([[0, 1], [-1, 0]])
-    for bits in (7, 31, 63, 64):
+    widths = {7: 8, 8: 16, 15: 16, 16: 32, 31: 32, 40: 64, 63: 64, 64: 72}
+    for bits, w in widths.items():
         c = (1 << bits) - 1
         x = TorusElem.monomial(lam, (1, 0), c)
         y = TorusElem.monomial(lam, (0, 1), 1)
-        assert digit_width(c) == (bits + 8) & ~7
+        assert digit_width(c) == w
         assert (x * y).terms == {(1, 1): {1: c}}
         assert (x.scaled(-1) * y).terms == {(1, 1): {1: -c}}
+        # two entries at that bound pack as one dense run of width W
+        z = TorusElem.monomial(lam, (1, 0), {0: c, 1: -c})
+        assert (z * y).terms == schoolbook_mul(z, y)
     # all contributions with one sign add up to the L1 bound itself
     x = TorusElem.monomial(lam, (0, 0), {0: 2**40 - 1, 1: 2**40 - 1})
     assert (x * x).terms == {(0, 0): {0: (2**40 - 1) ** 2, 1: 2 * (2**40 - 1) ** 2,
@@ -342,3 +414,49 @@ def test_rank_above_64():
     assert (x * y).terms == schoolbook_mul(x, y)
     assert exact_left_div(x, x * y) == y
     assert q_commute_exponent(x, y) == two_product_gamma(x, y)
+
+
+def exact_quotient_over_q(num: dict, den: dict):
+    """num / den in Z[v^{+-1}] or None, by long division of polynomials over
+    Q: with P = num v^-min(num) and D = den v^-min(den), D(0) != 0, so the
+    quotient is a Laurent polynomial iff D divides P in Q[v], and it must
+    then have integer coefficients."""
+    lo_n, lo_d = min(num), min(den)
+    rem = [Fraction(0)] * (max(num) - lo_n + 1)
+    for e, c in num.items():
+        rem[e - lo_n] = Fraction(c)
+    d = [0] * (max(den) - lo_d + 1)
+    for e, c in den.items():
+        d[e - lo_d] = c
+    quo = {}
+    for i in range(len(rem) - len(d), -1, -1):
+        c = rem[i + len(d) - 1] / d[-1]
+        if c:
+            quo[i + lo_n - lo_d] = c
+            for j, dj in enumerate(d):
+                rem[i + j] -= c * dj
+    if any(rem) or any(c.denominator != 1 for c in quo.values()):
+        return None
+    return {e: int(c) for e, c in quo.items()}
+
+
+small_coeff_dicts = st.dictionaries(st.integers(-6, 6), coeff_values.filter(bool),
+                                    min_size=1, max_size=4)
+
+
+@PROFILE
+@given(st.one_of(monomial_coeffs, small_coeff_dicts),
+       small_coeff_dicts, small_coeff_dicts)
+def test_coefficient_division_is_exact_or_none(den, s, noise):
+    # single-entry and multi-entry divisors; exact dividends s * den and
+    # perturbed ones, which usually do not divide
+    exact = qc_mul(s, den)
+    for num in (exact, qc_mul(s, {0: 1, 1: 1}), {**exact, **noise}):
+        if not num:
+            continue
+        result = qc_div_exact(num, den)
+        assert result == exact_quotient_over_q(num, den)
+        if result is not None:
+            assert qc_mul(result, den) == num
+    if exact:
+        assert qc_div_exact(exact, den) == s
