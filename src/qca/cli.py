@@ -144,6 +144,12 @@ def _cache_key(payload: dict) -> str:
     return hashlib.sha256(canonical_dumps(payload).encode()).hexdigest()
 
 
+def _entry_digest(key: str, body: bytes) -> str:
+    """The first line of a cache entry: the hex sha256 of the key, a newline
+    and the body, which is the exact output bytes that follow that line."""
+    return hashlib.sha256(key.encode() + b"\n" + body).hexdigest()
+
+
 def cmd_mutate(args) -> int:
     seq = _parse_csv_ints(args.seq, "--seq")
     if getattr(args, "seed", None):
@@ -165,19 +171,23 @@ def cmd_mutate(args) -> int:
 
     key = _cache_key(key_payload)
     cache_path = os.path.join(_cache_dir(), key + ".json")
-    if not args.no_cache and os.path.exists(cache_path):
+    if not args.no_cache:
         try:
-            with open(cache_path) as fh:
-                text = fh.read()
-            seed_from_json(json.loads(text))  # corrupt cache must not be served
-        except (OSError, ValueError, LookupError, TypeError, AttributeError) as e:
-            # an entry that cannot be read back is a miss, never an error
+            with open(cache_path, "rb") as fh:
+                header, _, body = fh.read().partition(b"\n")
+            if header != _entry_digest(key, body).encode():
+                raise ValueError("header does not match the key and body")
+        except FileNotFoundError:
+            pass
+        except (OSError, ValueError) as e:
+            # an entry that cannot be read or fails its digest (edited,
+            # truncated, headerless or another key's) is a miss, never an error
             _say("cache entry %s in %s is unreadable (%s: %s); evicted"
                  % (key[:16], _cache_dir(), type(e).__name__, e))
             with contextlib.suppress(OSError):
                 os.remove(cache_path)
         else:
-            _emit(text, args.out)
+            _emit(body.decode("ascii"), args.out)
             _say("cache hit %s" % key[:16])
             return 0
 
@@ -193,7 +203,7 @@ def cmd_mutate(args) -> int:
     if not args.no_cache:
         try:
             os.makedirs(_cache_dir(), exist_ok=True)
-            atomic_write_text(cache_path, text)
+            atomic_write_text(cache_path, _entry_digest(key, text.encode()) + "\n" + text)
         except OSError as e:
             # the result is correct; an unusable cache only loses the entry
             _say("cache store failed (%s); result not cached" % e)

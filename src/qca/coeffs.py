@@ -234,9 +234,13 @@ def add_piece(runs: list, s: int, m: int, w: int, g: int) -> None:
     >>> runs
     [[0, 2, 257], [3, 3, 1]]
     """
+    span = _SPAN * g
     for run in runs:
         lo, hi = run[0], run[1]
-        if (s - lo) % g == 0 and max(hi, s) - min(lo, s) <= _SPAN * g:
+        # every run keeps hi - lo <= span, so the run with s added spans
+        # hi - s if s < lo, hi - lo if lo <= s <= hi, and s - lo if s > hi;
+        # each case is within span exactly when both tests below hold
+        if (s - lo) % g == 0 and s - lo <= span and hi - s <= span:
             if s >= lo:
                 run[2] += m << (w * ((s - lo) // g))
                 if s > hi:

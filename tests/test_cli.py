@@ -1,6 +1,7 @@
 """The command line interface, driven in process through cli.main."""
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -31,6 +32,12 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def entry_text(entry, out):
+    """The cache entry for stdout `out`: sha256 of (key, newline, out), then out."""
+    digest = hashlib.sha256((entry.stem + "\n" + out).encode()).hexdigest()
+    return digest + "\n" + out
 
 
 def test_build_roundtrip(tmp_path, capsys):
@@ -143,10 +150,42 @@ def test_mutate_corrupt_cache_entry_is_a_miss(tmp_path, capsys):
     assert len(evicted) == 1
     assert str(tmp_path / "cache") in evicted[0]
     # the entry was recomputed and stored again, so the next run hits
-    assert entry.read_text() == out1
+    assert entry.read_text() == entry_text(entry, out1)
     code3, out3, err3 = run(capsys, argv)
     assert (code3, out3) == (0, out1)
     assert "cache hit" in err3
+
+
+@pytest.mark.parametrize("damage", ["edited", "other_key", "headerless"])
+def test_mutate_cache_entry_failing_its_digest_is_evicted(tmp_path, capsys, damage):
+    # each damaged entry still holds a valid seed: one coefficient changed
+    # from 1 to 5, another key's entry, or the output without its digest line
+    inp = write_input(tmp_path, *SEED_CASES["a3"])
+    argv = ["mutate", "--cartan", inp, "--seq", "1"]
+    _, expected, _ = run(capsys, argv + ["--no-cache"])
+    run(capsys, argv)
+    cache = tmp_path / "cache"
+    (entry,) = cache.iterdir()
+    text = entry.read_text()
+    assert text.endswith(expected)
+    if damage == "edited":
+        data = json.loads(expected)
+        assert data["vars"][0][0]["coeff"] == [[0, 1]]
+        data["vars"][0][0]["coeff"] = [[0, 5]]
+        entry.write_text(text[: -len(expected)] + pretty_dumps(data))
+    elif damage == "other_key":
+        run(capsys, ["mutate", "--cartan", inp, "--seq", "2"])
+        (other,) = set(cache.iterdir()) - {entry}
+        entry.write_bytes(other.read_bytes())
+    else:
+        entry.write_text(expected)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (0, expected)
+    assert len([line for line in err.splitlines() if "unreadable" in line]) == 1
+    assert entry.read_text() == entry_text(entry, expected)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (0, expected)
+    assert "cache hit" in err and "unreadable" not in err
 
 
 def test_mutate_no_cache_skips_store(tmp_path, capsys):
@@ -212,25 +251,21 @@ def test_mutate_refuses_an_exploding_exchange(tmp_path, capsys):
 
 
 def test_mutate_cache_hit_builds_no_seed(tmp_path, capsys, monkeypatch):
-    # the key comes from (cartan, word, seq), so a hit never needs the seed
-    build = qca.cli.build_initial_seed
-    calls = []
-
-    def build_once(cartan, word):
-        calls.append(word)
-        if len(calls) > 1:
-            raise AssertionError("initial seed built on a cache hit")
-        return build(cartan, word)
-
-    monkeypatch.setattr(qca.cli, "build_initial_seed", build_once)
+    # the key comes from (cartan, word, seq), and a hit checks the entry's
+    # digest and emits its bytes, so it neither builds nor parses a seed
     inp = write_input(tmp_path, *SEED_CASES["a3"])
     argv = ["mutate", "--cartan", inp, "--seq", "1,2"]
     code1, out1, err1 = run(capsys, argv)
+
+    def refuse(*args):
+        raise AssertionError("seed built or parsed on a cache hit")
+
+    monkeypatch.setattr(qca.cli, "build_initial_seed", refuse)
+    monkeypatch.setattr(qca.cli, "seed_from_json", refuse)
     code2, out2, err2 = run(capsys, argv)
     assert (code1, code2) == (0, 0)
     assert out2 == out1
     assert "cache store" in err1 and "cache hit" in err2
-    assert len(calls) == 1
 
 
 def test_mutate_rejects_non_reduced_word(tmp_path, capsys):

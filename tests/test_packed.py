@@ -19,7 +19,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qca.coeffs import collect, digit_width, pack, qc_div_exact, qc_mul, unpack
+from qca.coeffs import (
+    _SPAN,
+    add_piece,
+    collect,
+    digit_width,
+    pack,
+    qc_div_exact,
+    qc_mul,
+    unpack,
+)
 from qca.errors import NotDivisibleError
 from qca.seeds import mutate_seq
 from qca.torus import LMatrix, TorusElem, exact_left_div, q_commute_exponent
@@ -321,6 +330,37 @@ def test_pack_collect_roundtrip(cf, g, w):
     cf = {e: r for e, c in cf.items() if (r := (c + half) % (2 * half) - half)}
     if cf:
         assert collect(pack(cf, w, g), w, g) == cf
+
+
+pieces = st.lists(
+    st.tuples(
+        # starts on and off the stride, near and far beyond one run's span
+        st.integers(-3 * _SPAN, 3 * _SPAN),
+        st.sampled_from((0, 1)),
+        st.lists(coeff_values, min_size=1, max_size=3),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@PROFILE
+@given(pieces, st.sampled_from((1, 2, 4)))
+def test_add_piece_keeps_runs_within_span(drawn, g):
+    # runs built piece by piece keep their starts on the stride and within
+    # _SPAN strides, and collect to the schoolbook sum of the pieces
+    w = digit_width(sum(abs(c) for _, _, digits in drawn for c in digits))
+    runs: list = []
+    expected: dict = {}
+    for k, off, digits in drawn:
+        s = k * g + off
+        m = sum(c << (w * i) for i, c in enumerate(digits))
+        add_piece(runs, s, m, w, g)
+        for i, c in enumerate(digits):
+            expected[s + g * i] = expected.get(s + g * i, 0) + c
+    for lo, hi, _ in runs:
+        assert (hi - lo) % g == 0 and 0 <= hi - lo <= _SPAN * g
+    assert collect(runs, w, g) == {e: c for e, c in expected.items() if c}
 
 
 def test_digits_at_the_width_boundary():
