@@ -24,6 +24,7 @@ converts to the 1-based convention used in displays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import NotReducedError, as_int
 
@@ -32,6 +33,7 @@ __all__ = [
     "Weight",
     "WeylWord",
     "coroot_pair",
+    "coroot_vector",
     "pair_weight_root",
     "reflect",
     "weyl_apply",
@@ -206,6 +208,19 @@ def coroot_pair(d: CartanDatum, i: int, mu: Weight) -> int:
     return mu.m[i] - sum(d.a[i][j] * mu.c[j] for j in range(d.n) if mu.c[j])
 
 
+def coroot_vector(d: CartanDatum, mu: Weight) -> tuple[int, ...]:
+    """h(mu) = (<h_j, mu>)_j = m - A c, every coroot_pair of mu at once.
+
+    A weight paired with many roots costs one h(mu), and then
+    (mu, beta) = -beta.c . h(mu) for each (see pair_weight_root).
+
+    >>> d = CartanDatum.from_rows([[2, -1], [-1, 2]])
+    >>> coroot_vector(d, Weight((1, 0), (1, 0)))
+    (-1, 1)
+    """
+    return tuple(m - sum(map(mul, row, mu.c)) for m, row in zip(mu.m, d.a))
+
+
 def pair_weight_root(d: CartanDatum, mu: Weight, beta: Weight) -> int:
     """(mu, beta) for beta in the root lattice; exact integer.
 
@@ -221,9 +236,7 @@ def pair_weight_root(d: CartanDatum, mu: Weight, beta: Weight) -> int:
     """
     if not beta.is_root_lattice():
         raise ValueError("second argument of the pairing has a nonzero fundamental part")
-    return -sum(
-        beta.c[j] * coroot_pair(d, j, mu) for j in range(d.n) if beta.c[j]
-    )
+    return -sum(map(mul, beta.c, coroot_vector(d, mu)))
 
 
 def reflect(d: CartanDatum, i: int, mu: Weight) -> Weight:

@@ -34,9 +34,8 @@ from .serialize import (
     gls_block,
     pretty_dumps,
     report_to_json,
+    seed_for_dumps,
     seed_from_json,
-    seed_to_json,
-    torus_to_json,
 )
 from .torus import KERNEL_BACKEND
 
@@ -65,11 +64,15 @@ def _refuse_non_integer(text: str):
     raise ValueError("non-integer number %s in JSON input" % text)
 
 
-def _load_json(path: str):
+def _parse_json(text: str):
     # the loaders refuse any non-int; this names the offending number
+    return json.loads(text, parse_float=_refuse_non_integer,
+                      parse_constant=_refuse_non_integer)
+
+
+def _load_json(path: str):
     with open(path) as fh:
-        return json.load(fh, parse_float=_refuse_non_integer,
-                         parse_constant=_refuse_non_integer)
+        return _parse_json(fh.read())
 
 
 def _load_cartan_word(args) -> tuple[CartanDatum, WeylWord]:
@@ -99,7 +102,10 @@ def _load_seed(args):
 
 def _seed_summary(seed) -> None:
     try:
-        d_val = check_compatible(seed.lmat, seed.bmat)
+        if seed._certified:  # built or mutated: compatible of degree 2 already
+            d_val = 2 if seed.ex else None
+        else:
+            d_val = check_compatible(seed.lmat, seed.bmat)
         d_txt = str(d_val) if d_val is not None else "none (no exchangeable indices)"
     except IncompatibleError as e:
         d_txt = "INCOMPATIBLE (%s)" % e
@@ -112,7 +118,7 @@ def _seed_summary(seed) -> None:
 def cmd_build(args) -> int:
     cartan, word = _load_cartan_word(args)
     seed, g, quiver = _assemble(cartan, word)
-    obj = seed_to_json(seed)
+    obj = seed_for_dumps(seed)
     obj["gls"] = gls_block(word, g, quiver)
     _emit(pretty_dumps(obj), args.out)
     _say("rank %d, word length %d" % (cartan.n, word.r))
@@ -150,24 +156,31 @@ def _entry_digest(key: str, body: bytes) -> str:
     return hashlib.sha256(key.encode() + b"\n" + body).hexdigest()
 
 
+def _check_directions(seq, n: int) -> None:
+    for k in seq:
+        if not 1 <= k <= n:
+            raise ValueError("direction %d outside 1..%d" % (k, n))
+
+
 def cmd_mutate(args) -> int:
     seq = _parse_csv_ints(args.seq, "--seq")
-    if getattr(args, "seed", None):
-        start = seed_from_json(_load_json(args.seed))
-        n = start.k
-        key_payload = {"seed": seed_to_json(start), "seq": list(seq)}
+    # the start seed is built or parsed on a cache miss only
+    seed_path = getattr(args, "seed", None)
+    if seed_path:
+        with open(seed_path, "rb") as fh:
+            seed_bytes = fh.read()
+        # an entry exists only if a miss on these very bytes succeeded, so
+        # a hit needs neither the parse nor the direction check below
+        key_payload = {"seed_sha256": hashlib.sha256(seed_bytes).hexdigest(),
+                       "seq": list(seq)}
     else:
-        start = None  # the GLS seed is built on a cache miss only
         cartan, word = _load_cartan_word(args)
-        n = word.r
+        _check_directions(seq, word.r)
         key_payload = {
             "cartan": [list(r) for r in cartan.a],
             "word": list(word.to_one_based()),
             "seq": list(seq),
         }
-    for k in seq:
-        if not 1 <= k <= n:
-            raise ValueError("direction %d outside 1..%d" % (k, n))
 
     key = _cache_key(key_payload)
     cache_path = os.path.join(_cache_dir(), key + ".json")
@@ -191,7 +204,10 @@ def cmd_mutate(args) -> int:
             _say("cache hit %s" % key[:16])
             return 0
 
-    if start is None:
+    if seed_path:
+        start = seed_from_json(_parse_json(seed_bytes.decode("utf-8")))
+        _check_directions(seq, start.k)
+    else:
         start = build_initial_seed(cartan, word)
     result = start
     for step, k in enumerate(seq, 1):
@@ -199,7 +215,7 @@ def cmd_mutate(args) -> int:
         if refusal:
             raise ValueError("step %d (direction %d): %s" % (step, k, refusal))
         result = mutate(result, k - 1)
-    text = pretty_dumps(seed_to_json(result))
+    text = pretty_dumps(seed_for_dumps(result))
     if not args.no_cache:
         try:
             os.makedirs(_cache_dir(), exist_ok=True)
@@ -245,7 +261,7 @@ def cmd_verify(args) -> int:
 
 def cmd_export(args) -> int:
     seed = seed_from_json(_load_json(args.seed))
-    obj = seed_to_json(seed)
+    obj = seed_for_dumps(seed)
     if args.global_basis_normalization:
         if seed.cartan is None:
             raise ValueError("normalization needs a seed carrying its Cartan datum")
@@ -259,7 +275,7 @@ def cmd_export(args) -> int:
             norm = pair_weight_root(seed.cartan, w, w)
             if norm % 2:
                 raise ValueError("(d_i, d_i) is odd at index %d" % (i + 1))
-            rescaled.append(torus_to_json(x.v_shift(-norm // 2)))
+            rescaled.append(x.v_shift(-norm // 2))
         obj["vars"] = rescaled
         obj["normalization"] = "global-basis"
     _emit(pretty_dumps(obj), args.out)

@@ -26,8 +26,9 @@ convention (with s_+ = r + 1 and s_- = 0 as "none" sentinels).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
-from .cartan import CartanDatum, Weight, WeylWord, check_reduced, pair_weight_root
+from .cartan import CartanDatum, Weight, WeylWord, check_reduced, coroot_vector
 from .errors import EngineInvariantError
 from .seeds import BMatrix, QuantumSeed, balance_witness, parity_witness
 from .torus import LMatrix
@@ -180,11 +181,13 @@ def lambda_matrix(cartan: CartanDatum, g: GLSData) -> LMatrix:
     the test-suite), so it is set to zero outright."""
     r = g.r
     letters = g.word.letters
+    # every d_t lies in the root lattice, so each pairing is -d_t.c . h(mu)
+    dc = [w.c for w in g.d]
     rows = [[0] * r for _ in range(r)]
     for s in range(r):
-        mu = g.lambda_wts[s] + Weight.fundamental(cartan.n, letters[s])
+        h = coroot_vector(cartan, g.lambda_wts[s] + Weight.fundamental(cartan.n, letters[s]))
         for t in range(s):
-            val = pair_weight_root(cartan, mu, g.d[t])
+            val = -sum(map(mul, dc[t], h))
             rows[s][t] = val
             rows[t][s] = -val
     return LMatrix(tuple(tuple(row) for row in rows))

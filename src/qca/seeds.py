@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, field, replace
 from operator import mul
 
-from .cartan import CartanDatum, Weight, pair_weight_root
+from .cartan import CartanDatum, Weight, coroot_vector
 from .errors import EngineInvariantError, IncompatibleError, as_int
 from .torus import LMatrix, TorusElem, _combine_rows, exact_left_div, q_commute_exponent
 
@@ -164,13 +164,18 @@ def parity_witness(seed: "QuantumSeed", idx) -> str | None:
     """First pair with lambda_ij != (d_i, d_j) mod 2; needs the Cartan datum."""
     if seed.cartan is None:
         return "parity needs the Cartan datum (seed carries none)"
+    dvec, rows = seed.dvec, seed.lmat.rows
+    in_root_lattice = [w.is_root_lattice() for w in dvec]
+    last = h = None
     for i, j in _pairs(seed.k, idx):
-        if not (seed.dvec[i].is_root_lattice() and seed.dvec[j].is_root_lattice()):
+        if not (in_root_lattice[i] and in_root_lattice[j]):
             return "D entries outside the root lattice at (%d, %d)" % (i + 1, j + 1)
-        pairing = pair_weight_root(seed.cartan, seed.dvec[i], seed.dvec[j])
-        if (seed.lmat.rows[i][j] - pairing) % 2:
+        if i != last:  # _pairs yields each i's pairs together
+            last, h = i, coroot_vector(seed.cartan, dvec[i])
+        pairing = -sum(map(mul, dvec[j].c, h))  # pair_weight_root(d_i, d_j)
+        if (rows[i][j] - pairing) % 2:
             return "lambda_%d%d = %d but (d_i, d_j) = %d" % (
-                i + 1, j + 1, seed.lmat.rows[i][j], pairing)
+                i + 1, j + 1, rows[i][j], pairing)
     return None
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "torus_to_json",
     "torus_from_json",
     "seed_to_json",
+    "seed_for_dumps",
     "seed_from_json",
     "gls_block",
     "report_to_json",
@@ -46,6 +47,8 @@ def pretty_dumps(obj) -> str:
     json only uses its C encoder when there is no indent, so this writes the
     indented form directly; what it does not know how to write (floats,
     tuples, subclasses, dicts with non-str keys) it hands to json.dumps.
+    A TorusElem anywhere in obj is written as its torus_to_json would be,
+    so seed_for_dumps needs no list of term dicts per variable.
     """
     out: list[str] = []
     _write(obj, "\n", out)
@@ -106,10 +109,33 @@ def _write(o, nl: str, out: list) -> None:
         out.append("true")
     elif o is False:
         out.append("false")
+    elif t is TorusElem:
+        _write_torus(o, nl, out)
     else:
         # json escapes every newline inside a string, so each one it emits
         # starts a line and takes o's indent
         out.append(json.dumps(o, sort_keys=True, indent=2).replace("\n", nl))
+
+
+def _write_torus(x: TorusElem, nl: str, out: list) -> None:
+    """Append the indented JSON of torus_to_json(x) without building it:
+    one string per term, its coefficient pairs formatted in one join."""
+    if not x.terms:
+        out.append("[]")
+        return
+    i1 = nl + "  "  # a term
+    i2 = i1 + "  "  # its keys
+    i3 = i2 + "  "  # coefficient pairs and exponent entries
+    i4 = i3 + "  "  # the two numbers of a pair
+    pair_sep, num_sep, exp_sep = i3 + "]," + i3 + "[" + i4, "," + i4, "," + i3
+    head = "{" + i2 + '"coeff": [' + i3 + "[" + i4
+    mid = i3 + "]" + i2 + "]," + i2 + '"exp": '
+    parts = []
+    for a in sorted(x.terms):
+        coeff = pair_sep.join([f"{e}{num_sep}{c}" for e, c in sorted(x.terms[a].items())])
+        exp = "[" + i3 + exp_sep.join(map(str, a)) + i2 + "]" if a else "[]"
+        parts.append(head + coeff + mid + exp + i1 + "}")
+    out.append("[" + i1 + ("," + i1).join(parts) + nl + "]")
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -151,6 +177,14 @@ def torus_to_json(x: TorusElem) -> list:
 
 
 def torus_from_json(ambient: LMatrix, data) -> TorusElem:
+    """The TorusElem of a torus_to_json list.
+
+    A value that is not a plain int, an exponent of the wrong length and a
+    repeated v-exponent or exponent vector raise ValueError (a misshapen
+    item KeyError or TypeError).  A zero coefficient entry is dropped, and
+    a term left empty with it.  A pair's types are tested inline; as_int
+    is called only to raise, naming the first bad value.
+    """
     terms = {}
     for item in data:
         exp = tuple(map(as_int, item["exp"]))
@@ -158,7 +192,8 @@ def torus_from_json(ambient: LMatrix, data) -> TorusElem:
             raise ValueError("exponent length does not match torus rank")
         cf = {}
         for e, c in item["coeff"]:
-            e, c = as_int(e), as_int(c)
+            if type(e) is not int or type(c) is not int:
+                as_int(e), as_int(c)
             if c:
                 if e in cf:
                     raise ValueError("duplicate v-exponent in coefficient")
@@ -177,12 +212,20 @@ def _matrix_to_json(rows) -> list:
 
 def seed_to_json(seed: QuantumSeed) -> dict:
     """Current data plus the initial torus data needed to reload the seed."""
+    obj = seed_for_dumps(seed)
+    obj["vars"] = [torus_to_json(x) for x in seed.vars]
+    return obj
+
+
+def seed_for_dumps(seed: QuantumSeed) -> dict:
+    """seed_to_json's dict with the variables left as TorusElem, which
+    pretty_dumps writes byte for byte as it writes their torus_to_json."""
     obj = {
         "L": _matrix_to_json(seed.lmat.rows),
         "B": _matrix_to_json(seed.bmat.rows),
         "Kex": [k + 1 for k in seed.bmat.ex],
         "D": [weight_to_json(w) for w in seed.dvec],
-        "vars": [torus_to_json(x) for x in seed.vars],
+        "vars": list(seed.vars),
         "history": [k + 1 for k in seed.history],
         "Linit": _matrix_to_json(seed.l_init.rows),
         "Dinit": [weight_to_json(w) for w in seed.d_init],

@@ -11,6 +11,7 @@ from qca.cartan import (
     WeylWord,
     check_reduced,
     coroot_pair,
+    coroot_vector,
     inversion_roots,
     pair_weight_root,
     reflect,
@@ -84,6 +85,15 @@ def test_coroot_pairing_basics():
             assert coroot_pair(d, i, Weight.fundamental(2, j)) == (1 if i == j else 0)
             alpha_j = Weight.simple_root(2, j)
             assert coroot_pair(d, i, alpha_j) == d.a[i][j]
+
+
+def test_coroot_vector_is_every_coroot_pair():
+    rng = random.Random(3)
+    for _ in range(100):
+        n = rng.randint(1, 4)
+        d = rand_cartan(rng, n)
+        mu = rand_weight(rng, n)
+        assert coroot_vector(d, mu) == tuple(coroot_pair(d, j, mu) for j in range(n))
 
 
 def test_pairing_gram_oracle():

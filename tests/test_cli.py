@@ -12,7 +12,7 @@ import pytest
 import qca
 from qca.checks import ALL_CHECKS
 from qca.cli import main
-from qca.serialize import pretty_dumps, seed_from_json, seed_to_json
+from qca.serialize import pretty_dumps, seed_from_json, seed_to_json, torus_to_json
 
 from conftest import SEED_CASES, corrupt_a3, make_seed
 
@@ -268,6 +268,85 @@ def test_mutate_cache_hit_builds_no_seed(tmp_path, capsys, monkeypatch):
     assert "cache store" in err1 and "cache hit" in err2
 
 
+def test_mutate_seed_cache_hit_parses_no_seed(tmp_path, capsys, monkeypatch):
+    # a --seed key is the sha256 of the file's bytes plus the sequence, so
+    # a hit reads the file but neither parses nor re-serializes it
+    seed_path = tmp_path / "seed.json"
+    seed_path.write_text(pretty_dumps(seed_to_json(make_seed("aff"))))
+    argv = ["mutate", "--seed", str(seed_path), "--seq", "1,2"]
+    code1, out1, err1 = run(capsys, argv)
+
+    def refuse(*args):
+        raise AssertionError("seed parsed on a cache hit")
+
+    monkeypatch.setattr(qca.cli, "seed_from_json", refuse)
+    code2, out2, err2 = run(capsys, argv)
+    assert (code1, code2) == (0, 0)
+    assert out2 == out1
+    assert "cache store" in err1 and "cache hit" in err2
+
+
+@pytest.mark.parametrize("edit", ["history", "variable"])
+def test_mutate_seed_key_follows_the_file_bytes(tmp_path, capsys, edit):
+    seed = make_seed("a3")
+    original = tmp_path / "seed.json"
+    original.write_text(pretty_dumps(seed_to_json(seed)))
+    code1, out1, err1 = run(capsys, ["mutate", "--seed", str(original), "--seq", "1,2"])
+    assert code1 == 0 and "cache store" in err1
+    # the same seed re-indented is another key: a miss with the same output
+    compact = tmp_path / "compact.json"
+    compact.write_text(json.dumps(seed_to_json(seed)))
+    code2, out2, err2 = run(capsys, ["mutate", "--seed", str(compact), "--seq", "1,2"])
+    assert (code2, out2) == (0, out1)
+    assert "cache store" in err2
+    # an edited copy in the same layout never hits the original's entry
+    data = seed_to_json(seed)
+    if edit == "history":
+        data["history"] = [1, 1]
+    else:
+        data["vars"] = seed_to_json(corrupt_a3())["vars"]
+    edited = tmp_path / "edited.json"
+    edited.write_text(pretty_dumps(data))
+    code3, out3, err3 = run(capsys, ["mutate", "--seed", str(edited), "--seq", "1,2"])
+    assert "cache hit" not in err3
+    if edit == "history":
+        assert code3 == 0 and "cache store" in err3
+        assert json.loads(out3)["history"] == [1, 1, 1, 2]
+        assert json.loads(out3)["vars"] == json.loads(out1)["vars"]
+    else:
+        assert (code3, out3) == (1, "")
+        assert "q-commutation of variables (1, 6)" in err3
+
+
+def test_summary_trusts_a_certified_seed(tmp_path, capsys, monkeypatch):
+    # build and a mutate miss print d = 2 off the certified seed; only an
+    # uncertified seed read from a file is checked again
+    def refuse(*args):
+        raise AssertionError("compatibility re-checked for the summary")
+
+    inp = write_input(tmp_path, *SEED_CASES["a3"])
+    monkeypatch.setattr(qca.cli, "check_compatible", refuse)
+    for argv in (["build", "--cartan", inp], ["mutate", "--cartan", inp, "--seq", "1"]):
+        code, _, err = run(capsys, argv)
+        assert code == 0
+        assert "compatibility d = 2\n" in err
+    inp = write_input(tmp_path, ((2,),), (1,))
+    code, _, err = run(capsys, ["build", "--cartan", inp])
+    assert code == 0
+    assert "compatibility d = none (no exchangeable indices)" in err
+
+
+def test_info_reports_an_incompatible_seed(tmp_path, capsys):
+    data = seed_to_json(make_seed("a2"))
+    assert data["Kex"] == [1]
+    data["B"][2][0] += 1  # a frozen row: B stays valid, (L, B) does not
+    seed_path = tmp_path / "bad.json"
+    seed_path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["info", "--seed", str(seed_path)])
+    assert (code, out) == (0, "")
+    assert "compatibility d = INCOMPATIBLE (compatibility fails at (" in err
+
+
 def test_mutate_rejects_non_reduced_word(tmp_path, capsys):
     inp = write_input(tmp_path, SEED_CASES["a2"][0], (1, 1))
     code, out, err = run(capsys, ["mutate", "--cartan", inp, "--seq", "1"])
@@ -508,6 +587,25 @@ def test_export_global_basis_normalization(tmp_path, capsys):
     code3, _, err3 = run(capsys, ["mutate", "--seed", str(reload_path), "--seq", "1"])
     assert code3 == 2
     assert "normaliz" in err3
+
+
+def test_export_bytes_are_json_dumps(tmp_path, capsys):
+    # export writes the variables straight from the seed; its bytes are
+    # those of json.dumps on the torus_to_json form
+    seed = qca.mutate_seq(make_seed("aff"), (0, 1, 0, 1))
+    seed_path = tmp_path / "seed.json"
+    seed_path.write_text(json.dumps(seed_to_json(seed)))
+    expected = seed_to_json(seed)
+    code, out, _ = run(capsys, ["export", "--seed", str(seed_path)])
+    assert (code, out) == (0, json.dumps(expected, sort_keys=True, indent=2) + "\n")
+    expected["vars"] = [
+        torus_to_json(x.v_shift(-qca.pair_weight_root(seed.cartan, w, w) // 2))
+        for x, w in zip(seed.vars, seed.dvec)
+    ]
+    expected["normalization"] = "global-basis"
+    code, out, _ = run(
+        capsys, ["export", "--seed", str(seed_path), "--global-basis-normalization"])
+    assert (code, out) == (0, json.dumps(expected, sort_keys=True, indent=2) + "\n")
 
 
 def test_info(tmp_path, capsys):

@@ -1,28 +1,16 @@
 """Every docstring example in the library must execute as written."""
 
 import doctest
+import importlib
+import pkgutil
 
 import pytest
 
-import qca.cartan
-import qca.classical
-import qca.checks
-import qca.coeffs
-import qca.gls
-import qca.seeds
-import qca.serialize
-import qca.torus
+import qca
 
-MODULES = [
-    qca.cartan,
-    qca.coeffs,
-    qca.torus,
-    qca.seeds,
-    qca.gls,
-    qca.classical,
-    qca.checks,
-    qca.serialize,
-]
+# the package and every module in it, so a new module is covered unasked
+MODULES = [qca] + [importlib.import_module("qca." + m.name)
+                   for m in pkgutil.iter_modules(qca.__path__)]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

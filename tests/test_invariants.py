@@ -16,6 +16,7 @@ from qca.errors import EngineInvariantError, IncompatibleError, NotReducedError
 from qca.gls import analyze_word, build_quiver
 from qca.seeds import (
     QuantumSeed,
+    _pairs,
     balance_witness,
     check_compatible,
     exchange_term_bound,
@@ -91,6 +92,43 @@ def test_witness_texts():
     assert parity_witness(replace(seed, lmat=LMatrix.from_rows(rows)), every).startswith(
         "lambda_32 = -1")
     assert "Cartan" in parity_witness(replace(seed, cartan=None), every)
+
+
+def parity_by_pairs(seed, idx):
+    """parity_witness with each pairing and membership test done per pair."""
+    for i, j in _pairs(seed.k, idx):
+        if not (seed.dvec[i].is_root_lattice() and seed.dvec[j].is_root_lattice()):
+            return "D entries outside the root lattice at (%d, %d)" % (i + 1, j + 1)
+        pairing = pair_weight_root(seed.cartan, seed.dvec[i], seed.dvec[j])
+        if (seed.lmat.rows[i][j] - pairing) % 2:
+            return "lambda_%d%d = %d but (d_i, d_j) = %d" % (
+                i + 1, j + 1, seed.lmat.rows[i][j], pairing)
+    return None
+
+
+@pytest.mark.parametrize("key", sorted(SEED_CASES))
+def test_parity_witness_agrees_with_pairwise_pairings(key):
+    # the fixture seed and a step on, each with one L entry of the wrong
+    # parity or one D entry off the root lattice, for every idx mutate,
+    # verify and the GLS build pass
+    base = make_seed(key)
+    seeds = [base] + [mutate(base, k) for k in base.ex]
+    cases = []
+    for seed in seeds:
+        cases.append(seed)
+        for i in range(seed.k):
+            for j in range(i):
+                rows = [list(r) for r in seed.lmat.rows]
+                rows[i][j] += 1
+                rows[j][i] -= 1
+                cases.append(replace(seed, lmat=LMatrix.from_rows(rows)))
+            dvec = list(seed.dvec)
+            dvec[i] = Weight.fundamental(seed.cartan.n, 0) + dvec[i]
+            cases.append(replace(seed, dvec=tuple(dvec)))
+    for seed in cases:
+        for idx in [range(seed.k)] + [(i,) for i in range(seed.k)]:
+            assert parity_witness(seed, idx) == parity_by_pairs(seed, idx)
+    assert sum(parity_witness(seed, range(seed.k)) is not None for seed in cases) > len(seeds)
 
 
 def test_mutate_and_verify_share_the_homogeneity_witness():

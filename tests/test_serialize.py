@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import qca
 from qca.cartan import Weight
 from qca.checks import default_sequences, run_suite
+from qca.errors import as_int
 from qca.gls import analyze_word, build_quiver
 from qca.serialize import (
     atomic_write_text,
@@ -17,11 +18,15 @@ from qca.serialize import (
     gls_block,
     pretty_dumps,
     report_to_json,
+    seed_for_dumps,
     seed_from_json,
     seed_to_json,
+    torus_from_json,
+    torus_to_json,
     weight_from_json,
     weight_to_json,
 )
+from qca.torus import LMatrix, TorusElem
 
 from conftest import SEED_CASES, corrupt_a3, make_seed
 
@@ -172,3 +177,93 @@ def test_torus_json_in_seed_is_ordered():
     for var in js["vars"]:
         exps = [item["exp"] for item in var]
         assert exps == sorted(exps)
+
+
+def test_seed_for_dumps_writes_seed_to_json_bytes():
+    # the fixture seeds, one step on, and a 9-step Kronecker chain whose
+    # variables reach dozens of terms with wide coefficients
+    seeds = [make_seed(key) for key in sorted(SEED_CASES)]
+    seeds += [qca.mutate(s, s.bmat.ex[-1]) for s in seeds if s.bmat.ex]
+    seeds.append(qca.mutate_seq(make_seed("aff"), (0, 1) * 4 + (0,)))
+    assert max(len(x.terms) for x in seeds[-1].vars) > 20
+    for seed in seeds:
+        assert pretty_dumps(seed_for_dumps(seed)) == json_oracle(seed_to_json(seed))
+
+
+TORUS_L = LMatrix.from_rows([[0, 1, -2], [-1, 0, 3], [2, -3, 0]])
+torus_elems = st.dictionaries(
+    st.tuples(*[st.integers(-5, 5)] * 3),
+    st.dictionaries(st.integers(-40, 40),
+                    st.integers(-2**70, 2**70).filter(bool), min_size=1, max_size=40),
+    max_size=6,
+).map(lambda terms: TorusElem(TORUS_L, terms))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(torus_elems)
+def test_pretty_dumps_writes_a_torus_elem_as_its_json(x):
+    for obj, as_json in ((x, torus_to_json(x)),
+                         ({"vars": [x, x], "k": 3}, {"vars": [torus_to_json(x)] * 2, "k": 3})):
+        assert pretty_dumps(obj) == json_oracle(as_json)
+
+
+def torus_from_json_by_pairs(ambient, data):
+    """The reference loader: as_int on every value, one pair at a time."""
+    terms = {}
+    for item in data:
+        exp = tuple(map(as_int, item["exp"]))
+        if len(exp) != ambient.k:
+            raise ValueError("exponent length does not match torus rank")
+        cf = {}
+        for e, c in item["coeff"]:
+            e, c = as_int(e), as_int(c)
+            if c:
+                if e in cf:
+                    raise ValueError("duplicate v-exponent in coefficient")
+                cf[e] = c
+        if not cf:
+            continue
+        if exp in terms:
+            raise ValueError("duplicate exponent vector in torus element")
+        terms[exp] = cf
+    return TorusElem(ambient, terms, _trusted=True)
+
+
+def load_outcome(loader, data):
+    try:
+        x = loader(TORUS_L, data)
+    except Exception as e:
+        return type(e), str(e)
+    return x.terms
+
+
+# small ranges make repeated exponents and zero coefficients common
+json_ints = st.integers(-2, 2)
+json_values = json_ints | st.booleans() | st.sampled_from(["1", "x", None, 2**70])
+json_pairs = (st.tuples(json_ints, json_ints).map(list)
+              | st.lists(json_values, max_size=3) | json_ints)
+json_terms = st.fixed_dictionaries({
+    "exp": st.lists(json_ints, min_size=3, max_size=3)
+    | st.lists(json_values, min_size=2, max_size=4),
+    "coeff": st.lists(json_pairs, max_size=4),
+}) | st.just({"exp": [0, 0, 0]}) | st.just([0, 0, 0])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(json_terms, max_size=4))
+@example([{"exp": [0, 0, 0], "coeff": [[1, 0], [1, 5]]}])
+@example([{"exp": [0, 0, 0], "coeff": [[1, 5], [1, 0]]}])
+@example([{"exp": [0, 0, 0], "coeff": [[1, 2], [1, 3]]}])
+@example([{"exp": [0, 0, 0], "coeff": [[1, 0], [2, 0]]},
+          {"exp": [0, 0, 0], "coeff": [[0, 1]]}])
+@example([{"exp": [0, 0, 0], "coeff": [[0, 1]]}, {"exp": [0, 0, 0], "coeff": [[0, 1]]}])
+@example([{"exp": [True, 0, 0], "coeff": [[0, 1]]}])
+@example([{"exp": [0, 0, 0], "coeff": [[0, True]]}])
+@example([{"exp": [0, 0, 0], "coeff": [[0, "1"]]}])
+@example([{"exp": [0, 0], "coeff": [[0, 1]]}])
+@example([{"exp": [0, 0, 0, 0], "coeff": [[0, 1]]}])
+@example([{"exp": [0, 0, 0], "coeff": [[0]]}])
+@example([{"exp": [0, 0, 0], "coeff": [[0, 1, 2]]}])
+@example([{"exp": [0, 0, 0], "coeff": [[0, 1], [1, 1, 1], [2, "x"]]}])
+def test_torus_from_json_agrees_with_the_pairwise_loader(data):
+    assert load_outcome(torus_from_json, data) == load_outcome(torus_from_json_by_pairs, data)
