@@ -25,6 +25,25 @@ every check, or the refusal) is a function of the parent's content
 and the walk never mutates a seed; a memo keyed by exactly that content,
 compared with ==, therefore returns what evaluating the step again would.
 Each path records the outcome under its own sequence and step text.
+
+Below the step memo, the distinct steps still meet the same operands many
+times: a new variable is met again after mu_k mu_k or from another parent,
+and an exchange whose column, variables and L entries a step leaves alone
+comes back unchanged.  So run_suite keeps, for one call, a table (_Walk)
+that evaluates each torus oracle once per distinct operand: the
+q-commutation exponent of an ordered pair of variables, the exchange
+parts of an exchange, the back-exchange terms of involutivity, and the
+single products of exchange_identity and involutivity.  The walk interns
+each variable by content (its sorted terms): a new variable is replaced by
+the first equal one met, and an entry is keyed by that first variable of
+each operand and by every integer the oracle reads, so equal operands
+share every entry.  For an exchange in direction k the key is k, the
+support of column k of B~ with its entries and variables, the L entries
+among the support, the two shifts and, for the division, X_k.  An oracle
+is a pure function of its key and the walk never mutates a seed, so a
+lookup returns what evaluating again would, and each check still compares
+the value with the node's own L, B~ and D.  The table is dropped when the
+call returns.
 """
 
 from __future__ import annotations
@@ -32,7 +51,8 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cache
 
 from .classical import classical_shadow, classical_mutate, compare_q1
 from .errors import IncompatibleError, NotDivisibleError
@@ -49,6 +69,7 @@ from .seeds import (
     parity_witness,
     qcommute_witness,
 )
+from .torus import TorusElem, q_commute_exponent
 
 __all__ = [
     "STANDARD_CHECKS",
@@ -80,11 +101,13 @@ class CheckEntry:
 class CheckReport:
     entries: tuple[CheckEntry, ...]
     meta: dict
-    # not serialized: wall time, the steps of the tree walked, and the
-    # distinct ones among them, which are all that was evaluated
+    # not serialized: wall time, the steps of the tree walked, the distinct
+    # ones among them, which are all that was evaluated, and per torus
+    # oracle of the call's table, (computed, reused)
     timings: dict = field(default_factory=dict)
     steps: int = 0
     evaluated: int = 0
+    oracles: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -132,6 +155,11 @@ def default_sequences(seed: QuantumSeed, depth: int = 4, n_random: int = 32,
 # The products below are a second, independent derivation, like classical.py
 # for q = 1; run_suite compares them once per tree node under lambda_mutation.
 
+@cache
+def _identity(n: int):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 def ef_matrices(bmat, k: int):
     """The involutive mutation matrices (E, F) in direction k.
 
@@ -139,19 +167,26 @@ def ef_matrices(bmat, k: int):
     |K_ex| x |K_ex| and differs from the identity only in row k.  E^2 = 1.
     """
     kpos = bmat.pos(k)
-    e = [[int(i == j) for j in range(bmat.k)] for i in range(bmat.k)]
+    e = list(_identity(bmat.k))
     for i, b in enumerate(bmat.column(k)):
-        e[i][k] = -1 if i == k else max(0, -b)
-    f = [[int(i == j) for j in range(len(bmat.ex))] for i in range(len(bmat.ex))]
-    f[kpos] = [-1 if jpos == kpos else max(0, b) for jpos, b in enumerate(bmat.rows[k])]
-    return tuple(map(tuple, e)), tuple(map(tuple, f))
+        x = -1 if i == k else max(0, -b)
+        if x != e[i][k]:
+            e[i] = e[i][:k] + (x,) + e[i][k + 1:]
+    f = list(_identity(len(bmat.ex)))
+    f[kpos] = tuple(-1 if jpos == kpos else max(0, b) for jpos, b in enumerate(bmat.rows[k]))
+    return tuple(e), tuple(f)
 
 
 def _matmul(a, b):
     """a b, each row a combination of the rows of b weighted by the nonzero
-    entries of that row of a, so a sparse left factor is cheap."""
+    entries of that row of a, so a sparse left factor is cheap; a unit row
+    e_j of a gives row j of b as it is."""
     out = []
+    zeros = len(b) - 1
     for row in a:
+        if row.count(0) == zeros and 1 in row:
+            out.append(b[row.index(1)])
+            continue
         acc = [0] * len(b[0])
         for x, brow in zip(row, b):
             if x:
@@ -183,12 +218,95 @@ def _matrix_route_witness(parent: QuantumSeed, node: QuantumSeed, k: int) -> str
         "agrees" if l_ok else "differs", "agrees" if b_ok else "differs")
 
 
+# -- one call's table of torus oracles -----------------------------------------
+
+def _content_key(x: TorusElem) -> tuple:
+    """x's terms as a sorted tuple: two elements of one torus are equal
+    exactly when their keys are."""
+    return tuple(sorted((a, tuple(sorted(cf.items()))) for a, cf in x.terms.items()))
+
+
+class _Walk:
+    """One run_suite call: the selected checks, and a table that evaluates
+    each torus oracle once per distinct operand (see the module docstring).
+
+    counts maps each oracle to [computed, reused], in the order that
+    CheckReport.oracles and the `qca verify` summary keep.
+    """
+
+    def __init__(self, selected):
+        self.selected = selected
+        self.counts = {name: [0, 0] for name in
+                       ("pairs", "exchanges", "back_exchanges", "products")}
+        self._tables = {name: {} for name in self.counts}
+        self._first = {}  # content key -> the first variable met with it
+        # id -> (variable, the first one equal to it); holding both keeps
+        # every id that a key uses unique for the call
+        self._seen = {}
+
+    def intern(self, x: TorusElem) -> TorusElem:
+        """The first variable of the walk equal to x."""
+        got = self._seen.get(id(x))
+        if got is None:
+            got = self._seen[id(x)] = (x, self._first.setdefault(_content_key(x), x))
+        return got[1]
+
+    def _id(self, x: TorusElem) -> int:
+        return id(self.intern(x))
+
+    def _lookup(self, oracle: str, key, compute):
+        table, counts = self._tables[oracle], self.counts[oracle]
+        if key in table:
+            counts[1] += 1
+            return table[key]
+        counts[0] += 1
+        table[key] = compute()
+        return table[key]
+
+    def q_commute_exponent(self, x: TorusElem, y: TorusElem) -> int | None:
+        return self._lookup("pairs", (self._id(x), self._id(y)),
+                            lambda: q_commute_exponent(x, y))
+
+    def product(self, x: TorusElem, y: TorusElem) -> TorusElem:
+        return self._lookup("products", (self._id(x), self._id(y)), lambda: x * y)
+
+    def _exchange_key(self, seed: QuantumSeed, k: int) -> tuple:
+        """All that seeds._exchange_terms reads of seed in direction k."""
+        col = seed.bmat.column(k)
+        supp = [i for i, b in enumerate(col) if b]
+        rows = seed.lmat.rows
+        row_k = rows[k]
+        shift_pos = sum(row_k[i] * col[i] for i in supp if col[i] > 0)
+        shift_neg = -sum(row_k[i] * col[i] for i in supp if col[i] < 0)
+        return (k, tuple((i, col[i], self._id(seed.vars[i])) for i in supp),
+                tuple(rows[i][j] for n, i in enumerate(supp) for j in supp[:n]),
+                shift_pos, shift_neg)
+
+    def exchange(self, seed: QuantumSeed, k: int, compute):
+        """compute(seed, k), the exchange parts, once per distinct exchange;
+        the new variable is interned."""
+        def fresh():
+            parts = compute(seed, k)
+            return replace(parts, new_var=self.intern(parts.new_var))
+        key = (self._exchange_key(seed, k), self._id(seed.vars[k]))
+        return self._lookup("exchanges", key, fresh)
+
+    def back_exchange(self, node: QuantumSeed, k: int):
+        """(a', a'', numerator) of the exchange in direction k from node,
+        once per distinct exchange."""
+        def fresh():
+            a_pos, a_neg, _, _, m_pos, m_neg = _exchange_terms(node, k)
+            return a_pos, a_neg, m_pos + m_neg
+        return self._lookup("back_exchanges", self._exchange_key(node, k), fresh)
+
+
 # -- the checks at one tree node ----------------------------------------------
 #
-# Each takes (node, idx, shadow, parent, parts): idx is every index at the
-# starting seed and (k,) after a step in direction k; shadow is node's q = 1
-# shadow (None without q1_oracle); parent and parts, the parent seed and the
-# exchange parts of the step, are None at the starting seed.
+# Each takes (node, idx, shadow, parent, parts, walk): idx is every index at
+# the starting seed and (k,) after a step in direction k; shadow is node's
+# q = 1 shadow (None without q1_oracle); parent and parts, the parent seed
+# and the exchange parts of the step, are None at the starting seed; walk
+# is the call's _Walk, whose table serves the torus oracles.
 
 def _compatible_witness(node, *_) -> str | None:
     try:
@@ -198,10 +316,10 @@ def _compatible_witness(node, *_) -> str | None:
     return None
 
 
-def _exchange_witness(node, idx, shadow, parent, parts) -> str | None:
+def _exchange_witness(node, idx, shadow, parent, parts, walk) -> str | None:
     if parts is None:
         return None
-    lhs = parent.vars[parts.k] * parts.new_var
+    lhs = walk.product(parent.vars[parts.k], parts.new_var)
     rhs = (parts.m_pos.v_shift(2 - parts.shift_pos)
            + parts.m_neg.v_shift(-parts.shift_neg)).v_shift(parts.shift_neg)
     if lhs != rhs:
@@ -209,11 +327,11 @@ def _exchange_witness(node, idx, shadow, parent, parts) -> str | None:
     return None
 
 
-def _lambda_witness(node, idx, shadow, parent, parts) -> str | None:
+def _lambda_witness(node, idx, shadow, parent, parts, walk) -> str | None:
     """q-commutation per the current L over idx, re-derived in the torus
     (the oracle for what mutate proves), after the matrix route of a step."""
     route = _matrix_route_witness(parent, node, parts.k) if parts else None
-    return route or qcommute_witness(node, idx)
+    return route or qcommute_witness(node, idx, walk.q_commute_exponent)
 
 
 def _positivity_witness(node, idx, *_) -> str | None:
@@ -223,7 +341,7 @@ def _positivity_witness(node, idx, *_) -> str | None:
     return None
 
 
-def _q1_witness(node, idx, shadow, parent, parts) -> str | None:
+def _q1_witness(node, idx, shadow, parent, *_) -> str | None:
     bad = [i + 1 for i in compare_q1(node, shadow)]
     if not bad:
         return None
@@ -232,16 +350,16 @@ def _q1_witness(node, idx, shadow, parent, parts) -> str | None:
     return "variables %s disagree with the classical shadow" % bad
 
 
-def _involutivity_witness(node, idx, shadow, parent, parts) -> str | None:
+def _involutivity_witness(node, idx, shadow, parent, parts, walk) -> str | None:
     if parts is None:
         return None
     # the torus is a domain, so the back division returns parent.vars[k]
     # exactly when one product equals the back numerator
     k = parts.k
-    a_pos, a_neg, *_, m_pos, m_neg = _exchange_terms(node, k)
+    a_pos, a_neg, numerator = walk.back_exchange(node, k)
     if (mutate_matrices(node.lmat, node.bmat, k, a_neg) != (parent.lmat, parent.bmat)
             or mutate_dvector(node.dvec, k, a_pos) != parent.dvec
-            or node.vars[k] * parent.vars[k] != m_pos + m_neg):
+            or walk.product(node.vars[k], parent.vars[k]) != numerator):
         return "mutating back does not restore the seed"
     return None
 
@@ -279,17 +397,18 @@ def check_tier(name: str) -> str:
     return _CHECKS[name][0]
 
 
-def _node_failures(node, idx, selected, shadow, parent=None, parts=None) -> dict:
-    """{check: witness} for the selected checks that fail at one tree node."""
+def _node_failures(node, idx, walk, shadow, parent=None, parts=None) -> dict:
+    """{check: witness} for the walk's selected checks that fail at one
+    tree node."""
     out = {}
-    for name in selected:
-        w = _CHECKS[name][1](node, idx, shadow, parent, parts)
+    for name in walk.selected:
+        w = _CHECKS[name][1](node, idx, shadow, parent, parts, walk)
         if w:
             out[name] = w
     return out
 
 
-def _evaluate_step(cur: QuantumSeed, cs, k: int, selected) -> tuple:
+def _evaluate_step(cur: QuantumSeed, cs, k: int, walk: _Walk) -> tuple:
     """(child, child shadow, {check: witness}, refusal) of the step from cur
     (q = 1 shadow cs, None without q1_oracle) in direction k.
 
@@ -302,11 +421,11 @@ def _evaluate_step(cur: QuantumSeed, cs, k: int, selected) -> tuple:
     if refusal:
         return None, None, {}, refusal
     try:
-        child, parts = _mutate_unchecked(cur, k)
+        child, parts = _mutate_unchecked(cur, k, walk.exchange)
     except NotDivisibleError as e:
         return None, None, {"laurent": str(e)}, None
     child_cs = classical_mutate(cs, k) if cs is not None else None
-    return child, child_cs, _node_failures(child, (k,), selected, child_cs, cur, parts), None
+    return child, child_cs, _node_failures(child, (k,), walk, child_cs, cur, parts), None
 
 
 def _sequence_witness(paths: dict, s: tuple, check: str) -> str | None:
@@ -334,8 +453,10 @@ def run_suite(seed: QuantumSeed, sequences, checks=None, meta=None) -> CheckRepo
     evaluated".
 
     Each distinct step (parent content, shadow, direction) is evaluated once
-    per call; see the module docstring for why that is exact.  The report's
-    steps and evaluated count the tree steps walked and the distinct ones.
+    per call, and each torus oracle once per distinct operand; see the
+    module docstring for why that is exact.  The report's steps and
+    evaluated count the tree steps walked and the distinct ones, and its
+    oracles the table's computed and reused values.
     """
     chosen = ALL_CHECKS if checks is None else list(checks)
     bad = [c for c in chosen if c not in _CHECKS]
@@ -355,8 +476,9 @@ def run_suite(seed: QuantumSeed, sequences, checks=None, meta=None) -> CheckRepo
 
     t0 = time.monotonic()
     cs0 = classical_shadow(seed) if "q1_oracle" in selected else None
+    walk = _Walk(selected)
     # path -> (seed, shadow, {check: witness}, refusal) after its last step
-    paths = {(): (seed, cs0, _node_failures(seed, range(seed.k), selected, cs0), None)}
+    paths = {(): (seed, cs0, _node_failures(seed, range(seed.k), walk, cs0), None)}
     # (k, L, B~, D) -> [(parent, shadow, outcome)]: the parents in one list
     # share those and are told apart by ==
     memo: dict = {}
@@ -371,7 +493,7 @@ def run_suite(seed: QuantumSeed, sequences, checks=None, meta=None) -> CheckRepo
             same = memo.setdefault((k, cur.lmat, cur.bmat, cur.dvec), [])
             outcome = next((o for p, c, o in same if p == cur and c == cs), None)
             if outcome is None:
-                outcome = _evaluate_step(cur, cs, k, selected)
+                outcome = _evaluate_step(cur, cs, k, walk)
                 same.append((cur, cs, outcome))
             paths[s[:i]] = outcome
     elapsed = time.monotonic() - t0
@@ -389,6 +511,7 @@ def run_suite(seed: QuantumSeed, sequences, checks=None, meta=None) -> CheckRepo
     if meta:
         full_meta.update(meta)
     report = CheckReport(entries=tuple(entries), meta=full_meta, steps=len(paths) - 1,
-                         evaluated=sum(map(len, memo.values())))
+                         evaluated=sum(map(len, memo.values())),
+                         oracles={name: tuple(c) for name, c in walk.counts.items()})
     report.timings["total"] = elapsed
     return report

@@ -254,8 +254,9 @@ def cmd_verify(args) -> int:
                  % (name, n_fail, len(ents), first.witness))
         else:
             _say("%s: pass (%d entries)" % (name, len(ents)))
-    _say("total %.2fs, %d steps, %d evaluated"
-         % (report.timings.get("total", 0.0), report.steps, report.evaluated))
+    _say("total %.2fs, %d steps, %d evaluated; oracles computed/reused: %s"
+         % (report.timings.get("total", 0.0), report.steps, report.evaluated,
+            ", ".join("%s %d/%d" % (name, *n) for name, n in report.oracles.items())))
     return 0 if report.passed else 1
 
 

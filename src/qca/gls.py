@@ -196,8 +196,9 @@ def lambda_matrix(cartan: CartanDatum, g: GLSData) -> LMatrix:
 def build_initial_seed(cartan: CartanDatum, word: WeylWord) -> QuantumSeed:
     """The initial quantum seed of a reduced word, fully validated.
 
-    QuantumSeed.initial checks compatibility, q-commutation and homogeneity;
-    parity and weight balance use the witness functions that verify uses.
+    QuantumSeed.initial checks compatibility, and q-commutation and
+    homogeneity hold by construction (see there); parity and weight balance
+    use the witness functions that verify uses.
     Raises NotReducedError for a non-reduced word, IncompatibleError or
     EngineInvariantError if an integer condition fails (they never do; each
     is also exercised separately in the test-suite).

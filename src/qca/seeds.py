@@ -142,10 +142,15 @@ def _pairs(n: int, idx):
                 yield i, j
 
 
-def qcommute_witness(seed: "QuantumSeed", idx) -> str | None:
-    """First pair with vars_j vars_i != q^{lambda_ji} vars_i vars_j (current L)."""
+def qcommute_witness(seed: "QuantumSeed", idx, exponent=None) -> str | None:
+    """First pair with vars_j vars_i != q^{lambda_ji} vars_i vars_j (current L).
+
+    exponent(x, y), q_commute_exponent by default, gives each pair's power;
+    run_suite passes one that serves repeated pairs from its table.
+    """
+    exponent = exponent or q_commute_exponent
     for i, j in _pairs(seed.k, idx):
-        gamma = q_commute_exponent(seed.vars[j], seed.vars[i])
+        gamma = exponent(seed.vars[j], seed.vars[i])
         if gamma != seed.lmat.rows[j][i]:
             return "q-commutation of variables (%d, %d): got %s, L says %d" % (
                 j + 1, i + 1, gamma, seed.lmat.rows[j][i])
@@ -276,8 +281,8 @@ class QuantumSeed:
     history: tuple[int, ...]
     cartan: CartanDatum | None = None
     # set once every invariant of validate_full is known to hold, by
-    # validate_full itself or by mutate; replace() and the JSON loader
-    # start a seed without it
+    # validate_full itself, initial or mutate; replace() and the JSON
+    # loader start a seed without it
     _certified: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -327,7 +332,14 @@ class QuantumSeed:
 
     @classmethod
     def initial(cls, lmat: LMatrix, bmat: BMatrix, dvec, cartan=None) -> "QuantumSeed":
-        """The seed whose variables are the torus generators X^{e_i}."""
+        """The seed whose variables are the torus generators X^{e_i},
+        certified once (L, B~) passes check_compatible.
+
+        validate_full's other two checks hold by construction.  L is the
+        torus's own matrix, so the torus relation X^{e_j} X^{e_i} =
+        q^{lambda_ji} X^{e_i} X^{e_j} is q-commutation per L; and X^{e_i}
+        has the one exponent e_i, of weight sum_j (e_i)_j d_j = d_i.
+        """
         gens = tuple(
             TorusElem.monomial(lmat, tuple(1 if j == i else 0 for j in range(lmat.k)))
             for i in range(lmat.k)
@@ -342,7 +354,8 @@ class QuantumSeed:
             history=(),
             cartan=cartan,
         )
-        seed.validate_full()
+        check_compatible(lmat, bmat)
+        object.__setattr__(seed, "_certified", True)
         return seed
 
     def validate_full(self) -> None:
@@ -471,9 +484,14 @@ def mutate_variable(seed: QuantumSeed, k: int) -> TorusElem:
     return exchange_parts(seed, k).new_var
 
 
-def _mutate_unchecked(seed: QuantumSeed, k: int):
-    """New seed plus the exchange data, without the invariant re-checks."""
-    parts = exchange_parts(seed, k)
+def _mutate_unchecked(seed: QuantumSeed, k: int, exchange=None):
+    """New seed plus the exchange data, without the invariant re-checks.
+
+    exchange(seed, k, exchange_parts), when given, returns the exchange
+    parts; run_suite passes one that serves a repeated exchange from its
+    table.
+    """
+    parts = exchange_parts(seed, k) if exchange is None else exchange(seed, k, exchange_parts)
     lp, bp = mutate_matrices(seed.lmat, seed.bmat, k, parts.a_neg)
     dp = mutate_dvector(seed.dvec, k, parts.a_pos)
     new_vars = list(seed.vars)
@@ -513,8 +531,8 @@ def mutate(seed: QuantumSeed, k: int) -> QuantumSeed:
     so B~'^T L' = F^T (B~^T L) E is compatible only if B~^T L was.
 
     The argument needs a certified parent.  A seed that did not come from
-    validate_full or mutate (the JSON loader, dataclasses.replace) is
-    validated in full once first.  run_suite's lambda_mutation re-derives
+    validate_full, initial or mutate (the JSON loader,
+    dataclasses.replace) is validated in full once first.  run_suite's lambda_mutation re-derives
     every new variable's q-commutation in the torus, as the independent
     oracle.
     """

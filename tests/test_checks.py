@@ -396,9 +396,9 @@ def test_each_distinct_step_is_evaluated_once(monkeypatch):
     unchecked = qca.checks._mutate_unchecked
     calls = []
 
-    def counted(cur, k):
+    def counted(cur, k, *exchange):
         calls.append(k)
-        return unchecked(cur, k)
+        return unchecked(cur, k, *exchange)
 
     monkeypatch.setattr(qca.checks, "_mutate_unchecked", counted)
     report = run_suite(seed, default_sequences(seed, depth=3, rng_seed=0))
@@ -478,3 +478,102 @@ def test_a_step_from_a_different_d_is_evaluated_again(a2_seed, monkeypatch):
     got = {e.sequence: e.witness for e in report.failures()}
     assert got == {(1, 1, 1): "step 3 (direction 1): variable 1 is not "
                                 "homogeneous of weight D_1"}
+
+
+def _content(x):
+    return tuple(sorted((a, tuple(sorted(cf.items()))) for a, cf in x.terms.items()))
+
+
+def test_each_ordered_pair_is_computed_once_per_call(monkeypatch):
+    # the 1,989 q-commutations of this tree cover 480 ordered pairs of
+    # variables by content; a second call computes them all again
+    seed = a4_seed()
+    seqs = default_sequences(seed, depth=3, rng_seed=0)
+    real = qca.checks.q_commute_exponent
+    calls = []
+
+    def counted(x, y):
+        calls.append((_content(x), _content(y)))
+        return real(x, y)
+
+    monkeypatch.setattr(qca.checks, "q_commute_exponent", counted)
+    reports = []
+    for _ in range(2):
+        calls.clear()
+        reports.append(run_suite(seed, seqs))
+        assert len(calls) == len(set(calls)) == 480
+    first, second = reports
+    assert first.oracles == second.oracles == {
+        "pairs": (480, 1509), "exchanges": (121, 95),
+        "back_exchanges": (121, 95), "products": (144, 288)}
+    assert canonical_dumps(report_to_json(first, "x")) == canonical_dumps(
+        report_to_json(second, "x"))
+
+
+def test_a_reused_pair_is_compared_with_each_nodes_own_l(monkeypatch):
+    # mu_k from S and from mu_j S (b_jk = 0) make the same exchange, so the
+    # new variable's pair with X_i is computed at (k) and reused at (j, k).
+    # L is corrupted at (j, k) only: the reused exponent must disagree there
+    # and nowhere else.  The matrix route, which would catch the corrupted
+    # L first, is switched off to test the torus oracle alone.
+    seed = a4_seed()
+    j, k, i = 0, 3, 1
+    assert seed.bmat.rows[j][seed.bmat.pos(k)] == 0
+    unchecked = qca.checks._mutate_unchecked
+    truth = qca.mutate_seq(seed, (j, k)).lmat.rows[i][k]
+
+    def corrupting(cur, kk, *exchange):
+        child, parts = unchecked(cur, kk, *exchange)
+        if cur.history == (j,) and kk == k:
+            child = flip_l(child, i, k, truth + 2)
+        return child, parts
+
+    real = qca.checks.q_commute_exponent
+    calls = []
+
+    def counted(x, y):
+        calls.append((_content(x), _content(y)))
+        return real(x, y)
+
+    monkeypatch.setattr(qca.checks, "_mutate_unchecked", corrupting)
+    monkeypatch.setattr(qca.checks, "_matrix_route_witness", lambda *_: None)
+    monkeypatch.setattr(qca.checks, "q_commute_exponent", counted)
+    report = run_suite(seed, [(k,), (j, k)], checks=["lambda_mutation"])
+    got = {e.sequence: (e.status, e.witness) for e in report.entries}
+    assert got[(k + 1,)] == ("pass", None)
+    assert got[(j + 1, k + 1)] == (
+        "fail", "step 2 (direction %d): q-commutation of variables (%d, %d): "
+                "got %d, L says %d" % (k + 1, i + 1, k + 1, truth, truth + 2))
+    new_var = qca.mutate(seed, k).vars[k]
+    assert calls.count((_content(seed.vars[i]), _content(new_var))) == 1
+    assert report.oracles["exchanges"] == (2, 1)
+
+
+@pytest.mark.parametrize("entry", ["support", "row_k"])
+def test_an_exchange_is_reused_only_under_the_same_l(monkeypatch, entry):
+    # (k) and (j, k) make one exchange when b_jk = 0.  An L entry of mu_j S
+    # corrupted between two indices of one monomial of the exchange, or in
+    # row k (which moves a shift), makes (j, k) another exchange, and its
+    # entries read as if (k) had not been walked first
+    seed = a4_seed()
+    j, k = 0, 3
+    pos = [i for i, b in enumerate(seed.bmat.column(k)) if b > 0]
+    a, b = pos[:2] if entry == "support" else (k, pos[0])
+    unchecked = qca.checks._mutate_unchecked
+
+    def corrupting(cur, kk, *exchange):
+        child, parts = unchecked(cur, kk, *exchange)
+        if cur.history == () and kk == j:
+            child = flip_l(child, a, b, child.lmat.rows[a][b] + 2)
+        return child, parts
+
+    monkeypatch.setattr(qca.checks, "_mutate_unchecked", corrupting)
+    alone = run_suite(seed, [(j, k)])
+    walked = run_suite(seed, [(k,), (j, k)])
+    assert walked.oracles["exchanges"] == (3, 0)
+
+    def at_jk(report):
+        return [e for e in report.entries if e.sequence == (j + 1, k + 1)]
+
+    assert at_jk(walked) == at_jk(alone)
+    assert any(e.witness and e.witness.startswith("step 2") for e in at_jk(alone))

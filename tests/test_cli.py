@@ -452,6 +452,22 @@ def test_verify_passes(tmp_path, capsys):
     assert "6 steps, 2 evaluated" in err
 
 
+def test_verify_summary_counts_the_oracle_table(tmp_path, capsys):
+    # the counters go to stderr only: stdout is the report's bytes
+    inp = write_input(tmp_path, *SEED_CASES["a3"])
+    code, out, err = run(capsys, ["verify", "--cartan", inp, "--depth", "2"])
+    assert code == 0
+    seed = make_seed("a3")
+    report = qca.run_suite(seed, qca.default_sequences(seed, depth=2),
+                           meta={"depth": 2, "rng_seed": 0})
+    assert out == pretty_dumps(qca.serialize.report_to_json(report, qca.__version__))
+    oracles = ", ".join("%s %d/%d" % (name, *n) for name, n in report.oracles.items())
+    assert oracles.startswith("pairs ") and "exchanges " in oracles
+    assert re.fullmatch(r"total \d+\.\d\ds, %d steps, %d evaluated; oracles "
+                        r"computed/reused: %s" % (report.steps, report.evaluated, oracles),
+                        err.splitlines()[-1])
+
+
 def test_verify_subset_of_checks(tmp_path, capsys):
     inp = write_input(tmp_path, *SEED_CASES["a2"])
     code, out, _ = run(

@@ -1,6 +1,7 @@
 """Quantum seeds: compatibility, E/F mutation, exchange, involutivity."""
 
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -9,6 +10,7 @@ import qca
 from qca.cartan import Weight
 from qca.checks import ef_matrices
 from qca.errors import EngineInvariantError, IncompatibleError
+from qca.serialize import seed_from_json, seed_to_json, weight_to_json
 from qca.seeds import (
     BMatrix,
     QuantumSeed,
@@ -218,6 +220,44 @@ def test_validate_full_catches_corruption():
     mixed = replace(seed, vars=(seed.vars[0] + seed.vars[1], *seed.vars[1:]))
     with pytest.raises(EngineInvariantError):
         mixed.validate_full()
+
+
+def test_initial_certifies_the_generators_by_construction(monkeypatch):
+    # the torus relation and the one exponent of each X^{e_i} prove
+    # validate_full's q-commutation and homogeneity, so initial computes
+    # neither; an uncertified copy of each fixture passes both
+    seeds = [make_seed(key) for key in sorted(SEED_CASES)]
+    with monkeypatch.context() as m:
+        m.setattr(qca.seeds, "q_commute_exponent", None)
+        m.setattr(qca.seeds, "homogeneous_weight", None)
+        for seed in seeds:
+            again = QuantumSeed.initial(seed.lmat, seed.bmat, seed.dvec, cartan=seed.cartan)
+            assert again._certified and again == seed
+    for seed in seeds:
+        copy = replace(seed)
+        assert not copy._certified
+        copy.validate_full()
+        assert copy._certified
+
+
+@pytest.mark.parametrize("field, error, text", [
+    ("Linit", EngineInvariantError, "q-commutation of variables (1, 2): got -3, L says -1"),
+    ("L", IncompatibleError, "compatibility fails at (1, 1)"),
+    ("Dinit", EngineInvariantError, "variable 2 is not homogeneous"),
+    ("D", EngineInvariantError, "variable 2 is not homogeneous"),
+])
+def test_a_loaded_seed_with_one_wrong_entry_is_refused(field, error, text):
+    # a loaded seed is not certified, so mutate validates it in full first
+    seed = make_seed("a3")
+    obj = seed_to_json(seed)
+    if field in ("Linit", "L"):
+        obj[field][1][0] += 2
+        obj[field][0][1] -= 2
+    else:
+        obj[field][1] = weight_to_json(seed.dvec[1] + Weight.simple_root(3, 0))
+    loaded = seed_from_json(obj)
+    with pytest.raises(error, match=re.escape(text)):
+        mutate(loaded, seed.ex[0])
 
 
 def test_cluster_monomial_initial_is_plain_monomial():
