@@ -18,32 +18,31 @@ X^a X^b = v^{2 aT L b} X^b X^a, and every other pair by torus products
 timings and step counts stay on the in-memory object.
 
 The tree reaches one quantum seed by many paths (mu_k mu_k = id, and
-mu_j mu_k = mu_k mu_j when b_jk = 0), so run_suite evaluates each distinct
-step once.  A step's outcome (the child seed and shadow, the witnesses of
-every check, or the refusal) is a function of the parent's content
-(L, B~, D and the variables), its q = 1 shadow and the direction alone,
-and the walk never mutates a seed; a memo keyed by exactly that content,
-compared with ==, therefore returns what evaluating the step again would.
-Each path records the outcome under its own sequence and step text.
+mu_j mu_k = mu_k mu_j when b_jk = 0), and distinct steps meet the same
+operands again.  So run_suite keeps, for one call, a table (_Walk) that
+does each job once per distinct key:
 
-Below the step memo, the distinct steps still meet the same operands many
-times: a new variable is met again after mu_k mu_k or from another parent,
-and an exchange whose column, variables and L entries a step leaves alone
-comes back unchanged.  So run_suite keeps, for one call, a table (_Walk)
-that evaluates each torus oracle once per distinct operand: the
-q-commutation exponent of an ordered pair of variables, the exchange
-parts of an exchange, the back-exchange terms of involutivity, and the
-single products of exchange_identity and involutivity.  The walk interns
-each variable by content (its sorted terms): a new variable is replaced by
-the first equal one met, and an entry is keyed by that first variable of
-each operand and by every integer the oracle reads, so equal operands
-share every entry.  For an exchange in direction k the key is k, the
-support of column k of B~ with its entries and variables, the L entries
-among the support, the two shifts and, for the division, X_k.  An oracle
-is a pure function of its key and the walk never mutates a seed, so a
-lookup returns what evaluating again would, and each check still compares
-the value with the node's own L, B~ and D.  The table is dropped when the
-call returns.
+- steps: a step's outcome (the child seed and shadow, the witnesses of
+  every check, or the refusal), keyed by the direction, the parent's L,
+  B~, D and variables, and its q = 1 shadow (rows and variables);
+- pairs: the q-commutation exponent of an ordered pair of variables;
+- terms: the two shifted monomials of an exchange (seeds._exchange_terms),
+  shared by a step's exchange and involutivity's exchange back;
+- divisions: the exchange parts, keyed by the terms key and X_k;
+- products: the single products of exchange_identity and involutivity.
+
+Every operand is interned by content (a torus element or a q = 1 Laurent
+polynomial by its sorted terms, the two kinds apart; a tuple of them by
+its items): the first one met stands for every equal one, and a key holds
+its id and every integer the job reads.  The terms of an exchange in
+direction k read k, the support of column k of B~ with its entries and
+variables, the L entries among the support and the two shifts.  A job is
+a function of its key alone (the torus, the grading D and the Cartan
+datum are the starting seed's throughout), and the walk never mutates a
+seed, so a lookup returns what evaluating again would.  Each check still
+compares a shared value with its own node's L, B~ and D, and each path
+records a step's outcome under its own sequence and step text.  The
+table is dropped when the call returns.
 """
 
 from __future__ import annotations
@@ -51,17 +50,18 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 
 from .classical import classical_shadow, classical_mutate, compare_q1
 from .errors import IncompatibleError, NotDivisibleError
 from .seeds import (
     QuantumSeed,
+    _child,
     _exchange_terms,
-    _mutate_unchecked,
     balance_witness,
     check_compatible,
+    exchange_parts,
     exchange_size_witness,
     homogeneity_witness,
     mutate_dvector,
@@ -101,9 +101,9 @@ class CheckEntry:
 class CheckReport:
     entries: tuple[CheckEntry, ...]
     meta: dict
-    # not serialized: wall time, the steps of the tree walked, the distinct
-    # ones among them, which are all that was evaluated, and per torus
-    # oracle of the call's table, (computed, reused)
+    # not serialized: wall time, the look-ups and computed values of the
+    # table's steps entry (the tree steps walked and the distinct ones,
+    # all that was evaluated), and per torus oracle, (computed, reused)
     timings: dict = field(default_factory=dict)
     steps: int = 0
     evaluated: int = 0
@@ -218,50 +218,59 @@ def _matrix_route_witness(parent: QuantumSeed, node: QuantumSeed, k: int) -> str
         "agrees" if l_ok else "differs", "agrees" if b_ok else "differs")
 
 
-# -- one call's table of torus oracles -----------------------------------------
+# -- one call's table ----------------------------------------------------------
 
-def _content_key(x: TorusElem) -> tuple:
-    """x's terms as a sorted tuple: two elements of one torus are equal
-    exactly when their keys are."""
-    return tuple(sorted((a, tuple(sorted(cf.items()))) for a, cf in x.terms.items()))
+def _content_key(x) -> tuple:
+    """x's type and sorted terms: two torus elements of one torus, or two
+    q = 1 Laurent polynomials (dicts), are equal exactly when their keys are."""
+    if isinstance(x, dict):
+        return dict, tuple(sorted(x.items()))
+    return TorusElem, tuple(sorted((a, tuple(sorted(cf.items()))) for a, cf in x.terms.items()))
 
 
 class _Walk:
-    """One run_suite call: the selected checks, and a table that evaluates
-    each torus oracle once per distinct operand (see the module docstring).
+    """One run_suite call: the selected checks, and a table that does each
+    job once per distinct key (see the module docstring).
 
-    counts maps each oracle to [computed, reused], in the order that
-    CheckReport.oracles and the `qca verify` summary keep.
+    counts maps each entry of the table to [computed, reused]; its order
+    after "steps" is the one CheckReport.oracles and the `qca verify`
+    summary keep.
     """
 
     def __init__(self, selected):
         self.selected = selected
         self.counts = {name: [0, 0] for name in
-                       ("pairs", "exchanges", "back_exchanges", "products")}
+                       ("steps", "pairs", "terms", "divisions", "products")}
         self._tables = {name: {} for name in self.counts}
-        self._first = {}  # content key -> the first variable met with it
-        # id -> (variable, the first one equal to it); holding both keeps
+        self._first = {}  # content key -> the first operand met with it
+        # id -> (operand, the first one equal to it); holding both keeps
         # every id that a key uses unique for the call
         self._seen = {}
 
-    def intern(self, x: TorusElem) -> TorusElem:
-        """The first variable of the walk equal to x."""
+    def _id(self, x) -> int:
+        """The id of the first operand of the walk equal to x; a tuple of
+        operands is equal to another when their items are."""
         got = self._seen.get(id(x))
         if got is None:
-            got = self._seen[id(x)] = (x, self._first.setdefault(_content_key(x), x))
-        return got[1]
+            key = (tuple, tuple(map(self._id, x))) if isinstance(x, tuple) else _content_key(x)
+            got = self._seen[id(x)] = (x, self._first.setdefault(key, x))
+        return id(got[1])
 
-    def _id(self, x: TorusElem) -> int:
-        return id(self.intern(x))
-
-    def _lookup(self, oracle: str, key, compute):
-        table, counts = self._tables[oracle], self.counts[oracle]
-        if key in table:
+    def _lookup(self, entry: str, key, compute):
+        table, counts = self._tables[entry], self.counts[entry]
+        value = table.get(key, table)  # the table itself marks a miss
+        if value is table:
+            counts[0] += 1
+            value = table[key] = compute()
+        else:
             counts[1] += 1
-            return table[key]
-        counts[0] += 1
-        table[key] = compute()
-        return table[key]
+        return value
+
+    def step(self, cur: QuantumSeed, cs, k: int) -> tuple:
+        """_evaluate_step(cur, cs, k, self), once per distinct step."""
+        key = (k, cur.lmat, cur.bmat, cur.dvec, self._id(cur.vars),
+               None if cs is None else (cs.rows, self._id(cs.vars)))
+        return self._lookup("steps", key, lambda: _evaluate_step(cur, cs, k, self))
 
     def q_commute_exponent(self, x: TorusElem, y: TorusElem) -> int | None:
         return self._lookup("pairs", (self._id(x), self._id(y)),
@@ -282,22 +291,17 @@ class _Walk:
                 tuple(rows[i][j] for n, i in enumerate(supp) for j in supp[:n]),
                 shift_pos, shift_neg)
 
-    def exchange(self, seed: QuantumSeed, k: int, compute):
-        """compute(seed, k), the exchange parts, once per distinct exchange;
-        the new variable is interned."""
-        def fresh():
-            parts = compute(seed, k)
-            return replace(parts, new_var=self.intern(parts.new_var))
-        key = (self._exchange_key(seed, k), self._id(seed.vars[k]))
-        return self._lookup("exchanges", key, fresh)
+    def terms(self, seed: QuantumSeed, k: int) -> tuple:
+        """seeds._exchange_terms(seed, k), once per distinct exchange: a
+        step's exchange and involutivity's exchange back share it."""
+        return self._lookup("terms", self._exchange_key(seed, k),
+                            lambda: _exchange_terms(seed, k))
 
-    def back_exchange(self, node: QuantumSeed, k: int):
-        """(a', a'', numerator) of the exchange in direction k from node,
-        once per distinct exchange."""
-        def fresh():
-            a_pos, a_neg, _, _, m_pos, m_neg = _exchange_terms(node, k)
-            return a_pos, a_neg, m_pos + m_neg
-        return self._lookup("back_exchanges", self._exchange_key(node, k), fresh)
+    def exchange(self, seed: QuantumSeed, k: int):
+        """The exchange parts in direction k, divided once per distinct
+        exchange and X_k."""
+        return self._lookup("divisions", (self._exchange_key(seed, k), self._id(seed.vars[k])),
+                            lambda: exchange_parts(seed, k, self.terms(seed, k)))
 
 
 # -- the checks at one tree node ----------------------------------------------
@@ -356,10 +360,10 @@ def _involutivity_witness(node, idx, shadow, parent, parts, walk) -> str | None:
     # the torus is a domain, so the back division returns parent.vars[k]
     # exactly when one product equals the back numerator
     k = parts.k
-    a_pos, a_neg, numerator = walk.back_exchange(node, k)
+    a_pos, a_neg, _, _, m_pos, m_neg = walk.terms(node, k)
     if (mutate_matrices(node.lmat, node.bmat, k, a_neg) != (parent.lmat, parent.bmat)
             or mutate_dvector(node.dvec, k, a_pos) != parent.dvec
-            or walk.product(node.vars[k], parent.vars[k]) != numerator):
+            or walk.product(node.vars[k], parent.vars[k]) != m_pos + m_neg):
         return "mutating back does not restore the seed"
     return None
 
@@ -421,9 +425,10 @@ def _evaluate_step(cur: QuantumSeed, cs, k: int, walk: _Walk) -> tuple:
     if refusal:
         return None, None, {}, refusal
     try:
-        child, parts = _mutate_unchecked(cur, k, walk.exchange)
+        parts = walk.exchange(cur, k)
     except NotDivisibleError as e:
         return None, None, {"laurent": str(e)}, None
+    child = _child(cur, parts)
     child_cs = classical_mutate(cs, k) if cs is not None else None
     return child, child_cs, _node_failures(child, (k,), walk, child_cs, cur, parts), None
 
@@ -479,9 +484,6 @@ def run_suite(seed: QuantumSeed, sequences, checks=None, meta=None) -> CheckRepo
     walk = _Walk(selected)
     # path -> (seed, shadow, {check: witness}, refusal) after its last step
     paths = {(): (seed, cs0, _node_failures(seed, range(seed.k), walk, cs0), None)}
-    # (k, L, B~, D) -> [(parent, shadow, outcome)]: the parents in one list
-    # share those and are told apart by ==
-    memo: dict = {}
     for s in sequences:
         for i in range(1, len(s) + 1):
             if s[:i] in paths:
@@ -489,13 +491,7 @@ def run_suite(seed: QuantumSeed, sequences, checks=None, meta=None) -> CheckRepo
             cur, cs = paths[s[:i - 1]][:2]
             if cur is None:
                 break
-            k = s[i - 1]
-            same = memo.setdefault((k, cur.lmat, cur.bmat, cur.dvec), [])
-            outcome = next((o for p, c, o in same if p == cur and c == cs), None)
-            if outcome is None:
-                outcome = _evaluate_step(cur, cs, k, walk)
-                same.append((cur, cs, outcome))
-            paths[s[:i]] = outcome
+            paths[s[:i]] = walk.step(cur, cs, s[i - 1])
     elapsed = time.monotonic() - t0
 
     entries = []
@@ -510,8 +506,9 @@ def run_suite(seed: QuantumSeed, sequences, checks=None, meta=None) -> CheckRepo
     full_meta = {"checks": selected, "n_sequences": len(sequences)}
     if meta:
         full_meta.update(meta)
-    report = CheckReport(entries=tuple(entries), meta=full_meta, steps=len(paths) - 1,
-                         evaluated=sum(map(len, memo.values())),
+    evaluated, repeated = walk.counts.pop("steps")
+    report = CheckReport(entries=tuple(entries), meta=full_meta, steps=evaluated + repeated,
+                         evaluated=evaluated,
                          oracles={name: tuple(c) for name, c in walk.counts.items()})
     report.timings["total"] = elapsed
     return report

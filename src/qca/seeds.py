@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from operator import mul
 
 from .cartan import CartanDatum, Weight, coroot_vector
@@ -105,8 +106,12 @@ class BMatrix:
         return self.ex.index(j)
 
     def column(self, j: int) -> tuple[int, ...]:
-        p = self.pos(j)
-        return tuple(row[p] for row in self.rows)
+        return self._columns[self.pos(j)]
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        # built once per matrix; not a field, so == and hash ignore it
+        return tuple(zip(*self.rows))
 
 
 def check_compatible(lmat: LMatrix, bmat: BMatrix) -> int | None:
@@ -439,11 +444,12 @@ def _exchange_terms(seed: QuantumSeed, k: int):
     return a_pos, a_neg, shift_pos, shift_neg, m_pos, m_neg
 
 
-def exchange_parts(seed: QuantumSeed, k: int) -> ExchangeParts:
+def exchange_parts(seed: QuantumSeed, k: int, terms=None) -> ExchangeParts:
     """The exchange in direction k inside the initial torus: the exponents,
     shifts and shifted monomials, their sum (the numerator) and its exact
-    left quotient by vars_k (the new variable)."""
-    terms = _exchange_terms(seed, k)
+    left quotient by vars_k (the new variable).  terms, if given, is
+    _exchange_terms(seed, k), which run_suite takes from its table."""
+    terms = terms or _exchange_terms(seed, k)
     numerator = terms[-2] + terms[-1]
     return ExchangeParts(k, *terms, numerator, exact_left_div(seed.vars[k], numerator))
 
@@ -484,27 +490,21 @@ def mutate_variable(seed: QuantumSeed, k: int) -> TorusElem:
     return exchange_parts(seed, k).new_var
 
 
-def _mutate_unchecked(seed: QuantumSeed, k: int, exchange=None):
-    """New seed plus the exchange data, without the invariant re-checks.
-
-    exchange(seed, k, exchange_parts), when given, returns the exchange
-    parts; run_suite passes one that serves a repeated exchange from its
-    table.
-    """
-    parts = exchange_parts(seed, k) if exchange is None else exchange(seed, k, exchange_parts)
+def _child(seed: QuantumSeed, parts: ExchangeParts) -> QuantumSeed:
+    """The seed mutated by the exchange parts of one of its directions,
+    without the invariant re-checks."""
+    k = parts.k
     lp, bp = mutate_matrices(seed.lmat, seed.bmat, k, parts.a_neg)
-    dp = mutate_dvector(seed.dvec, k, parts.a_pos)
     new_vars = list(seed.vars)
     new_vars[k] = parts.new_var
-    new_seed = replace(
+    return replace(
         seed,
         lmat=lp,
         bmat=bp,
-        dvec=dp,
+        dvec=mutate_dvector(seed.dvec, k, parts.a_pos),
         vars=tuple(new_vars),
         history=seed.history + (k,),
     )
-    return new_seed, parts
 
 
 def mutate(seed: QuantumSeed, k: int) -> QuantumSeed:
@@ -538,7 +538,7 @@ def mutate(seed: QuantumSeed, k: int) -> QuantumSeed:
     """
     if not seed._certified:
         seed.validate_full()
-    new_seed, _ = _mutate_unchecked(seed, k)
+    new_seed = _child(seed, exchange_parts(seed, k))
     check_compatible(new_seed.lmat, new_seed.bmat)
     w = homogeneity_witness(new_seed, (k,))
     if w:

@@ -1,6 +1,7 @@
 """The verification suite: full passes, fault injection, determinism."""
 
 import hashlib
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -15,10 +16,11 @@ from qca.checks import (
     default_sequences,
     run_suite,
 )
+from qca.seeds import _exchange_terms
 from qca.serialize import canonical_dumps, report_to_json
 from qca.torus import LMatrix, TorusElem, qc_v
 
-from conftest import make_seed
+from conftest import SEED_CASES, make_seed
 
 
 def corrupted(seed, **kw):
@@ -134,7 +136,7 @@ def test_unknown_check_name(a2_seed):
 
 def test_an_empty_check_selection_is_refused(a2_seed, monkeypatch):
     # before any step: an empty selection would pass vacuously
-    monkeypatch.setattr(qca.checks, "_mutate_unchecked", None)
+    monkeypatch.setattr(qca.checks, "_evaluate_step", None)
     with pytest.raises(ValueError, match="no checks selected"):
         run_suite(a2_seed, [(0,)], checks=[])
 
@@ -259,10 +261,10 @@ def test_fault_involutivity(a2_seed, a3_seed, monkeypatch):
     assert "restore" in first_failure(report, "involutivity").witness
     # a new variable off by a factor v passes the matrix and D round trip and
     # is caught by the one product against the back numerator
-    exact = qca.seeds.exchange_parts
+    exact = qca.checks.exchange_parts
 
-    def off_by_v(seed, k):
-        parts = exact(seed, k)
+    def off_by_v(seed, k, terms=None):
+        parts = exact(seed, k, terms)
         return replace(parts, new_var=parts.new_var.v_shift(1))
 
     # a forward closed form that drifts in a frozen row of another column
@@ -275,10 +277,10 @@ def test_fault_involutivity(a2_seed, a3_seed, monkeypatch):
         rows[-1][-1] += 1
         return lp, qca.BMatrix.from_rows(rows, bp.ex)
 
-    for name, fault, seed in (("exchange_parts", off_by_v, a2_seed),
-                              ("mutate_matrices", drifted, a3_seed)):
+    for module, name, fault, seed in ((qca.checks, "exchange_parts", off_by_v, a2_seed),
+                                      (qca.seeds, "mutate_matrices", drifted, a3_seed)):
         with monkeypatch.context() as m:
-            m.setattr(qca.seeds, name, fault)
+            m.setattr(module, name, fault)
             report = run_suite(seed, [(0,)], checks=["involutivity"])
         assert not report.passed
         assert "restore" in first_failure(report, "involutivity").witness
@@ -393,14 +395,14 @@ def test_each_distinct_step_is_evaluated_once(monkeypatch):
     # the tree reaches one seed by many paths (mu_k mu_k = id, commuting
     # directions); of the 302 steps of this tree 216 are distinct
     seed = a4_seed()
-    unchecked = qca.checks._mutate_unchecked
+    child_of = qca.checks._child
     calls = []
 
-    def counted(cur, k, *exchange):
-        calls.append(k)
-        return unchecked(cur, k, *exchange)
+    def counted(cur, parts):
+        calls.append(parts.k)
+        return child_of(cur, parts)
 
-    monkeypatch.setattr(qca.checks, "_mutate_unchecked", counted)
+    monkeypatch.setattr(qca.checks, "_child", counted)
     report = run_suite(seed, default_sequences(seed, depth=3, rng_seed=0))
     assert report.passed
     assert (report.steps, report.evaluated, len(calls)) == (302, 216, 216)
@@ -480,6 +482,56 @@ def test_a_step_from_a_different_d_is_evaluated_again(a2_seed, monkeypatch):
                                 "homogeneous of weight D_1"}
 
 
+@pytest.mark.parametrize("i, scale, witness", [
+    (2, -1, "step 3 (direction 1): variable 1 has a negative coefficient"),
+    (0, 2, "not evaluated: division failed at step 3"),
+], ids=["support", "x_k"])
+def test_a_step_from_other_variables_is_evaluated_again(a2_seed, monkeypatch, i, scale,
+                                                        witness):
+    # (1, 1) returns to the starting L, B~ and D, but the corrupted second
+    # step scales variable i + 1, which positivity at step 2 does not look
+    # at; the step (1, 1, 1) from there reads it in its exchange terms (i in
+    # the support of column 1) or in its division (X_1)
+    real = qca.checks._child
+    calls = []
+
+    def corrupt_second(cur, parts):
+        calls.append(parts.k)
+        out = real(cur, parts)
+        if len(calls) == 2:
+            out = _with_var(out, i, out.vars[i].scaled(scale))
+        return out
+
+    monkeypatch.setattr(qca.checks, "_child", corrupt_second)
+    report = run_suite(a2_seed, [(0,), (0, 0, 0)], checks=["positivity"])
+    assert {e.sequence: e.witness for e in report.failures()} == {(1, 1, 1): witness}
+    assert (report.steps, report.evaluated) == (3, 3)
+
+
+def test_a_step_from_a_shadow_with_other_variables_is_evaluated_again(a2_seed, monkeypatch):
+    # (1, 1) returns to the starting seed and shadow rows, but the corrupted
+    # second step doubles a shadow variable; the q = 1 oracle fails there,
+    # and the step (1, 1, 1) from that shadow is not the step (1), though
+    # only the count of evaluated steps can tell
+    real = qca.checks.classical_mutate
+    calls = []
+
+    def corrupt_second(cs, k):
+        calls.append(k)
+        out = real(cs, k)
+        if len(calls) == 2:
+            out = replace(out, vars=(out.vars[0], {a: 2 * c for a, c in out.vars[1].items()},
+                                     out.vars[2]))
+        return out
+
+    monkeypatch.setattr(qca.checks, "classical_mutate", corrupt_second)
+    report = run_suite(a2_seed, [(0,), (0, 0, 0)], checks=["q1_oracle"])
+    got = {e.sequence: e.witness for e in report.failures()}
+    assert got == {(1, 1, 1): "step 2 (direction 1): variables [2] disagree "
+                              "with the classical shadow"}
+    assert report.evaluated == 3
+
+
 def _content(x):
     return tuple(sorted((a, tuple(sorted(cf.items()))) for a, cf in x.terms.items()))
 
@@ -504,8 +556,8 @@ def test_each_ordered_pair_is_computed_once_per_call(monkeypatch):
         assert len(calls) == len(set(calls)) == 480
     first, second = reports
     assert first.oracles == second.oracles == {
-        "pairs": (480, 1509), "exchanges": (121, 95),
-        "back_exchanges": (121, 95), "products": (144, 288)}
+        "pairs": (480, 1509), "terms": (188, 149),
+        "divisions": (121, 95), "products": (144, 288)}
     assert canonical_dumps(report_to_json(first, "x")) == canonical_dumps(
         report_to_json(second, "x"))
 
@@ -519,14 +571,14 @@ def test_a_reused_pair_is_compared_with_each_nodes_own_l(monkeypatch):
     seed = a4_seed()
     j, k, i = 0, 3, 1
     assert seed.bmat.rows[j][seed.bmat.pos(k)] == 0
-    unchecked = qca.checks._mutate_unchecked
+    child_of = qca.checks._child
     truth = qca.mutate_seq(seed, (j, k)).lmat.rows[i][k]
 
-    def corrupting(cur, kk, *exchange):
-        child, parts = unchecked(cur, kk, *exchange)
-        if cur.history == (j,) and kk == k:
+    def corrupting(cur, parts):
+        child = child_of(cur, parts)
+        if cur.history == (j,) and parts.k == k:
             child = flip_l(child, i, k, truth + 2)
-        return child, parts
+        return child
 
     real = qca.checks.q_commute_exponent
     calls = []
@@ -535,7 +587,7 @@ def test_a_reused_pair_is_compared_with_each_nodes_own_l(monkeypatch):
         calls.append((_content(x), _content(y)))
         return real(x, y)
 
-    monkeypatch.setattr(qca.checks, "_mutate_unchecked", corrupting)
+    monkeypatch.setattr(qca.checks, "_child", corrupting)
     monkeypatch.setattr(qca.checks, "_matrix_route_witness", lambda *_: None)
     monkeypatch.setattr(qca.checks, "q_commute_exponent", counted)
     report = run_suite(seed, [(k,), (j, k)], checks=["lambda_mutation"])
@@ -546,7 +598,7 @@ def test_a_reused_pair_is_compared_with_each_nodes_own_l(monkeypatch):
                 "got %d, L says %d" % (k + 1, i + 1, k + 1, truth, truth + 2))
     new_var = qca.mutate(seed, k).vars[k]
     assert calls.count((_content(seed.vars[i]), _content(new_var))) == 1
-    assert report.oracles["exchanges"] == (2, 1)
+    assert report.oracles["divisions"] == (2, 1)
 
 
 @pytest.mark.parametrize("entry", ["support", "row_k"])
@@ -559,21 +611,93 @@ def test_an_exchange_is_reused_only_under_the_same_l(monkeypatch, entry):
     j, k = 0, 3
     pos = [i for i, b in enumerate(seed.bmat.column(k)) if b > 0]
     a, b = pos[:2] if entry == "support" else (k, pos[0])
-    unchecked = qca.checks._mutate_unchecked
+    child_of = qca.checks._child
 
-    def corrupting(cur, kk, *exchange):
-        child, parts = unchecked(cur, kk, *exchange)
-        if cur.history == () and kk == j:
+    def corrupting(cur, parts):
+        child = child_of(cur, parts)
+        if cur.history == () and parts.k == j:
             child = flip_l(child, a, b, child.lmat.rows[a][b] + 2)
-        return child, parts
+        return child
 
-    monkeypatch.setattr(qca.checks, "_mutate_unchecked", corrupting)
+    monkeypatch.setattr(qca.checks, "_child", corrupting)
     alone = run_suite(seed, [(j, k)])
     walked = run_suite(seed, [(k,), (j, k)])
-    assert walked.oracles["exchanges"] == (3, 0)
+    assert walked.oracles["divisions"] == (3, 0)
 
     def at_jk(report):
         return [e for e in report.entries if e.sequence == (j + 1, k + 1)]
 
     assert at_jk(walked) == at_jk(alone)
     assert any(e.witness and e.witness.startswith("step 2") for e in at_jk(alone))
+
+
+def _outside_the_exchange_key(seed, k):
+    """Copies of seed that differ from it only where the exchange key of
+    direction k does not look: one L entry not among the support of column
+    k nor between k and the support, two entries of row k within one
+    monomial moved so that its shift stays, or one variable off the
+    support, X_k among them."""
+    col = seed.bmat.column(k)
+    supp = {i for i, b in enumerate(col) if b}
+    rows = seed.lmat.rows
+    for i, j in itertools.combinations(range(seed.k), 2):
+        if not ({i, j} <= supp or (k in (i, j) and {i, j} - {k} <= supp)):
+            yield flip_l(seed, i, j, rows[i][j] + 2)
+    for sign in (1, -1):
+        same = sorted(i for i in supp if sign * col[i] > 0)
+        for i, j in zip(same, same[1:]):
+            # the shift sum_i lambda_ki |b_ik| over the monomial stays
+            moved = flip_l(seed, k, i, rows[k][i] + col[j])
+            yield flip_l(moved, k, j, rows[k][j] - col[i])
+    for i in range(seed.k):
+        if i not in supp:
+            yield _with_var(seed, i, seed.vars[i].v_shift(1))
+
+
+@pytest.mark.parametrize("case", sorted(SEED_CASES))
+def test_the_exchange_key_covers_what_the_exchange_terms_read(case):
+    # the table shares the terms of two exchanges with one key, so nothing
+    # that _exchange_terms reads may lie outside the key
+    start = make_seed(case)
+    seeds = [start] + [qca.mutate_seq(start, s) for n in (1, 2)
+                       for s in itertools.product(start.ex, repeat=n)]
+    walk = qca.checks._Walk(())
+    for seed in seeds:
+        for k in seed.ex:
+            key, terms = walk._exchange_key(seed, k), _exchange_terms(seed, k)
+            for variant in _outside_the_exchange_key(seed, k):
+                assert walk._exchange_key(variant, k) == key
+                assert _exchange_terms(variant, k) == terms
+
+
+# sha256 of canonical_dumps(report_to_json(report, "x")) over
+# default_sequences, (steps, evaluated), and the distinct exchanges whose
+# terms the table computes, forward and back
+SHARED_TERMS = {
+    "a4": (a4_seed, 3, "05d1e5fa72d336de829cf97dbc2ddf1cbf019ba05047e8b6a5b5ffa664e4c78e",
+           302, 216, 188),
+    "wild": (_wild_seed, 4, "86d2657964bb80556070e7de0bf26a329c2036db1d9ca1a9173694d24cac0e41",
+             352, 170, 172),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_TERMS))
+def test_the_exchange_terms_are_computed_once_per_distinct_key(monkeypatch, name):
+    # a step's exchange and involutivity's exchange back from its child
+    # read one terms entry; the report keeps its bytes
+    make, depth, digest, steps, evaluated, distinct = SHARED_TERMS[name]
+    seed = make()
+    probe = qca.checks._Walk(())
+    real = qca.checks._exchange_terms
+    keys = []
+
+    def counted(cur, k):
+        keys.append(probe._exchange_key(cur, k))
+        return real(cur, k)
+
+    monkeypatch.setattr(qca.checks, "_exchange_terms", counted)
+    report = run_suite(seed, default_sequences(seed, depth=depth))
+    text = canonical_dumps(report_to_json(report, "x"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert (report.steps, report.evaluated) == (steps, evaluated)
+    assert len(keys) == len(set(keys)) == report.oracles["terms"][0] == distinct

@@ -462,7 +462,7 @@ def test_verify_summary_counts_the_oracle_table(tmp_path, capsys):
                            meta={"depth": 2, "rng_seed": 0})
     assert out == pretty_dumps(qca.serialize.report_to_json(report, qca.__version__))
     oracles = ", ".join("%s %d/%d" % (name, *n) for name, n in report.oracles.items())
-    assert oracles.startswith("pairs ") and "exchanges " in oracles
+    assert oracles.startswith("pairs ") and ", terms " in oracles and ", divisions " in oracles
     assert re.fullmatch(r"total \d+\.\d\ds, %d steps, %d evaluated; oracles "
                         r"computed/reused: %s" % (report.steps, report.evaluated, oracles),
                         err.splitlines()[-1])
@@ -500,7 +500,7 @@ def test_verify_unknown_check(tmp_path, capsys):
 @pytest.mark.parametrize("spelling", ["", " , "])
 def test_verify_refuses_an_empty_check_selection(tmp_path, capsys, monkeypatch, spelling):
     # refused before any step, instead of running every check or none
-    monkeypatch.setattr(qca.checks, "_mutate_unchecked", None)
+    monkeypatch.setattr(qca.checks, "_evaluate_step", None)
     inp = write_input(tmp_path, *SEED_CASES["a2"])
     code, out, err = run(capsys, ["verify", "--cartan", inp, "--checks", spelling])
     assert (code, out) == (2, "")
@@ -705,3 +705,15 @@ def test_argparse_exit_codes(capsys):
     assert main(["build", "--bogus-flag"]) == 2
     assert main(["mutate"]) == 2  # --seq is required
     capsys.readouterr()
+
+
+def test_readme_quotes_the_oracle_counts_that_verify_prints(tmp_path, capsys):
+    # README quotes the stderr summary of A4's longest word at depth 3
+    rows = ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2))
+    inp = write_input(tmp_path, rows, (1, 2, 1, 3, 2, 1, 4, 3, 2, 1))
+    code, _, err = run(capsys, ["verify", "--cartan", inp, "--depth", "3"])
+    assert code == 0
+    line = err.splitlines()[-1]
+    assert "302 steps, 216 evaluated; " in line
+    readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+    assert "`%s`" % line.split("; ", 1)[1] in readme
