@@ -32,9 +32,10 @@ does each job once per distinct key:
 - products: the single products of exchange_identity and involutivity.
 
 Every operand is interned by content (a torus element or a q = 1 Laurent
-polynomial by its sorted terms, the two kinds apart; a tuple of them by
-its items): the first one met stands for every equal one, and a key holds
-its id and every integer the job reads.  The terms of an exchange in
+polynomial by its sorted terms, the two kinds apart; L, B~ and a D weight
+by themselves; a tuple of them by its items): the first one met stands
+for every equal one, and a key holds its id and every integer the job
+reads, so a lookup hashes a few ints.  The terms of an exchange in
 direction k read k, the support of column k of B~ with its entries and
 variables, the L entries among the support and the two shifts.  A job is
 a function of its key alone (the torus, the grading D and the Cartan
@@ -221,11 +222,16 @@ def _matrix_route_witness(parent: QuantumSeed, node: QuantumSeed, k: int) -> str
 # -- one call's table ----------------------------------------------------------
 
 def _content_key(x) -> tuple:
-    """x's type and sorted terms: two torus elements of one torus, or two
-    q = 1 Laurent polynomials (dicts), are equal exactly when their keys are."""
+    """x's type and content: two torus elements of one torus or two q = 1
+    Laurent polynomials (dicts), by their sorted terms, or two of L, B~ and
+    the D weights (frozen dataclasses), by themselves, are equal exactly
+    when their keys are."""
     if isinstance(x, dict):
         return dict, tuple(sorted(x.items()))
-    return TorusElem, tuple(sorted((a, tuple(sorted(cf.items()))) for a, cf in x.terms.items()))
+    if isinstance(x, TorusElem):
+        return TorusElem, tuple(sorted((a, tuple(sorted(cf.items())))
+                                       for a, cf in x.terms.items()))
+    return type(x), x
 
 
 class _Walk:
@@ -268,8 +274,8 @@ class _Walk:
 
     def step(self, cur: QuantumSeed, cs, k: int) -> tuple:
         """_evaluate_step(cur, cs, k, self), once per distinct step."""
-        key = (k, cur.lmat, cur.bmat, cur.dvec, self._id(cur.vars),
-               None if cs is None else (cs.rows, self._id(cs.vars)))
+        key = (k, self._id(cur.lmat), self._id(cur.bmat), self._id(cur.dvec),
+               self._id(cur.vars), None if cs is None else (cs.rows, self._id(cs.vars)))
         return self._lookup("steps", key, lambda: _evaluate_step(cur, cs, k, self))
 
     def q_commute_exponent(self, x: TorusElem, y: TorusElem) -> int | None:
@@ -291,17 +297,19 @@ class _Walk:
                 tuple(rows[i][j] for n, i in enumerate(supp) for j in supp[:n]),
                 shift_pos, shift_neg)
 
-    def terms(self, seed: QuantumSeed, k: int) -> tuple:
+    def terms(self, seed: QuantumSeed, k: int, key=None) -> tuple:
         """seeds._exchange_terms(seed, k), once per distinct exchange: a
-        step's exchange and involutivity's exchange back share it."""
-        return self._lookup("terms", self._exchange_key(seed, k),
+        step's exchange and involutivity's exchange back share it.  key,
+        if given, is _exchange_key(seed, k)."""
+        return self._lookup("terms", key or self._exchange_key(seed, k),
                             lambda: _exchange_terms(seed, k))
 
     def exchange(self, seed: QuantumSeed, k: int):
         """The exchange parts in direction k, divided once per distinct
         exchange and X_k."""
-        return self._lookup("divisions", (self._exchange_key(seed, k), self._id(seed.vars[k])),
-                            lambda: exchange_parts(seed, k, self.terms(seed, k)))
+        key = self._exchange_key(seed, k)
+        return self._lookup("divisions", (key, self._id(seed.vars[k])),
+                            lambda: exchange_parts(seed, k, self.terms(seed, k, key)))
 
 
 # -- the checks at one tree node ----------------------------------------------

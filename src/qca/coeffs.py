@@ -252,6 +252,24 @@ def add_piece(runs: list, s: int, m: int, w: int, g: int) -> None:
     runs.append([s, s, m])
 
 
+def trim_run(run: list, w: int, g: int) -> list:
+    """A run [lo, hi, n] with nonzero n, less its zero low digits.
+
+    With every digit in [-2^(W-1), 2^(W-1)), the lowest nonzero digit
+    holds the lowest set bit of n, so n's zero low digits are the whole
+    W-bit digits below that bit.
+
+    >>> trim_run([0, 0, 5 << 16], 8, 2)
+    [4, 4, 5]
+    """
+    lo, hi, n = run
+    z = ((n & -n).bit_length() - 1) // w
+    if not z:
+        return run
+    lo += z * g
+    return [lo, max(hi, lo), n >> (w * z)]
+
+
 def pack(cf: dict, w: int, g: int) -> list:
     """The runs of a nonzero coefficient dict.
 

@@ -40,7 +40,14 @@ from operator import mul
 
 from .cartan import CartanDatum, Weight, coroot_vector
 from .errors import EngineInvariantError, IncompatibleError, as_int
-from .torus import LMatrix, TorusElem, _combine_rows, exact_left_div, q_commute_exponent
+from .torus import (
+    LMatrix,
+    PackedSum,
+    TorusElem,
+    _combine_rows,
+    exact_left_div,
+    q_commute_exponent,
+)
 
 __all__ = [
     "BMatrix",
@@ -387,13 +394,9 @@ def cluster_monomial(seed: QuantumSeed, a) -> TorusElem:
     return _realize_monomial(seed.lmat, seed.vars, a)
 
 
-def _realize_monomial(lcur: LMatrix, vars, a) -> TorusElem:
-    prefac = 0
-    for i in range(len(a)):
-        if a[i]:
-            for j in range(i):
-                if a[j]:
-                    prefac += a[i] * a[j] * lcur.rows[i][j]
+def _realize_monomial(lcur: LMatrix, vars, a, shift: int = 0) -> TorusElem:
+    """v^shift times the cluster monomial of vars with exponents a, the
+    product taken on torus elements."""
     prod = None
     for i, ai in enumerate(a):
         if ai:
@@ -401,7 +404,19 @@ def _realize_monomial(lcur: LMatrix, vars, a) -> TorusElem:
             prod = pw if prod is None else prod * pw
     if prod is None:
         prod = TorusElem.one(vars[0].ambient)
-    return prod.v_shift(prefac)
+    return prod.v_shift(_prefactor(lcur, a) + shift)
+
+
+def _prefactor(lcur: LMatrix, a) -> int:
+    """sum_{i>j} a_i a_j lambda^cur_ij, the v-power that normalizes the
+    cluster monomial with exponents a."""
+    prefac = 0
+    for i in range(len(a)):
+        if a[i]:
+            for j in range(i):
+                if a[j]:
+                    prefac += a[i] * a[j] * lcur.rows[i][j]
+    return prefac
 
 
 @dataclass(frozen=True)
@@ -409,8 +424,10 @@ class ExchangeParts:
     """Everything mutation in direction k produces, before validation.
 
     ``m_pos``/``m_neg`` are the two normalized cluster monomials, already
-    shifted by v^{shift_pos}/v^{shift_neg}; ``numerator`` is their sum,
-    which equals vars_k * new_var by construction.
+    shifted by v^{shift_pos}/v^{shift_neg}; vars_k * new_var is their sum.
+    ``monomials`` holds them: the pair itself, or the torus.PackedSum of
+    the two, which unpacks each when it is first read (mutate reads
+    neither).
     """
 
     k: int
@@ -418,40 +435,77 @@ class ExchangeParts:
     a_neg: tuple[int, ...]
     shift_pos: int
     shift_neg: int
-    m_pos: TorusElem
-    m_neg: TorusElem
-    numerator: TorusElem
+    monomials: tuple[TorusElem, TorusElem] | PackedSum
     new_var: TorusElem
 
+    @property
+    def m_pos(self) -> TorusElem:
+        return self.monomials[0]
 
-def _exchange_terms(seed: QuantumSeed, k: int):
-    """(a', a'', p', p'', v^{p'} M', v^{p''} M''), the ExchangeParts fields
-    a_pos to m_neg in order: the two shifted monomials of the exchange
-    relation in direction k, computed without division.
+    @property
+    def m_neg(self) -> TorusElem:
+        return self.monomials[1]
+
+
+def _exchange_monomials(seed: QuantumSeed, k: int):
+    """(a', a'', p', p'', c', c''): the ExchangeParts fields a_pos to
+    shift_neg in order, and the exponents c = a + e_k of the two cluster
+    monomials M', M'' of the exchange relation in direction k.
 
     The commuting prefactors come from X_k X^a = v^{sum_i a_i lambda_ki}
     X^{e_k + a}, applied with the *current* L.  p' - p'' = (L B~)_kk, so
     check_compatible is the test that it is 2.
     """
     a_pos, a_neg = exchange_exponents(seed.bmat, k)
-    c_pos = tuple(x + (1 if i == k else 0) for i, x in enumerate(a_pos))
-    c_neg = tuple(x + (1 if i == k else 0) for i, x in enumerate(a_neg))
-    lcur = seed.lmat
-    shift_pos = sum(map(mul, lcur.rows[k], a_pos))
-    shift_neg = sum(map(mul, lcur.rows[k], a_neg))
-    m_pos = _realize_monomial(lcur, seed.vars, c_pos).v_shift(shift_pos)
-    m_neg = _realize_monomial(lcur, seed.vars, c_neg).v_shift(shift_neg)
+    row_k = seed.lmat.rows[k]
+    # a' and a'' hold -1 at k
+    return (a_pos, a_neg, sum(map(mul, row_k, a_pos)), sum(map(mul, row_k, a_neg)),
+            a_pos[:k] + (0,) + a_pos[k + 1:], a_neg[:k] + (0,) + a_neg[k + 1:])
+
+
+def _exchange_terms(seed: QuantumSeed, k: int, monomials=None):
+    """(a', a'', p', p'', v^{p'} M', v^{p''} M''), the ExchangeParts fields
+    a_pos to m_neg in order, as torus elements, computed without division.
+    monomials, if given, is _exchange_monomials(seed, k)."""
+    a_pos, a_neg, shift_pos, shift_neg, c_pos, c_neg = (
+        monomials or _exchange_monomials(seed, k))
+    m_pos = _realize_monomial(seed.lmat, seed.vars, c_pos, shift_pos)
+    m_neg = _realize_monomial(seed.lmat, seed.vars, c_neg, shift_neg)
     return a_pos, a_neg, shift_pos, shift_neg, m_pos, m_neg
 
 
 def exchange_parts(seed: QuantumSeed, k: int, terms=None) -> ExchangeParts:
     """The exchange in direction k inside the initial torus: the exponents,
-    shifts and shifted monomials, their sum (the numerator) and its exact
-    left quotient by vars_k (the new variable).  terms, if given, is
-    _exchange_terms(seed, k), which run_suite takes from its table."""
-    terms = terms or _exchange_terms(seed, k)
-    numerator = terms[-2] + terms[-1]
-    return ExchangeParts(k, *terms, numerator, exact_left_div(seed.vars[k], numerator))
+    shifts and shifted monomials, and the exact left quotient of their sum
+    by vars_k (the new variable).
+
+    terms, if given, is _exchange_terms(seed, k), which run_suite takes
+    from its table; the two monomials are then added and divided.  Without
+    it, as in mutate, the numerator is a torus.PackedSum when it has a
+    product to pack: vars_k has several terms, and a monomial multiplies
+    variables of several terms at least twice (a power counts).  Each
+    monomial is then multiplied from its factors vars_i^{c_i} in index
+    order on packed runs, and the sum of their runs is the division's
+    starting remainder, at one digit width W fixed before any product.  W
+    covers 2 B and ||vars_k||_1, where B = sum over the two monomials of
+    prod_i ||vars_i||_1^{c_i} bounds every partial sum of every coefficient
+    of both monomials and of their sum.  Otherwise vars_k has one term and
+    divides term by term, or each monomial is at most one variable of
+    several terms, shifted and scaled by single-term ones; neither packs a
+    product, and the monomials are materialized as run_suite's are.
+    """
+    if terms is None:
+        monomials = _exchange_monomials(seed, k)
+        vs = seed.vars
+        if len(vs[k].terms) > 1 and any(
+                sum(ci for ci, x in zip(c, vs) if len(x.terms) > 1) > 1 for c in monomials[4:]):
+            num = PackedSum(vs[k], [
+                (_prefactor(seed.lmat, c) + shift, [(vs[i], ci) for i, ci in enumerate(c) if ci])
+                for c, shift in zip(monomials[4:], monomials[2:4])])
+            return ExchangeParts(k, *monomials[:4], num, exact_left_div(vs[k], num))
+        terms = _exchange_terms(seed, k, monomials)
+    return ExchangeParts(k, *terms[:4], terms[4:],
+                         exact_left_div(seed.vars[k], terms[4] + terms[5]))
 
 
 # `qca mutate` refuses, and run_suite prunes, a step whose exchange numerator

@@ -20,6 +20,15 @@ for every input; a run of digits is encoded and decoded in one conversion
 (offset binary through ``array``).  A product with a monomial operand
 c v^s X^a and exact division by a single-term divisor need no packing, and
 q-commutation with a single-term side needs no product.
+
+The exchange relation of seeds.mutate divides a sum of products of
+variables, v^{t'} prod_i x_i^{c'_i} + v^{t''} prod_i x_i^{c''_i}, by X_k.
+A PackedSum multiplies those products on packed runs at one width W, fixed
+before any product from ||X_k||_1 and B = sum prod_i ||x_i||_1^{c_i}, which
+bounds every partial sum of their coefficients.  exact_left_div peels the
+sum of their runs as it is, so the numerator is never unpacked, and when
+the lead of X_k is a unit +-v^t (as for every cluster variable), each
+quotient coefficient is the lead's run shifted and signed.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ from .coeffs import (
     qc_shift,
     qc_str,
     qc_v,
+    trim_run,
 )
 from .errors import NotDivisibleError, as_int
 
@@ -53,6 +63,7 @@ KERNEL_BACKEND = "python"
 __all__ = [
     "KERNEL_BACKEND",
     "LMatrix",
+    "PackedSum",
     "TorusElem",
     "exact_left_div",
     "q_commute_exponent",
@@ -77,6 +88,50 @@ def _combine_rows(rows, a) -> list:
     return out
 
 
+def _pack_terms(terms: dict, w: int, g: int) -> dict:
+    """exponent -> the runs of its coefficient, packed at (W, g)."""
+    return {a: pack(cf, w, g) for a, cf in terms.items()}
+
+
+def _unpack_terms(packed: dict, w: int, g: int) -> dict:
+    """The terms of a packed element; an exponent whose runs cancel is
+    left out."""
+    return {a: cf for a, runs in packed.items() if (cf := collect(runs, w, g))}
+
+
+def _mul_packed(xp: dict, yp: dict, lam, w: int, g: int) -> dict:
+    """The product of two packed elements, packed at the same (W, g): each
+    pair of runs contributes one bigint product, added into the runs of its
+    output exponent.  The caller's W bounds every partial sum of an output
+    coefficient.  Neither operand is changed.
+
+    An operand with one term of one run, c X^m, gives each term of the
+    other its own output exponent, as in _mul_terms: every run of it is
+    multiplied by c and shifted, and nothing is added.
+    """
+    for one, other, sign in ((xp, yp, 1), (yp, xp, -1)):
+        if len(one) == 1:
+            ((m, runs),) = one.items()
+            if len(runs) == 1:
+                ((s, _, c),) = runs
+                row = _combine_rows(lam, m)
+                out = {}
+                for b, b_runs in other.items():
+                    t = s + sign * sum(map(mul, row, b))
+                    out[tuple(map(add, m, b))] = [[lo + t, hi + t, c * n] for lo, hi, n in b_runs]
+                return out
+    ys = [(b, lo, n) for b, runs in yp.items() for lo, _, n in runs if n]
+    acc: dict = {}
+    for a, runs in xp.items():
+        row = _combine_rows(lam, a)
+        for la, _, na in runs:
+            if na:
+                for b, lb, nb in ys:
+                    s = la + lb + sum(map(mul, row, b))
+                    add_piece(acc.setdefault(tuple(map(add, a, b)), []), s, na * nb, w, g)
+    return acc
+
+
 def _mul_terms(xt: dict, yt: dict, lam) -> dict:
     """Product of two term dicts: (c X^a)(d X^b) = c d v^{aT L b} X^{a+b}.
 
@@ -86,11 +141,11 @@ def _mul_terms(xt: dict, yt: dict, lam) -> dict:
     X^{m+b} on the left, and X^a X^m = v^{aT L m} = v^{-mT L a} X^{a+m}
     on the right (L is skew-symmetric).  Nothing is packed.
 
-    Otherwise each pair of runs contributes one bigint product, added into
-    the runs of its output monomial.  An output coefficient is a sum of
-    products of input coefficients, so every partial sum is at most
-    ||x||_1 ||y||_1 in absolute value; that fixes W.  A zero operand is
-    settled first, since that bound would then not cover the other one.
+    Otherwise both are packed and multiplied by _mul_packed.  An output
+    coefficient is a sum of products of input coefficients, so every
+    partial sum is at most ||x||_1 ||y||_1 in absolute value; that fixes W.
+    A zero operand is settled first, since that bound would then not cover
+    the other one.
     """
     if not xt or not yt:
         return {}
@@ -109,20 +164,8 @@ def _mul_terms(xt: dict, yt: dict, lam) -> dict:
     y_l1, y_g = norm_and_stride(yt)
     g = gcd(x_g, y_g) or 1
     w = digit_width(x_l1 * y_l1)
-    xs = [(a, _combine_rows(lam, a), lo, n)
-          for a, cf in xt.items() for lo, _, n in pack(cf, w, g)]
-    ys = [(b, lo, n) for b, cf in yt.items() for lo, _, n in pack(cf, w, g)]
-    acc: dict = {}
-    for a, row, la, na in xs:
-        for b, lb, nb in ys:
-            s = la + lb + sum(map(mul, row, b))
-            add_piece(acc.setdefault(tuple(map(add, a, b)), []), s, na * nb, w, g)
-    out = {}
-    for key, runs in acc.items():
-        cf = collect(runs, w, g)
-        if cf:
-            out[key] = cf
-    return out
+    return _unpack_terms(_mul_packed(_pack_terms(xt, w, g), _pack_terms(yt, w, g), lam, w, g),
+                         w, g)
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +382,79 @@ class TorusElem:
         return all(qc_is_nonneg(cf) for cf in self.terms.values())
 
 
-def exact_left_div(p: TorusElem, q: TorusElem) -> TorusElem:
-    """The unique s with p * s = q, if it exists in the torus.
+class PackedSum:
+    """A sum of ordered products, sum_i v^{t_i} x_i1^{c_i1} x_i2^{c_i2} ...,
+    computed on packed runs as the numerator of exact_left_div(divisor, .).
+
+    products holds one (t_i, ((x_i1, c_i1), (x_i2, c_i2), ...)) per
+    product, every x nonzero and every c >= 1.  Each distinct factor is
+    packed, and its norm taken, once.  A product starts from v^t and takes
+    its factors from the left, one power at a time, so a monomial factor
+    shifts and scales the runs (_mul_packed) and is never multiplied out.
+    exact_left_div takes the sum of the products' runs as its starting
+    remainder, so the sum is never unpacked; an exponent whose runs cancel
+    stays a key of that remainder.  s[i] is product i as a TorusElem,
+    unpacked when it is first read.
+
+    One width W serves the products, their sum and the division, fixed
+    before any product.  A partial sum of a coefficient of product i is at
+    most B_i = prod_j ||x_ij||_1^{c_ij} (the norm is submultiplicative),
+    so every partial sum of the sum is at most B = sum_i B_i (``bound``).
+    W covers 2 B and ||divisor||_1, as exact_left_div chooses it for a
+    dividend of norm B.  The stride g divides that of every factor and of
+    the divisor.
+    """
+
+    __slots__ = ("ambient", "bound", "w", "g", "_runs", "_parts")
+
+    def __init__(self, divisor: TorusElem, products):
+        ambient, lam = divisor.ambient, divisor.ambient.rows
+        norms = {}  # id -> (factor, ||x||_1, stride)
+        bound = 0
+        for _, factors in products:
+            b = 1
+            for x, c in factors:
+                f = norms.get(id(x))
+                if f is None:
+                    divisor._require_same(x)
+                    f = norms[id(x)] = (x, *norm_and_stride(x.terms))
+                b *= f[1] ** c
+            bound += b
+        d_l1, d_g = norm_and_stride(divisor.terms)
+        g = gcd(d_g, *[f[2] for f in norms.values()]) or 1
+        w = digit_width(max(2 * bound, d_l1))
+        packed = {key: _pack_terms(x.terms, w, g) for key, (x, _, _) in norms.items()}
+        self._runs = []
+        for t, factors in products:
+            acc = {(0,) * ambient.k: [[t, t, 1]]}
+            for x, c in factors:
+                for _ in range(c):
+                    acc = _mul_packed(acc, packed[id(x)], lam, w, g)
+            self._runs.append(acc)
+        self.ambient, self.bound, self.w, self.g = ambient, bound, w, g
+        self._parts = [None] * len(products)
+
+    def __getitem__(self, i: int) -> TorusElem:
+        if self._parts[i] is None:
+            self._parts[i] = TorusElem(
+                self.ambient, _unpack_terms(self._runs[i], self.w, self.g), _trusted=True)
+        return self._parts[i]
+
+    def _remainder(self) -> dict:
+        """The sum of the products' runs, in lists of its own."""
+        first, *rest = self._runs
+        rem = {a: [run[:] for run in runs] for a, runs in first.items()}
+        for r in rest:
+            for a, runs in r.items():
+                into = rem.setdefault(a, [])
+                for lo, _, n in runs:
+                    add_piece(into, lo, n, self.w, self.g)
+        return rem
+
+
+def exact_left_div(p: TorusElem, q) -> TorusElem:
+    """The unique s with p * s = q, if it exists in the torus; q is a
+    TorusElem or a PackedSum.
 
     Peels the lex-leading term of the remainder: lex order on exponent
     vectors is a group order, so LT(p * s) = LT(p) * LT(s) and each quotient
@@ -351,12 +465,18 @@ def exact_left_div(p: TorusElem, q: TorusElem) -> TorusElem:
     The torus is a domain, so the Newton polytope of p * s is the Minkowski
     sum of those of p and s: in every coordinate i, min_i q = min_i p +
     min_i s and max_i q = max_i p + max_i s.  Every exponent of s therefore
-    lies in the box [min q - min p, max q - max p].  The peeled exponents
-    strictly decrease in lex order inside that finite box, so the loop ends.
+    lies in the box [min q - min p, max q - max p], taken over the nonzero
+    terms of q.  The peeled exponents strictly decrease in lex order inside
+    that finite box, so the loop ends.
 
-    The remainder stays packed; only its leading coefficient is unpacked,
-    once per peel.  Every partial sum of a remainder coefficient is bounded
-    by ||q||_1 + ||p||_1 ||s_partial||_1, and W is widened when that grows.
+    The remainder stays packed: a TorusElem q is packed here, and the sum
+    of a PackedSum's runs is the remainder as it is.  Only the remainder's
+    leading coefficient is unpacked, once per peel.  Every partial sum of a
+    remainder coefficient is bounded by ||q||_1 + ||p||_1 ||s_partial||_1
+    (a PackedSum's bound standing for ||q||_1), and W is widened when that
+    grows.  When the leading coefficient of p is a unit +-v^t, as for every
+    cluster variable, the quotient coefficient is the lead's run itself,
+    shifted and signed, and it is subtracted without being packed again.
 
     A single-term divisor p = c X^a packs nothing: p * d X^b = c d
     v^{aT L b} X^{a+b}, so every term of q is one term of p * s, and it is
@@ -374,52 +494,64 @@ def exact_left_div(p: TorusElem, q: TorusElem) -> TorusElem:
     p._require_same(q)
     if p.is_zero():
         raise ZeroDivisionError("left division by zero")
-    if q.is_zero():
-        return TorusElem.zero(p.ambient)
-    lam = p.ambient.rows
-    pt, qt = p.terms, q.terms
+    lam, pt = p.ambient.rows, p.terms
     ap = max(pt)
     cp = pt[ap]
     lead_row = _combine_rows(lam, ap)
-
-    def quotient_coeff(ar, aq, lead):
-        """The coefficient of X^aq in s, forced by the remainder's leading
-        coefficient lead at X^ar."""
-        c = qc_div_exact(qc_shift(lead, -sum(map(mul, lead_row, aq))), cp)
-        if c is None:
-            raise NotDivisibleError(
-                "coefficient",
-                "leading coefficient at X^%s is not divisible" % (ar,),
-            )
-        return c
-
+    if isinstance(q, PackedSum):
+        w, g, q_l1 = q.w, q.g, q.bound
+        rem = q._remainder()
+        support = [a for a, runs in rem.items()
+                   if (runs[0][2] if len(runs) == 1 else collect(runs, w, g))]
+    else:
+        support = q.terms
+    if not support:
+        return TorusElem.zero(p.ambient)
     if len(pt) == 1:
+        qt = _unpack_terms(rem, w, g) if isinstance(q, PackedSum) else q.terms
         out = {}
         for ar in sorted(qt, reverse=True):
             aq = tuple(map(sub, ar, ap))
-            out[aq] = quotient_coeff(ar, aq, qt[ar])
+            out[aq] = _quotient_coeff(ar, qt[ar], sum(map(mul, lead_row, aq)), cp)
         return TorusElem(p.ambient, out, _trusted=True)
+    p_l1, p_g = norm_and_stride(pt)
+    if isinstance(q, PackedSum):
+        if digit_width(p_l1) > w:
+            rem, w = _repacked(rem, w, g, digit_width(p_l1))
+    else:
+        q_l1, q_g = norm_and_stride(q.terms)
+        g = gcd(p_g, q_g) or 1
+        # the bound reached at the end when p * s has no cancellation, as for
+        # cluster variables; more cancellation only means widening below.  It
+        # also covers the entries of p, which are packed at this width
+        w = digit_width(max(2 * q_l1, p_l1))
+        rem = _pack_terms(q.terms, w, g)
     box = [(min(qi) - min(pi), max(qi) - max(pi))
-           for qi, pi in zip(zip(*qt), zip(*pt))]
+           for qi, pi in zip(zip(*support), zip(*pt))]
+    # (t, c0) when cp = c0 v^t is a unit: the quotient coefficient that a
+    # lead forces is then c0 v^{-t - shift} lead
+    unit = None
+    if len(cp) == 1:
+        ((t, c0),) = cp.items()
+        if c0 in (1, -1):
+            unit = t, c0
     # the leading term of p is left out: its product with each quotient
     # term cancels the remainder's leading coefficient, which is popped
     p_rest = [(b, _combine_rows(lam, b), cf) for b, cf in pt.items() if b != ap]
-    (p_l1, p_g), (q_l1, q_g) = norm_and_stride(pt), norm_and_stride(qt)
-    s_l1 = 0
-    g = gcd(p_g, q_g) or 1
-    # the bound reached at the end when p * s has no cancellation, as for
-    # cluster variables; more cancellation only means widening below.  It
-    # also covers the entries of p, which are packed at this width
-    w = digit_width(max(2 * q_l1, p_l1))
     pp = [(b, row, lo, n) for b, row, cf in p_rest for lo, _, n in pack(cf, w, g)]
-    rem = {a: pack(cf, w, g) for a, cf in qt.items()}  # exponent -> runs
+    s_l1 = 0
     out: dict = {}
     while rem:
         ar = max(rem)
-        lead = collect(rem.pop(ar), w, g)
+        runs = rem.pop(ar)
+        aq = tuple(map(sub, ar, ap))
+        shift = sum(map(mul, lead_row, aq))
+        if unit:
+            d = unit[0] + shift
+            runs = [[lo - d, hi - d, unit[1] * n] for lo, hi, n in runs]
+        lead = collect(runs, w, g)
         if not lead:
             continue
-        aq = tuple(map(sub, ar, ap))
         for x, (lo, hi) in zip(aq, box):
             if not lo <= x <= hi:
                 raise NotDivisibleError(
@@ -427,23 +559,46 @@ def exact_left_div(p: TorusElem, q: TorusElem) -> TorusElem:
                     "quotient exponent %s leaves the Newton box %s"
                     % (aq, [list(b) for b in box]),
                 )
-        c = out[aq] = quotient_coeff(ar, aq, lead)
+        if unit:
+            # the shifted lead is c; its run is subtracted as it is, less the
+            # low digits that cancelled, while a lead gathered in several
+            # runs subtracts as fewer runs when it is packed again
+            c = lead
+            runs = [trim_run(runs[0], w, g)] if len(runs) == 1 else None
+        else:
+            c, runs = _quotient_coeff(ar, lead, shift, cp), None
+        out[aq] = c
         s_l1 += sum(map(abs, c.values()))
         need = digit_width(q_l1 + p_l1 * s_l1)
         if need > w:
-            # repack at a width with headroom, so a growing quotient
-            # repacks only O(log) times; entries that cancelled are dropped
-            wider = max(need, 2 * w)
-            rem = {a: pack(cf, wider, g)
-                   for a, runs in rem.items() if (cf := collect(runs, w, g))}
+            rem, w = _repacked(rem, w, g, need)
             pp = [(b, row, lo, n)
-                  for b, row, cf in p_rest for lo, _, n in pack(cf, wider, g)]
-            w = wider
-        for lc, _, nc in pack(c, w, g):
+                  for b, row, cf in p_rest for lo, _, n in pack(cf, w, g)]
+            runs = None
+        for lc, _, nc in runs or pack(c, w, g):
             for b, row, lb, nb in pp:
                 s = lb + lc + sum(map(mul, row, aq))
                 add_piece(rem.setdefault(tuple(map(add, b, aq)), []), s, -nb * nc, w, g)
     return TorusElem(p.ambient, out, _trusted=True)
+
+
+def _quotient_coeff(ar, lead: dict, shift: int, cp: dict) -> dict:
+    """The quotient coefficient that v^{-shift} lead / cp forces, for the
+    remainder's leading coefficient lead at X^ar."""
+    c = qc_div_exact(qc_shift(lead, -shift), cp)
+    if c is None:
+        raise NotDivisibleError(
+            "coefficient", "leading coefficient at X^%s is not divisible" % (ar,))
+    return c
+
+
+def _repacked(rem: dict, w: int, g: int, need: int):
+    """(rem at a width of at least need, with headroom, so that a growing
+    quotient repacks only O(log) times; that width).  Exponents whose runs
+    cancelled are dropped."""
+    wider = max(need, 2 * w)
+    return {a: pack(cf, wider, g) for a, runs in rem.items()
+            if (cf := collect(runs, w, g))}, wider
 
 
 def _is_bar_invariant(x: TorusElem) -> bool:

@@ -408,6 +408,42 @@ def test_each_distinct_step_is_evaluated_once(monkeypatch):
     assert (report.steps, report.evaluated, len(calls)) == (302, 216, 216)
 
 
+def test_each_exchange_key_is_computed_once_per_look_up(monkeypatch):
+    # a division miss passes its key on to the terms entry, so the key is
+    # computed once for each look-up of divisions and for each of
+    # involutivity's look-ups of terms: 216 + 216 on this tree
+    seed = a4_seed()
+    key_of = qca.checks._Walk._exchange_key
+    calls = []
+
+    def counted(walk, cur, k):
+        calls.append(k)
+        return key_of(walk, cur, k)
+
+    monkeypatch.setattr(qca.checks._Walk, "_exchange_key", counted)
+    report = run_suite(seed, default_sequences(seed, depth=3, rng_seed=0))
+    divisions, terms = report.oracles["divisions"], report.oracles["terms"]
+    assert len(calls) == sum(divisions) + sum(terms) - divisions[0] == 432
+
+
+def test_a_step_from_equal_matrices_and_weights_is_reused():
+    # L, B~ and the D weights enter the steps key by the id of the first
+    # equal one met, so distinct objects with equal content still hit
+    seed = a4_seed()
+    walk = qca.checks._Walk(())
+    k = seed.ex[0]
+    first = walk.step(seed, None, k)
+    copy = replace(seed, lmat=LMatrix(seed.lmat.rows), bmat=qca.BMatrix(seed.bmat.rows, seed.ex),
+                   dvec=tuple(Weight(w.m, w.c) for w in seed.dvec))
+    assert copy.lmat is not seed.lmat and copy.bmat is not seed.bmat
+    assert all(a is not b for a, b in zip(copy.dvec, seed.dvec))
+    assert walk.step(copy, None, k) is first
+    assert walk.counts["steps"] == [1, 1]
+    # an L entry changed, even outside the exchange, is another step
+    walk.step(flip_l(seed, 0, 1, seed.lmat.rows[0][1] + 2), None, k)
+    assert walk.counts["steps"] == [2, 1]
+
+
 def test_a_shared_step_is_reported_under_each_path(monkeypatch):
     # mu_j mu_k = mu_k mu_j when b_jk = 0: (j, k), (k, j) and (j, j, k, j)
     # reach one seed, the last two by the same step from mu_k(S); a fault

@@ -29,7 +29,7 @@ from qca.seeds import (
 from qca.serialize import pretty_dumps, seed_from_json, seed_to_json
 from qca.torus import LMatrix, exact_left_div
 
-from conftest import SEED_CASES, corrupt_a3, make_seed
+from conftest import SEED_CASES, corrupt_a3, gcm_and_word, make_seed
 
 WITNESSES = (qcommute_witness, homogeneity_witness, parity_witness, balance_witness)
 
@@ -202,31 +202,6 @@ def test_gls_build_raises_on_a_witness(monkeypatch):
     monkeypatch.setattr(qca.gls, "balance_witness", lambda seed, idx: "column 9 does not balance")
     with pytest.raises(EngineInvariantError, match="column 9"):
         make_seed("a2")
-
-
-@st.composite
-def gcm_and_word(draw, min_rank=2, max_rank=4):
-    """A random symmetric GCM of rank min_rank to max_rank, off-diagonal entries
-    in {0, -1, -2, -3}, and a reduced word of length n + 1 to max(n + 1, 6)
-    (shorter when a finite Weyl group runs out of longer reduced words).
-    With n + 1 letters some letter repeats, so the seed has an exchangeable
-    index; shorter words left most rank-4 and rank-5 draws with none."""
-    n = draw(st.integers(min_rank, max_rank))
-    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i):
-            rows[i][j] = rows[j][i] = draw(st.sampled_from((0, -1, -2, -3)))
-    cartan = qca.CartanDatum.from_rows(rows)
-    letters = ()
-    for _ in range(draw(st.integers(n + 1, max(n + 1, 6)))):
-        # a reduced word stays reduced iff its new inversion root is positive
-        u = qca.WeylWord(letters)
-        keep = [a for a in range(n)
-                if weyl_apply(cartan, u, Weight.simple_root(n, a)).is_positive_root()]
-        if not keep:
-            break  # the longest element of a finite Weyl group
-        letters += (draw(st.sampled_from(keep)),)
-    return cartan, qca.WeylWord(letters)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
