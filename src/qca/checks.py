@@ -26,24 +26,24 @@ does each job once per distinct key:
   every check, or the refusal), keyed by the direction, the parent's L,
   B~, D and variables, and its q = 1 shadow (rows and variables);
 - pairs: the q-commutation exponent of an ordered pair of variables;
-- terms: the two shifted monomials of an exchange (seeds._exchange_terms),
-  shared by a step's exchange and involutivity's exchange back;
+- terms: the numerator of an exchange (seeds._exchange_terms), shared by
+  a step's exchange and involutivity's exchange back;
 - divisions: the exchange parts, keyed by the terms key and X_k;
 - products: the single products of exchange_identity and involutivity.
 
 Every operand is interned by content (a torus element or a q = 1 Laurent
-polynomial by its sorted terms, the two kinds apart; L, B~ and a D weight
-by themselves; a tuple of them by its items): the first one met stands
-for every equal one, and a key holds its id and every integer the job
-reads, so a lookup hashes a few ints.  The terms of an exchange in
-direction k read k, the support of column k of B~ with its entries and
-variables, the L entries among the support and the two shifts.  A job is
-a function of its key alone (the torus, the grading D and the Cartan
-datum are the starting seed's throughout), and the walk never mutates a
-seed, so a lookup returns what evaluating again would.  Each check still
-compares a shared value with its own node's L, B~ and D, and each path
-records a step's outcome under its own sequence and step text.  The
-table is dropped when the call returns.
+polynomial by its sorted terms, the two kinds apart; L, B~, a D weight and
+the shadow's rows by themselves; a tuple of them by its items): the first
+one met stands for every equal one, and a key holds its id and every
+integer the job reads, so a lookup hashes a few ints.  The terms of an
+exchange in direction k (its form too) read k, the support of column k of
+B~ with its entries and variables, the L entries among the support and the
+two shifts, and never X_k.  A job is a function of its key alone (the
+torus, the grading D and the Cartan datum are the starting seed's
+throughout), and the walk never mutates a seed, so a lookup returns what
+evaluating again would.  Each check still compares a shared value with its
+own node's L, B~ and D, and each path records a step's outcome under its
+own sequence and step text.  The table is dropped when the call returns.
 """
 
 from __future__ import annotations
@@ -223,9 +223,9 @@ def _matrix_route_witness(parent: QuantumSeed, node: QuantumSeed, k: int) -> str
 
 def _content_key(x) -> tuple:
     """x's type and content: two torus elements of one torus or two q = 1
-    Laurent polynomials (dicts), by their sorted terms, or two of L, B~ and
-    the D weights (frozen dataclasses), by themselves, are equal exactly
-    when their keys are."""
+    Laurent polynomials (dicts), by their sorted terms, or two of L, B~,
+    the D weights (frozen dataclasses) and the rows of a q = 1 shadow, by
+    themselves, are equal exactly when their keys are."""
     if isinstance(x, dict):
         return dict, tuple(sorted(x.items()))
     if isinstance(x, TorusElem):
@@ -255,10 +255,12 @@ class _Walk:
 
     def _id(self, x) -> int:
         """The id of the first operand of the walk equal to x; a tuple of
-        operands is equal to another when their items are."""
+        operands is equal to another when their items are (rows of ints are
+        one operand)."""
         got = self._seen.get(id(x))
         if got is None:
-            key = (tuple, tuple(map(self._id, x))) if isinstance(x, tuple) else _content_key(x)
+            key = (tuple, tuple(map(self._id, x))) if (
+                isinstance(x, tuple) and not isinstance(x[0], tuple)) else _content_key(x)
             got = self._seen[id(x)] = (x, self._first.setdefault(key, x))
         return id(got[1])
 
@@ -275,7 +277,8 @@ class _Walk:
     def step(self, cur: QuantumSeed, cs, k: int) -> tuple:
         """_evaluate_step(cur, cs, k, self), once per distinct step."""
         key = (k, self._id(cur.lmat), self._id(cur.bmat), self._id(cur.dvec),
-               self._id(cur.vars), None if cs is None else (cs.rows, self._id(cs.vars)))
+               self._id(cur.vars),
+               None if cs is None else (self._id(cs.rows), self._id(cs.vars)))
         return self._lookup("steps", key, lambda: _evaluate_step(cur, cs, k, self))
 
     def q_commute_exponent(self, x: TorusElem, y: TorusElem) -> int | None:
@@ -299,8 +302,8 @@ class _Walk:
 
     def terms(self, seed: QuantumSeed, k: int, key=None) -> tuple:
         """seeds._exchange_terms(seed, k), once per distinct exchange: a
-        step's exchange and involutivity's exchange back share it.  key,
-        if given, is _exchange_key(seed, k)."""
+        step's exchange, involutivity's exchange back and every X_k share
+        it.  key, if given, is _exchange_key(seed, k)."""
         return self._lookup("terms", key or self._exchange_key(seed, k),
                             lambda: _exchange_terms(seed, k))
 
@@ -368,10 +371,10 @@ def _involutivity_witness(node, idx, shadow, parent, parts, walk) -> str | None:
     # the torus is a domain, so the back division returns parent.vars[k]
     # exactly when one product equals the back numerator
     k = parts.k
-    a_pos, a_neg, _, _, m_pos, m_neg = walk.terms(node, k)
+    a_pos, a_neg, _, _, num = walk.terms(node, k)
     if (mutate_matrices(node.lmat, node.bmat, k, a_neg) != (parent.lmat, parent.bmat)
             or mutate_dvector(node.dvec, k, a_pos) != parent.dvec
-            or walk.product(node.vars[k], parent.vars[k]) != m_pos + m_neg):
+            or walk.product(node.vars[k], parent.vars[k]) != num[0] + num[1]):
         return "mutating back does not restore the seed"
     return None
 

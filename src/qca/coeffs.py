@@ -273,9 +273,9 @@ def trim_run(run: list, w: int, g: int) -> list:
 def pack(cf: dict, w: int, g: int) -> list:
     """The runs of a nonzero coefficient dict.
 
-    The caller's W bounds every entry: |c| < 2^(W-1).  A dense coefficient
-    is encoded in offset binary, and an entry outside that bound raises
-    OverflowError there; nothing wraps.
+    The caller's W bounds every entry: -2^(W-1) <= c < 2^(W-1).  A dense
+    coefficient is encoded in offset binary, and an entry outside that
+    bound raises OverflowError, as a single entry does; nothing wraps.
 
     >>> pack({0: 1, 2: -1}, 8, 2)
     [[0, 2, -255]]
@@ -285,6 +285,8 @@ def pack(cf: dict, w: int, g: int) -> list:
     """
     if len(cf) == 1:
         ((e, c),) = cf.items()
+        if not -(1 << (w - 1)) <= c < 1 << (w - 1):
+            raise OverflowError("the digit %d does not fit in %d bits" % (c, w))
         return [[e, e, c]]
     lo, hi = min(cf), max(cf)
     if hi - lo <= _SPAN * g and gcd(*[e - lo for e in cf]) % g == 0:

@@ -447,10 +447,14 @@ class ExchangeParts:
         return self.monomials[1]
 
 
-def _exchange_monomials(seed: QuantumSeed, k: int):
-    """(a', a'', p', p'', c', c''): the ExchangeParts fields a_pos to
-    shift_neg in order, and the exponents c = a + e_k of the two cluster
-    monomials M', M'' of the exchange relation in direction k.
+def _exchange_terms(seed: QuantumSeed, k: int):
+    """(a', a'', p', p'', N), the ExchangeParts fields a_pos to monomials
+    in order, computed without division: N holds v^{p'} M' and v^{p''} M'',
+    the cluster monomials with exponents c = a + e_k.  N is a
+    torus.PackedSum, which multiplies the factors vars_i^{c_i} in index
+    order on packed runs, when a monomial multiplies variables of several
+    terms at least twice (a power counts); otherwise every product is a
+    single-term shortcut, and N is the pair of torus elements.
 
     The commuting prefactors come from X_k X^a = v^{sum_i a_i lambda_ki}
     X^{e_k + a}, applied with the *current* L.  p' - p'' = (L B~)_kk, so
@@ -458,20 +462,17 @@ def _exchange_monomials(seed: QuantumSeed, k: int):
     """
     a_pos, a_neg = exchange_exponents(seed.bmat, k)
     row_k = seed.lmat.rows[k]
+    shifts = sum(map(mul, row_k, a_pos)), sum(map(mul, row_k, a_neg))
     # a' and a'' hold -1 at k
-    return (a_pos, a_neg, sum(map(mul, row_k, a_pos)), sum(map(mul, row_k, a_neg)),
-            a_pos[:k] + (0,) + a_pos[k + 1:], a_neg[:k] + (0,) + a_neg[k + 1:])
-
-
-def _exchange_terms(seed: QuantumSeed, k: int, monomials=None):
-    """(a', a'', p', p'', v^{p'} M', v^{p''} M''), the ExchangeParts fields
-    a_pos to m_neg in order, as torus elements, computed without division.
-    monomials, if given, is _exchange_monomials(seed, k)."""
-    a_pos, a_neg, shift_pos, shift_neg, c_pos, c_neg = (
-        monomials or _exchange_monomials(seed, k))
-    m_pos = _realize_monomial(seed.lmat, seed.vars, c_pos, shift_pos)
-    m_neg = _realize_monomial(seed.lmat, seed.vars, c_neg, shift_neg)
-    return a_pos, a_neg, shift_pos, shift_neg, m_pos, m_neg
+    cs = [a[:k] + (0,) + a[k + 1:] for a in (a_pos, a_neg)]
+    vs = seed.vars
+    if any(sum(ci for ci, x in zip(c, vs) if len(x.terms) > 1) > 1 for c in cs):
+        num = PackedSum(seed.l_init, [
+            (_prefactor(seed.lmat, c) + shift, [(vs[i], ci) for i, ci in enumerate(c) if ci])
+            for c, shift in zip(cs, shifts)])
+    else:
+        num = tuple(_realize_monomial(seed.lmat, vs, c, shift) for c, shift in zip(cs, shifts))
+    return a_pos, a_neg, *shifts, num
 
 
 def exchange_parts(seed: QuantumSeed, k: int, terms=None) -> ExchangeParts:
@@ -479,33 +480,13 @@ def exchange_parts(seed: QuantumSeed, k: int, terms=None) -> ExchangeParts:
     shifts and shifted monomials, and the exact left quotient of their sum
     by vars_k (the new variable).
 
-    terms, if given, is _exchange_terms(seed, k), which run_suite takes
-    from its table; the two monomials are then added and divided.  Without
-    it, as in mutate, the numerator is a torus.PackedSum when it has a
-    product to pack: vars_k has several terms, and a monomial multiplies
-    variables of several terms at least twice (a power counts).  Each
-    monomial is then multiplied from its factors vars_i^{c_i} in index
-    order on packed runs, and the sum of their runs is the division's
-    starting remainder, at one digit width W fixed before any product.  W
-    covers 2 B and ||vars_k||_1, where B = sum over the two monomials of
-    prod_i ||vars_i||_1^{c_i} bounds every partial sum of every coefficient
-    of both monomials and of their sum.  Otherwise vars_k has one term and
-    divides term by term, or each monomial is at most one variable of
-    several terms, shifted and scaled by single-term ones; neither packs a
-    product, and the monomials are materialized as run_suite's are.
+    terms is _exchange_terms(seed, k), which run_suite takes from its
+    table; a PackedSum numerator is divided as it is, a pair once added.
     """
-    if terms is None:
-        monomials = _exchange_monomials(seed, k)
-        vs = seed.vars
-        if len(vs[k].terms) > 1 and any(
-                sum(ci for ci, x in zip(c, vs) if len(x.terms) > 1) > 1 for c in monomials[4:]):
-            num = PackedSum(vs[k], [
-                (_prefactor(seed.lmat, c) + shift, [(vs[i], ci) for i, ci in enumerate(c) if ci])
-                for c, shift in zip(monomials[4:], monomials[2:4])])
-            return ExchangeParts(k, *monomials[:4], num, exact_left_div(vs[k], num))
-        terms = _exchange_terms(seed, k, monomials)
-    return ExchangeParts(k, *terms[:4], terms[4:],
-                         exact_left_div(seed.vars[k], terms[4] + terms[5]))
+    terms = terms or _exchange_terms(seed, k)
+    num = terms[4]
+    return ExchangeParts(k, *terms, exact_left_div(
+        seed.vars[k], num if isinstance(num, PackedSum) else num[0] + num[1]))
 
 
 # `qca mutate` refuses, and run_suite prunes, a step whose exchange numerator

@@ -21,14 +21,14 @@ for every input; a run of digits is encoded and decoded in one conversion
 c v^s X^a and exact division by a single-term divisor need no packing, and
 q-commutation with a single-term side needs no product.
 
-The exchange relation of seeds.mutate divides a sum of products of
+The exchange relation of seed mutation divides a sum of products of
 variables, v^{t'} prod_i x_i^{c'_i} + v^{t''} prod_i x_i^{c''_i}, by X_k.
 A PackedSum multiplies those products on packed runs at one width W, fixed
-before any product from ||X_k||_1 and B = sum prod_i ||x_i||_1^{c_i}, which
-bounds every partial sum of their coefficients.  exact_left_div peels the
-sum of their runs as it is, so the numerator is never unpacked, and when
-the lead of X_k is a unit +-v^t (as for every cluster variable), each
-quotient coefficient is the lead's run shifted and signed.
+before any product from B = sum prod_i ||x_i||_1^{c_i}, which bounds every
+partial sum of their coefficients.  exact_left_div peels the sum of their
+runs as it is, widened first if X_k needs it, and when the lead of X_k is
+a unit +-v^t (as for every cluster variable), each quotient coefficient
+is the lead's run shifted and signed.
 """
 
 from __future__ import annotations
@@ -384,7 +384,7 @@ class TorusElem:
 
 class PackedSum:
     """A sum of ordered products, sum_i v^{t_i} x_i1^{c_i1} x_i2^{c_i2} ...,
-    computed on packed runs as the numerator of exact_left_div(divisor, .).
+    computed on packed runs as a numerator of exact_left_div(p, .).
 
     products holds one (t_i, ((x_i1, c_i1), (x_i2, c_i2), ...)) per
     product, every x nonzero and every c >= 1.  Each distinct factor is
@@ -396,19 +396,18 @@ class PackedSum:
     stays a key of that remainder.  s[i] is product i as a TorusElem,
     unpacked when it is first read.
 
-    One width W serves the products, their sum and the division, fixed
-    before any product.  A partial sum of a coefficient of product i is at
-    most B_i = prod_j ||x_ij||_1^{c_ij} (the norm is submultiplicative),
-    so every partial sum of the sum is at most B = sum_i B_i (``bound``).
-    W covers 2 B and ||divisor||_1, as exact_left_div chooses it for a
-    dividend of norm B.  The stride g divides that of every factor and of
-    the divisor.
+    One width W serves the products and their sum, fixed before any
+    product.  A partial sum of a coefficient of product i is at most
+    B_i = prod_j ||x_ij||_1^{c_ij} (the norm is submultiplicative), so
+    every partial sum of the sum is at most B = sum_i B_i (``bound``).  W
+    covers 2 B, and the stride g divides that of every factor; the divisor
+    sets neither, so any divisor can use one PackedSum (see exact_left_div).
     """
 
     __slots__ = ("ambient", "bound", "w", "g", "_runs", "_parts")
 
-    def __init__(self, divisor: TorusElem, products):
-        ambient, lam = divisor.ambient, divisor.ambient.rows
+    def __init__(self, ambient: LMatrix, products):
+        lam = ambient.rows
         norms = {}  # id -> (factor, ||x||_1, stride)
         bound = 0
         for _, factors in products:
@@ -416,13 +415,13 @@ class PackedSum:
             for x, c in factors:
                 f = norms.get(id(x))
                 if f is None:
-                    divisor._require_same(x)
+                    if x.ambient != ambient:
+                        raise ValueError("torus elements live in different ambients")
                     f = norms[id(x)] = (x, *norm_and_stride(x.terms))
                 b *= f[1] ** c
             bound += b
-        d_l1, d_g = norm_and_stride(divisor.terms)
-        g = gcd(d_g, *[f[2] for f in norms.values()]) or 1
-        w = digit_width(max(2 * bound, d_l1))
+        g = gcd(*[f[2] for f in norms.values()]) or 1
+        w = digit_width(2 * bound)
         packed = {key: _pack_terms(x.terms, w, g) for key, (x, _, _) in norms.items()}
         self._runs = []
         for t, factors in products:
@@ -474,7 +473,8 @@ def exact_left_div(p: TorusElem, q) -> TorusElem:
     leading coefficient is unpacked, once per peel.  Every partial sum of a
     remainder coefficient is bounded by ||q||_1 + ||p||_1 ||s_partial||_1
     (a PackedSum's bound standing for ||q||_1), and W is widened when that
-    grows.  When the leading coefficient of p is a unit +-v^t, as for every
+    grows, or for p's entries; an entry off the stride g packs into a run
+    of its own.  When the leading coefficient of p is a unit +-v^t, as for every
     cluster variable, the quotient coefficient is the lead's run itself,
     shifted and signed, and it is subtracted without being packed again.
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import qca
 from qca.cartan import Weight, weyl_apply
+from qca.seeds import cluster_monomial, exchange_exponents
 from qca.torus import TorusElem
 
 A2_ROWS = ((2, -1), (-1, 2))
@@ -32,6 +33,18 @@ def make_seed(key):
     rows, word = SEED_CASES[key]
     cartan = qca.CartanDatum.from_rows(rows)
     return qca.build_initial_seed(cartan, qca.WeylWord.from_one_based(word))
+
+
+def exchange_reference(seed, k):
+    """(a', a'', p', p'', v^{p'} M', v^{p''} M'') of the exchange in
+    direction k, from cluster_monomial and the commuting shifts
+    p = a^T (row k of L), whichever form seeds._exchange_terms gives the
+    numerator."""
+    a_pos, a_neg = exchange_exponents(seed.bmat, k)
+    shifts = [sum(x * y for x, y in zip(seed.lmat.rows[k], a)) for a in (a_pos, a_neg)]
+    monomials = [cluster_monomial(seed, a[:k] + (0,) + a[k + 1:]).v_shift(p)
+                 for a, p in zip((a_pos, a_neg), shifts)]
+    return (a_pos, a_neg, *shifts, *monomials)
 
 
 def scale_weight(w, k):

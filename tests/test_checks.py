@@ -16,11 +16,12 @@ from qca.checks import (
     default_sequences,
     run_suite,
 )
+from qca.classical import classical_shadow
 from qca.seeds import _exchange_terms
 from qca.serialize import canonical_dumps, report_to_json
-from qca.torus import LMatrix, TorusElem, qc_v
+from qca.torus import LMatrix, PackedSum, TorusElem, qc_v
 
-from conftest import SEED_CASES, make_seed
+from conftest import SEED_CASES, exchange_reference, make_seed
 
 
 def corrupted(seed, **kw):
@@ -427,17 +428,21 @@ def test_each_exchange_key_is_computed_once_per_look_up(monkeypatch):
 
 
 def test_a_step_from_equal_matrices_and_weights_is_reused():
-    # L, B~ and the D weights enter the steps key by the id of the first
-    # equal one met, so distinct objects with equal content still hit
+    # L, B~, the D weights and the shadow's rows enter the steps key by
+    # the id of the first equal one met, so distinct objects with equal
+    # content still hit
     seed = a4_seed()
+    shadow = classical_shadow(seed)
     walk = qca.checks._Walk(())
     k = seed.ex[0]
-    first = walk.step(seed, None, k)
+    first = walk.step(seed, shadow, k)
     copy = replace(seed, lmat=LMatrix(seed.lmat.rows), bmat=qca.BMatrix(seed.bmat.rows, seed.ex),
                    dvec=tuple(Weight(w.m, w.c) for w in seed.dvec))
+    cs_copy = replace(shadow, rows=tuple(tuple(list(r)) for r in shadow.rows))
     assert copy.lmat is not seed.lmat and copy.bmat is not seed.bmat
     assert all(a is not b for a, b in zip(copy.dvec, seed.dvec))
-    assert walk.step(copy, None, k) is first
+    assert cs_copy.rows is not shadow.rows
+    assert walk.step(copy, cs_copy, k) is first
     assert walk.counts["steps"] == [1, 1]
     # an L entry changed, even outside the exchange, is another step
     walk.step(flip_l(seed, 0, 1, seed.lmat.rows[0][1] + 2), None, k)
@@ -693,43 +698,51 @@ def _outside_the_exchange_key(seed, k):
 @pytest.mark.parametrize("case", sorted(SEED_CASES))
 def test_the_exchange_key_covers_what_the_exchange_terms_read(case):
     # the table shares the terms of two exchanges with one key, so nothing
-    # that _exchange_terms reads may lie outside the key
+    # that _exchange_terms reads may lie outside the key: neither the terms
+    # nor the numerator's form (PackedSum or pair) may move with it
     start = make_seed(case)
     seeds = [start] + [qca.mutate_seq(start, s) for n in (1, 2)
                        for s in itertools.product(start.ex, repeat=n)]
     walk = qca.checks._Walk(())
     for seed in seeds:
         for k in seed.ex:
-            key, terms = walk._exchange_key(seed, k), _exchange_terms(seed, k)
+            key, terms = walk._exchange_key(seed, k), exchange_reference(seed, k)
+            form = type(_exchange_terms(seed, k)[4])
             for variant in _outside_the_exchange_key(seed, k):
                 assert walk._exchange_key(variant, k) == key
-                assert _exchange_terms(variant, k) == terms
+                *head, num = _exchange_terms(variant, k)
+                assert type(num) is form
+                assert (*head, num[0], num[1]) == terms
 
 
 # sha256 of canonical_dumps(report_to_json(report, "x")) over
-# default_sequences, (steps, evaluated), and the distinct exchanges whose
-# terms the table computes, forward and back
+# default_sequences, (steps, evaluated), the distinct exchanges whose
+# terms the table computes, forward and back, and how many of those have
+# a PackedSum numerator
 SHARED_TERMS = {
     "a4": (a4_seed, 3, "05d1e5fa72d336de829cf97dbc2ddf1cbf019ba05047e8b6a5b5ffa664e4c78e",
-           302, 216, 188),
+           302, 216, 188, 20),
     "wild": (_wild_seed, 4, "86d2657964bb80556070e7de0bf26a329c2036db1d9ca1a9173694d24cac0e41",
-             352, 170, 172),
+             352, 170, 172, 120),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SHARED_TERMS))
 def test_the_exchange_terms_are_computed_once_per_distinct_key(monkeypatch, name):
     # a step's exchange and involutivity's exchange back from its child
-    # read one terms entry; the report keeps its bytes
-    make, depth, digest, steps, evaluated, distinct = SHARED_TERMS[name]
+    # read one terms entry; the report keeps its bytes, and run_suite packs
+    # the numerators that mutate would pack
+    make, depth, digest, steps, evaluated, distinct, packed = SHARED_TERMS[name]
     seed = make()
     probe = qca.checks._Walk(())
     real = qca.checks._exchange_terms
-    keys = []
+    keys, forms = [], []
 
     def counted(cur, k):
         keys.append(probe._exchange_key(cur, k))
-        return real(cur, k)
+        terms = real(cur, k)
+        forms.append(isinstance(terms[4], PackedSum))
+        return terms
 
     monkeypatch.setattr(qca.checks, "_exchange_terms", counted)
     report = run_suite(seed, default_sequences(seed, depth=depth))
@@ -737,3 +750,4 @@ def test_the_exchange_terms_are_computed_once_per_distinct_key(monkeypatch, name
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert (report.steps, report.evaluated) == (steps, evaluated)
     assert len(keys) == len(set(keys)) == report.oracles["terms"][0] == distinct
+    assert forms.count(True) == packed

@@ -368,12 +368,14 @@ def test_digits_at_the_width_boundary():
         half = 1 << (w - 1)
         for digits in ({0: half - 1, 1: -half, 2: half - 1},
                        {0: -half, 3: -half},
-                       {5: half - 1, 6: 1 - half}):
+                       {5: half - 1, 6: 1 - half},
+                       {4: half - 1}, {4: -half}):
             ((lo, _, n),) = pack(digits, w, 1)
             assert unpack(lo, n, w, 1) == digits
-        # a digit outside the width raises; it never packs to a wrong int
+        # a digit outside the width raises, a single entry's too (at W = 8:
+        # 127 and -128 pack, 128 raises); it never packs to a wrong int
         for bad in (half, -half - 1, 2**200, -2**200):
-            for digits in ({0: bad, 1: 1}, {0: 1, 2: bad}):
+            for digits in ({0: bad, 1: 1}, {0: 1, 2: bad}, {0: bad}):
                 with pytest.raises(OverflowError):
                     pack(digits, w, 1)
     # W is the least of 8, 16, 32, 64 with bound < 2^(W-1), else whole bytes

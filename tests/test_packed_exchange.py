@@ -1,12 +1,16 @@
-"""The packed exchange of mutate against the materialized route.
+"""The packed exchange against a reference built without it.
 
-mutate multiplies the two cluster monomials of an exchange on packed runs
-(torus.PackedSum) and peels their summed runs without unpacking the
-numerator.  Here every such step is compared with exact_left_div(X_k,
-m_pos + m_neg) on the monomials that run_suite materializes: on random
-symmetric GCM seeds, on both Kronecker chains, with a divisor whose lead
-is 2 or -v^2, and with a numerator whose runs cancel or whose quotient
-outgrows the first width.
+When a cluster monomial of an exchange multiplies variables of several
+terms at least twice, seeds._exchange_terms multiplies both monomials on
+packed runs (torus.PackedSum), and exact_left_div peels their summed runs
+without unpacking the numerator; mutate and run_suite both divide what it
+returns.  Here every step is compared with exact_left_div(X_k, m_pos +
+m_neg) on monomials built by cluster_monomial: on random symmetric GCM
+seeds, on both Kronecker chains, with a divisor whose lead is 2 or -v^2,
+and with a numerator whose runs cancel or whose quotient outgrows the
+first width.  A PackedSum is built without its divisor, so the division
+is also checked against divisors of another stride or a wider norm, and
+one stored numerator against several divisors.
 """
 
 from dataclasses import replace
@@ -20,10 +24,11 @@ import qca.torus
 from qca.classical import classical_mutate, classical_shadow, compare_q1
 from qca.coeffs import digit_width
 from qca.errors import NotDivisibleError
-from qca.seeds import _exchange_terms, exchange_parts, exchange_term_bound, mutate
+from qca.checks import _Walk
+from qca.seeds import exchange_parts, exchange_term_bound, mutate
 from qca.torus import LMatrix, PackedSum, TorusElem, exact_left_div
 
-from conftest import gcm_and_word, make_seed
+from conftest import exchange_reference, gcm_and_word, make_seed
 
 # the largest exchange numerator, by exchange_term_bound, that the random
 # walks below compare with the materialized route
@@ -31,9 +36,9 @@ MAX_TERMS = 1000
 
 
 def materialized(seed, k):
-    """(m_pos, m_neg, new_var) of the exchange in direction k, by the route
-    run_suite takes: the monomials as torus elements, added and divided."""
-    *_, m_pos, m_neg = _exchange_terms(seed, k)
+    """(m_pos, m_neg, new_var) of the exchange in direction k, the
+    monomials from cluster_monomial, added and divided as torus elements."""
+    *_, m_pos, m_neg = exchange_reference(seed, k)
     return m_pos, m_neg, exact_left_div(seed.vars[k], m_pos + m_neg)
 
 
@@ -44,9 +49,9 @@ def packed_calls(monkeypatch):
     class Counted(PackedSum):
         __slots__ = ()
 
-        def __init__(self, divisor, products):
+        def __init__(self, ambient, products):
             calls.append(len(products))
-            super().__init__(divisor, products)
+            super().__init__(ambient, products)
 
     monkeypatch.setattr(qca.seeds, "PackedSum", Counted)
     return calls
@@ -87,9 +92,9 @@ def test_mutate_matches_the_materialized_route_on_kronecker_chains(monkeypatch, 
     calls = packed_calls(monkeypatch)
     for k in ks:
         seed = assert_step(seed, k)
-    # from the third step on a monomial squares a variable of several
-    # terms: exchange_parts and mutate each pack those 12 steps
-    assert len(calls) == 2 * 12
+    # from the second step on a monomial squares a variable of several
+    # terms: exchange_parts and mutate each pack those 13 steps
+    assert len(calls) == 2 * 13
 
 
 def scaled_var(seed, i, coeff):
@@ -108,7 +113,7 @@ def test_a_divisor_led_by_two_fails_as_exact_left_div_does(monkeypatch):
     with pytest.raises(NotDivisibleError) as packed:
         mutate(bad, k)
     assert calls == [2]
-    *_, m_pos, m_neg = _exchange_terms(bad, k)
+    *_, m_pos, m_neg = exchange_reference(bad, k)
     with pytest.raises(NotDivisibleError) as plain:
         exact_left_div(bad.vars[k], m_pos + m_neg)
     assert packed.value.reason == plain.value.reason == "coefficient"
@@ -140,7 +145,7 @@ def test_runs_that_cancel_are_left_out_of_the_newton_box():
     # X1 + X2 leaves -X2^2, whose quotient exponent (-1, 2) is outside it
     lam = commutative(2)
     x1, x2 = TorusElem.monomial(lam, (1, 0)), TorusElem.monomial(lam, (0, 1))
-    s = PackedSum(x1 + x2, [(0, [(x1 + x2, 2)]), (0, [(-x1, 1), (x1, 1)])])
+    s = PackedSum(lam, [(0, [(x1 + x2, 2)]), (0, [(-x1, 1), (x1, 1)])])
     assert (s[0], s[1]) == ((x1 + x2) * (x1 + x2), -(x1 * x1))
     assert (s[0] + s[1]).terms == {(1, 1): {0: 2}, (0, 2): {0: 1}}
     message = ("not exactly divisible (newton_box): quotient exponent (-1, 2) "
@@ -159,7 +164,7 @@ def test_the_width_widens_in_the_middle_of_the_peel(monkeypatch):
     lam = commutative(2)
     x1, x2 = TorusElem.monomial(lam, (1, 0)), TorusElem.monomial(lam, (0, 1))
     p = x1 - x2
-    s = PackedSum(p, [(0, [(x1.scaled(30), 1), (x1, 5)]), (0, [(x2.scaled(-30), 1), (x2, 5)])])
+    s = PackedSum(lam, [(0, [(x1.scaled(30), 1), (x1, 5)]), (0, [(x2.scaled(-30), 1), (x2, 5)])])
     assert (s.bound, s.w) == (60, 8)
     widths = []
     repacked = qca.torus._repacked
@@ -176,12 +181,12 @@ def test_the_width_widens_in_the_middle_of_the_peel(monkeypatch):
 
 
 def test_a_divisor_wider_than_the_packed_width_widens_it_first():
-    # X1 X2 packed for X1 + X2 fits in 8 bits; X1 + (300 + 300 v^2) X2
-    # does not, so the remainder is repacked before that divisor's entries
-    # are packed, which would otherwise overflow
+    # X1 X2 packs in 8 bits; X1 + (300 + 300 v^2) X2 does not, so the
+    # remainder is repacked before that divisor's entries are packed, which
+    # would otherwise overflow
     lam = commutative(2)
     x1, x2 = TorusElem.monomial(lam, (1, 0)), TorusElem.monomial(lam, (0, 1))
-    s = PackedSum(x1 + x2, [(0, [(x1, 1), (x2, 1)])])
+    s = PackedSum(lam, [(0, [(x1, 1), (x2, 1)])])
     p = x1 + x2.scaled({0: 300, 2: 300})
     assert s.w == 8 < digit_width(300)
     for q in (s, s[0]):
@@ -189,6 +194,67 @@ def test_a_divisor_wider_than_the_packed_width_widens_it_first():
             exact_left_div(p, q)
         assert str(info.value) == ("not exactly divisible (newton_box): quotient exponent "
                                    "(0, 1) leaves the Newton box [[1, 0], [1, 0]]")
+
+
+def test_a_divisor_off_the_packed_stride_divides_as_exact_left_div_does():
+    # the factors' coefficients have stride 2, so the sum packs at g = 2,
+    # while each divisor, X1 + (1 + v) X2 with a unit lead and (1 + v) X1 +
+    # (1 + v) X2 without, has stride 1: its entries pack into runs of both
+    # residues mod 2
+    lam = commutative(2)
+    x1, x2 = TorusElem.monomial(lam, (1, 0)), TorusElem.monomial(lam, (0, 1))
+    for p, q in ((x1 + x2.scaled({0: 1, 1: 1}), x1 + x2.scaled({0: 1, 1: -1})),
+                 ((x1 + x2).scaled({0: 1, 1: 1}), (x1 + x2).scaled({0: 1, 1: -1}))):
+        f = p * q
+        s = PackedSum(lam, [(0, [(f, 1)]), (3, [(f, 1), (x1, 1)])])
+        assert s.g == 2
+        expected = q * (TorusElem.one(lam) + x1.v_shift(3))
+        assert exact_left_div(p, s) == exact_left_div(p, s[0] + s[1]) == expected
+    # the factors name the torus, and all must live in it
+    with pytest.raises(ValueError):
+        PackedSum(commutative(3), [(0, [(f, 1)])])
+
+
+def test_a_divisor_that_needs_a_wider_width_divides_as_exact_left_div_does():
+    # (1 - v^200)(X1^2 - X2^2) = c (X1 + X2) * (1 - v)(X1 - X2) with
+    # c = 1 + v + ... + v^199: the products bound the sum by B = 4, so W
+    # starts at 8 bits, below the 400 of the divisor's norm
+    lam = commutative(2)
+    x1, x2 = TorusElem.monomial(lam, (1, 0)), TorusElem.monomial(lam, (0, 1))
+    c = dict.fromkeys(range(200), 1)
+    p = (x1 + x2).scaled(c)
+    s = PackedSum(lam, [(0, [(x1.scaled({0: 1, 200: -1}), 1), (x1, 1)]),
+                        (0, [(x2.scaled({0: -1, 200: 1}), 1), (x2, 1)])])
+    assert (s.bound, s.w, s.g) == (4, 8, 200) and digit_width(400) == 16
+    expected = (x1 - x2).scaled({0: 1, 1: -1})
+    assert exact_left_div(p, s) == exact_left_div(p, s[0] + s[1]) == expected
+
+
+def test_one_stored_numerator_serves_every_divisor():
+    # copies of the seed whose X_k is v^2 X_k or 2 X_k have its terms key:
+    # the walk divides the one PackedSum it stored by all three X_k, as
+    # exact_left_div divides the sum of the reference monomials
+    seed, ks = kronecker_chain(make_seed("aff").ex[0], 3)
+    for k in ks[:-1]:
+        seed = mutate(seed, k)
+    k = ks[-1]
+    walk = _Walk(())
+    num = walk.terms(seed, k)[4]
+    assert isinstance(num, PackedSum)
+    *_, m_pos, m_neg = exchange_reference(seed, k)
+    for coeff in ({0: 1}, {2: 1}, {0: 2}):
+        other = scaled_var(seed, k, coeff)
+        assert walk.terms(other, k)[4] is num
+        try:
+            expected = exact_left_div(other.vars[k], m_pos + m_neg)
+        except NotDivisibleError as e:
+            with pytest.raises(NotDivisibleError) as info:
+                walk.exchange(other, k)
+            assert str(info.value) == str(e)
+        else:
+            assert walk.exchange(other, k).new_var == expected
+    assert walk.counts["terms"] == [1, 6]
+    assert walk.counts["divisions"] == [3, 0]
 
 
 @pytest.mark.slow
