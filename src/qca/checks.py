@@ -36,12 +36,12 @@ polynomial by its sorted terms, the two kinds apart; L, B~, a D weight and
 the shadow's rows by themselves; a tuple of them by its items): the first
 one met stands for every equal one, and a key holds its id and every
 integer the job reads, so a lookup hashes a few ints.  The terms of an
-exchange in direction k (its form too) read k, the support of column k of
-B~ with its entries and variables, the L entries among the support and the
-two shifts, and never X_k.  A job is a function of its key alone (the
-torus, the grading D and the Cartan datum are the starting seed's
-throughout), and the walk never mutates a seed, so a lookup returns what
-evaluating again would.  Each check still compares a shared value with its
+exchange in direction k (a torus.PackedSum numerator) read k, the support
+of column k of B~ with its entries and variables, the L entries among the
+support and the two shifts, and never X_k.  A job is a function of its key
+alone (the torus, the grading D and the Cartan datum are the starting
+seed's throughout), and the walk never mutates a seed, so a lookup returns
+what evaluating again would.  Each check still compares a shared value with its
 own node's L, B~ and D, and each path records a step's outcome under its
 own sequence and step text.  The table is dropped when the call returns.
 """
@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from .classical import classical_shadow, classical_mutate, compare_q1
-from .errors import IncompatibleError, NotDivisibleError
+from .errors import IncompatibleError, NotDivisibleError, as_int
 from .seeds import (
     QuantumSeed,
     _child,
@@ -483,7 +483,7 @@ def run_suite(seed: QuantumSeed, sequences, checks=None, meta=None) -> CheckRepo
         raise ValueError("no checks selected; valid names: %s" % ", ".join(ALL_CHECKS))
     selected = [c for c in ALL_CHECKS if c in chosen]
     # the starting seed always has its own entry, so () is not a sequence
-    sequences = sorted({tuple(int(k) for k in s) for s in sequences} - {()},
+    sequences = sorted({tuple(map(as_int, s)) for s in sequences} - {()},
                        key=lambda t: (len(t), t))
     for s in sequences:
         for k in s:

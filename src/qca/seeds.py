@@ -388,23 +388,17 @@ def cluster_monomial(seed: QuantumSeed, a) -> TorusElem:
 
     On the initial seed this reproduces the basis monomial X^a exactly.
     """
-    a = tuple(int(x) for x in a)
+    a = tuple(map(as_int, a))
     if len(a) != seed.k or any(x < 0 for x in a):
         raise ValueError("cluster monomials need a nonnegative exponent per index")
-    return _realize_monomial(seed.lmat, seed.vars, a)
-
-
-def _realize_monomial(lcur: LMatrix, vars, a, shift: int = 0) -> TorusElem:
-    """v^shift times the cluster monomial of vars with exponents a, the
-    product taken on torus elements."""
     prod = None
     for i, ai in enumerate(a):
         if ai:
-            pw = vars[i].pow(ai)
+            pw = seed.vars[i].pow(ai)
             prod = pw if prod is None else prod * pw
     if prod is None:
-        prod = TorusElem.one(vars[0].ambient)
-    return prod.v_shift(_prefactor(lcur, a) + shift)
+        prod = TorusElem.one(seed.l_init)
+    return prod.v_shift(_prefactor(seed.lmat, a))
 
 
 def _prefactor(lcur: LMatrix, a) -> int:
@@ -425,9 +419,8 @@ class ExchangeParts:
 
     ``m_pos``/``m_neg`` are the two normalized cluster monomials, already
     shifted by v^{shift_pos}/v^{shift_neg}; vars_k * new_var is their sum.
-    ``monomials`` holds them: the pair itself, or the torus.PackedSum of
-    the two, which unpacks each when it is first read (mutate reads
-    neither).
+    ``monomials`` is the torus.PackedSum of the two, which unpacks each
+    when it is first read (mutate reads neither).
     """
 
     k: int
@@ -435,7 +428,7 @@ class ExchangeParts:
     a_neg: tuple[int, ...]
     shift_pos: int
     shift_neg: int
-    monomials: tuple[TorusElem, TorusElem] | PackedSum
+    monomials: PackedSum
     new_var: TorusElem
 
     @property
@@ -449,12 +442,10 @@ class ExchangeParts:
 
 def _exchange_terms(seed: QuantumSeed, k: int):
     """(a', a'', p', p'', N), the ExchangeParts fields a_pos to monomials
-    in order, computed without division: N holds v^{p'} M' and v^{p''} M'',
-    the cluster monomials with exponents c = a + e_k.  N is a
-    torus.PackedSum, which multiplies the factors vars_i^{c_i} in index
-    order on packed runs, when a monomial multiplies variables of several
-    terms at least twice (a power counts); otherwise every product is a
-    single-term shortcut, and N is the pair of torus elements.
+    in order, computed without division: N is the torus.PackedSum of
+    v^{p'} M' and v^{p''} M'', the cluster monomials with exponents
+    c = a + e_k, whose factors vars_i^{c_i} it multiplies in index order
+    on packed runs.
 
     The commuting prefactors come from X_k X^a = v^{sum_i a_i lambda_ki}
     X^{e_k + a}, applied with the *current* L.  p' - p'' = (L B~)_kk, so
@@ -466,12 +457,9 @@ def _exchange_terms(seed: QuantumSeed, k: int):
     # a' and a'' hold -1 at k
     cs = [a[:k] + (0,) + a[k + 1:] for a in (a_pos, a_neg)]
     vs = seed.vars
-    if any(sum(ci for ci, x in zip(c, vs) if len(x.terms) > 1) > 1 for c in cs):
-        num = PackedSum(seed.l_init, [
-            (_prefactor(seed.lmat, c) + shift, [(vs[i], ci) for i, ci in enumerate(c) if ci])
-            for c, shift in zip(cs, shifts)])
-    else:
-        num = tuple(_realize_monomial(seed.lmat, vs, c, shift) for c, shift in zip(cs, shifts))
+    num = PackedSum(seed.l_init, [
+        (_prefactor(seed.lmat, c) + shift, [(vs[i], ci) for i, ci in enumerate(c) if ci])
+        for c, shift in zip(cs, shifts)])
     return a_pos, a_neg, *shifts, num
 
 
@@ -481,12 +469,10 @@ def exchange_parts(seed: QuantumSeed, k: int, terms=None) -> ExchangeParts:
     by vars_k (the new variable).
 
     terms is _exchange_terms(seed, k), which run_suite takes from its
-    table; a PackedSum numerator is divided as it is, a pair once added.
+    table; its PackedSum is divided as it is.
     """
     terms = terms or _exchange_terms(seed, k)
-    num = terms[4]
-    return ExchangeParts(k, *terms, exact_left_div(
-        seed.vars[k], num if isinstance(num, PackedSum) else num[0] + num[1]))
+    return ExchangeParts(k, *terms, exact_left_div(seed.vars[k], terms[4]))
 
 
 # `qca mutate` refuses, and run_suite prunes, a step whose exchange numerator

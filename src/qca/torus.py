@@ -18,17 +18,18 @@ so a coefficient convolution is a single bigint multiply.  The digit width
 W always comes from a proven bound on the result, so the packing is exact
 for every input; a run of digits is encoded and decoded in one conversion
 (offset binary through ``array``).  A product with a monomial operand
-c v^s X^a and exact division by a single-term divisor need no packing, and
-q-commutation with a single-term side needs no product.
+c v^s X^a needs no packing, and q-commutation with a single-term side
+needs no product.
 
 The exchange relation of seed mutation divides a sum of products of
 variables, v^{t'} prod_i x_i^{c'_i} + v^{t''} prod_i x_i^{c''_i}, by X_k.
 A PackedSum multiplies those products on packed runs at one width W, fixed
 before any product from B = sum prod_i ||x_i||_1^{c_i}, which bounds every
 partial sum of their coefficients.  exact_left_div peels the sum of their
-runs as it is, widened first if X_k needs it, and when the lead of X_k is
-a unit +-v^t (as for every cluster variable), each quotient coefficient
-is the lead's run shifted and signed.
+runs as it is, widened first if X_k needs it; a TorusElem numerator is
+packed as a PackedSum of one product.  When the lead of X_k is a unit
++-v^t (as for every cluster variable), each quotient coefficient is the
+lead's run shifted and signed.
 """
 
 from __future__ import annotations
@@ -198,6 +199,14 @@ class LMatrix:
         return len(self.rows)
 
 
+def _checked_coeff(coeff) -> dict:
+    """The coefficient dict of an int or a dict v-exponent -> int, its zero
+    entries left out; ValueError for anything that is not an integer."""
+    if isinstance(coeff, dict):
+        return {as_int(e): c for e, c in coeff.items() if as_int(c)}
+    return qc_const(as_int(coeff))
+
+
 class TorusElem:
     """An element of the torus, stored on the normalized monomial basis.
 
@@ -217,10 +226,10 @@ class TorusElem:
             k = ambient.k
             clean: dict = {}
             for a, cf in terms.items():
-                a = tuple(int(x) for x in a)
+                a = tuple(map(as_int, a))
                 if len(a) != k:
                     raise ValueError("exponent length does not match torus rank")
-                cf = {int(e): int(cv) for e, cv in cf.items() if cv}
+                cf = _checked_coeff(cf)
                 if cf:
                     clean[a] = cf
             terms = clean
@@ -243,15 +252,10 @@ class TorusElem:
     @classmethod
     def monomial(cls, ambient: LMatrix, exp, coeff=None) -> "TorusElem":
         """c * X^exp; ``coeff`` is a coefficient dict or int (default 1)."""
-        exp = tuple(int(x) for x in exp)
+        exp = tuple(map(as_int, exp))
         if len(exp) != ambient.k:
             raise ValueError("exponent length does not match torus rank")
-        if coeff is None:
-            coeff = {0: 1}
-        elif isinstance(coeff, int):
-            coeff = qc_const(coeff)
-        else:
-            coeff = {int(e): int(cv) for e, cv in coeff.items() if cv}
+        coeff = {0: 1} if coeff is None else _checked_coeff(coeff)
         if not coeff:
             return cls.zero(ambient)
         return cls(ambient, {exp: coeff}, _trusted=True)
@@ -317,8 +321,7 @@ class TorusElem:
 
     def scaled(self, coeff) -> "TorusElem":
         """Multiply by a central coefficient (dict or int)."""
-        if isinstance(coeff, int):
-            coeff = qc_const(coeff)
+        coeff = _checked_coeff(coeff)
         out = {}
         for a, cf in self.terms.items():
             nf = qc_mul(cf, coeff)
@@ -387,9 +390,10 @@ class PackedSum:
     computed on packed runs as a numerator of exact_left_div(p, .).
 
     products holds one (t_i, ((x_i1, c_i1), (x_i2, c_i2), ...)) per
-    product, every x nonzero and every c >= 1.  Each distinct factor is
-    packed, and its norm taken, once.  A product starts from v^t and takes
-    its factors from the left, one power at a time, so a monomial factor
+    product, every c >= 1; a product with no factors is v^{t_i}.  Each
+    distinct factor is packed, and its norm taken, once.  A product starts
+    from the runs of its first factor, shifted by v^t, and takes the other
+    factors from the left, one power at a time, so a monomial factor
     shifts and scales the runs (_mul_packed) and is never multiplied out.
     exact_left_div takes the sum of the products' runs as its starting
     remainder, so the sum is never unpacked; an exponent whose runs cancel
@@ -402,6 +406,14 @@ class PackedSum:
     every partial sum of the sum is at most B = sum_i B_i (``bound``).  W
     covers 2 B, and the stride g divides that of every factor; the divisor
     sets neither, so any divisor can use one PackedSum (see exact_left_div).
+
+    >>> lam = LMatrix.from_rows([[0, 1], [-1, 0]])
+    >>> PackedSum(lam, [(3, [])])[0]
+    TorusElem((v^3)*X^(0, 0))
+    >>> x = TorusElem.monomial(lam, (1, 0)) + TorusElem.monomial(lam, (0, 1))
+    >>> s = PackedSum(lam, [(0, [(x, 2)]), (1, [(x, 1)])])
+    >>> s[0] == x * x, s[1] == x.v_shift(1)
+    (True, True)
     """
 
     __slots__ = ("ambient", "bound", "w", "g", "_runs", "_parts")
@@ -425,10 +437,12 @@ class PackedSum:
         packed = {key: _pack_terms(x.terms, w, g) for key, (x, _, _) in norms.items()}
         self._runs = []
         for t, factors in products:
-            acc = {(0,) * ambient.k: [[t, t, 1]]}
-            for x, c in factors:
-                for _ in range(c):
-                    acc = _mul_packed(acc, packed[id(x)], lam, w, g)
+            powers = [packed[id(x)] for x, c in factors for _ in range(c)]
+            acc = powers[0] if powers else {(0,) * ambient.k: [[0, 0, 1]]}
+            if t:
+                acc = {a: [[lo + t, hi + t, n] for lo, hi, n in runs] for a, runs in acc.items()}
+            for xp in powers[1:]:
+                acc = _mul_packed(acc, xp, lam, w, g)
             self._runs.append(acc)
         self.ambient, self.bound, self.w, self.g = ambient, bound, w, g
         self._parts = [None] * len(products)
@@ -468,22 +482,24 @@ def exact_left_div(p: TorusElem, q) -> TorusElem:
     terms of q.  The peeled exponents strictly decrease in lex order inside
     that finite box, so the loop ends.
 
-    The remainder stays packed: a TorusElem q is packed here, and the sum
-    of a PackedSum's runs is the remainder as it is.  Only the remainder's
-    leading coefficient is unpacked, once per peel.  Every partial sum of a
-    remainder coefficient is bounded by ||q||_1 + ||p||_1 ||s_partial||_1
-    (a PackedSum's bound standing for ||q||_1), and W is widened when that
-    grows, or for p's entries; an entry off the stride g packs into a run
-    of its own.  When the leading coefficient of p is a unit +-v^t, as for every
-    cluster variable, the quotient coefficient is the lead's run itself,
-    shifted and signed, and it is subtracted without being packed again.
+    The remainder stays packed: a TorusElem q is packed once as a PackedSum
+    of one product, and the sum of a PackedSum's runs is the remainder as
+    it is.  Only the remainder's leading coefficient is unpacked, once per
+    peel.  Every partial sum of a remainder coefficient is bounded by
+    ||q||_1 + ||p||_1 ||s_partial||_1 (the PackedSum's bound standing for
+    ||q||_1), so W starts from the PackedSum's 2 ||q||_1, and it is widened
+    when that bound grows, or for p's entries; an entry off the stride g
+    packs into a run of its own.  When the leading coefficient of p is a
+    unit +-v^t, as for every cluster variable, the quotient coefficient is
+    the lead's run itself, shifted and signed, and it is subtracted without
+    being packed again.
 
-    A single-term divisor p = c X^a packs nothing: p * d X^b = c d
+    A single-term divisor p = c X^a peels nothing: p * d X^b = c d
     v^{aT L b} X^{a+b}, so every term of q is one term of p * s, and it is
-    shifted back and divided by c on its own.  The terms are taken in the
-    descending lex order of the peeling, whose Newton box they never leave,
-    so a failure names the same term.  For a monomial c = c0 v^t, the
-    division is entry by entry.
+    unpacked, shifted back and divided by c on its own.  The terms are
+    taken in the descending lex order of the peeling, whose Newton box they
+    never leave, so a failure names the same term.  For a monomial
+    c = c0 v^t, the division is entry by entry.
 
     >>> L = LMatrix.from_rows([[0, 1], [-1, 0]])
     >>> q = TorusElem.monomial(L, (2, 1), qc_v(3))
@@ -494,38 +510,28 @@ def exact_left_div(p: TorusElem, q) -> TorusElem:
     p._require_same(q)
     if p.is_zero():
         raise ZeroDivisionError("left division by zero")
+    if isinstance(q, TorusElem):
+        q = PackedSum(p.ambient, [(0, [(q, 1)])])
     lam, pt = p.ambient.rows, p.terms
     ap = max(pt)
     cp = pt[ap]
     lead_row = _combine_rows(lam, ap)
-    if isinstance(q, PackedSum):
-        w, g, q_l1 = q.w, q.g, q.bound
-        rem = q._remainder()
-        support = [a for a, runs in rem.items()
-                   if (runs[0][2] if len(runs) == 1 else collect(runs, w, g))]
-    else:
-        support = q.terms
+    w, g, q_l1 = q.w, q.g, q.bound
+    rem = q._remainder()
+    support = [a for a, runs in rem.items()
+               if (runs[0][2] if len(runs) == 1 else collect(runs, w, g))]
     if not support:
         return TorusElem.zero(p.ambient)
     if len(pt) == 1:
-        qt = _unpack_terms(rem, w, g) if isinstance(q, PackedSum) else q.terms
+        qt = _unpack_terms(rem, w, g)
         out = {}
         for ar in sorted(qt, reverse=True):
             aq = tuple(map(sub, ar, ap))
             out[aq] = _quotient_coeff(ar, qt[ar], sum(map(mul, lead_row, aq)), cp)
         return TorusElem(p.ambient, out, _trusted=True)
-    p_l1, p_g = norm_and_stride(pt)
-    if isinstance(q, PackedSum):
-        if digit_width(p_l1) > w:
-            rem, w = _repacked(rem, w, g, digit_width(p_l1))
-    else:
-        q_l1, q_g = norm_and_stride(q.terms)
-        g = gcd(p_g, q_g) or 1
-        # the bound reached at the end when p * s has no cancellation, as for
-        # cluster variables; more cancellation only means widening below.  It
-        # also covers the entries of p, which are packed at this width
-        w = digit_width(max(2 * q_l1, p_l1))
-        rem = _pack_terms(q.terms, w, g)
+    p_l1 = norm_and_stride(pt)[0]
+    if digit_width(p_l1) > w:
+        rem, w = _repacked(rem, w, g, digit_width(p_l1))
     box = [(min(qi) - min(pi), max(qi) - max(pi))
            for qi, pi in zip(zip(*support), zip(*pt))]
     # (t, c0) when cp = c0 v^t is a unit: the quotient coefficient that a

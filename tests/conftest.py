@@ -38,8 +38,8 @@ def make_seed(key):
 def exchange_reference(seed, k):
     """(a', a'', p', p'', v^{p'} M', v^{p''} M'') of the exchange in
     direction k, from cluster_monomial and the commuting shifts
-    p = a^T (row k of L), whichever form seeds._exchange_terms gives the
-    numerator."""
+    p = a^T (row k of L): products of torus elements, independent of the
+    packed runs on which seeds._exchange_terms multiplies them."""
     a_pos, a_neg = exchange_exponents(seed.bmat, k)
     shifts = [sum(x * y for x, y in zip(seed.lmat.rows[k], a)) for a in (a_pos, a_neg)]
     monomials = [cluster_monomial(seed, a[:k] + (0,) + a[k + 1:]).v_shift(p)

@@ -1,16 +1,15 @@
 """The packed exchange against a reference built without it.
 
-When a cluster monomial of an exchange multiplies variables of several
-terms at least twice, seeds._exchange_terms multiplies both monomials on
+seeds._exchange_terms multiplies both monomials of every exchange on
 packed runs (torus.PackedSum), and exact_left_div peels their summed runs
 without unpacking the numerator; mutate and run_suite both divide what it
 returns.  Here every step is compared with exact_left_div(X_k, m_pos +
 m_neg) on monomials built by cluster_monomial: on random symmetric GCM
-seeds, on both Kronecker chains, with a divisor whose lead is 2 or -v^2,
-and with a numerator whose runs cancel or whose quotient outgrows the
-first width.  A PackedSum is built without its divisor, so the division
-is also checked against divisors of another stride or a wider norm, and
-one stored numerator against several divisors.
+seeds, on both Kronecker chains, with an empty cluster monomial, with a
+divisor whose lead is 2 or -v^2, and with a numerator whose runs cancel or
+whose quotient outgrows the first width.  A PackedSum is built without its
+divisor, so the division is also checked against divisors of another
+stride or a wider norm, and one stored numerator against several divisors.
 """
 
 from dataclasses import replace
@@ -92,9 +91,25 @@ def test_mutate_matches_the_materialized_route_on_kronecker_chains(monkeypatch, 
     calls = packed_calls(monkeypatch)
     for k in ks:
         seed = assert_step(seed, k)
-    # from the second step on a monomial squares a variable of several
-    # terms: exchange_parts and mutate each pack those 13 steps
-    assert len(calls) == 2 * 13
+    # every numerator is packed: exchange_parts and mutate each build one
+    # PackedSum per step
+    assert len(calls) == 2 * 14
+
+
+def test_an_exchange_with_an_empty_cluster_monomial():
+    # column k of B~ has no positive entry, so M' is the empty product and
+    # the numerator is 1 + v^{-2} X2: product 0 of the PackedSum has no
+    # factors
+    lam = LMatrix.from_rows([[0, -2], [2, 0]])
+    seed = qca.QuantumSeed.initial(lam, qca.BMatrix.from_rows([[0], [-1]], (0,)),
+                                   (qca.Weight.fundamental(1, 0), qca.Weight.zero(1)))
+    parts = exchange_parts(seed, 0)
+    assert (parts.a_pos, parts.a_neg, parts.shift_pos, parts.shift_neg,
+            parts.m_pos, parts.m_neg) == exchange_reference(seed, 0)
+    assert parts.m_pos + parts.m_neg == TorusElem.one(lam) + TorusElem.monomial(
+        lam, (0, 1), {-2: 1})
+    assert seed.vars[0] * parts.new_var == parts.m_pos + parts.m_neg
+    assert mutate(mutate(seed, 0), 0) == seed
 
 
 def scaled_var(seed, i, coeff):

@@ -272,6 +272,30 @@ def test_cluster_monomial_initial_is_plain_monomial():
         cluster_monomial(make_seed("a2"), (-1, 0, 0))
 
 
+# public entry points given a non-integer; each takes the A2 seed
+NON_INTEGER_CALLS = {
+    "torus_exponent": lambda seed: TorusElem(seed.l_init, {(1.5, 0, 0): {0: 1}}),
+    "torus_v_exponent": lambda seed: TorusElem(seed.l_init, {(1, 0, 0): {0.5: 1}}),
+    "torus_coefficient": lambda seed: TorusElem(seed.l_init, {(1, 0, 0): {0: 0.5}}),
+    "monomial_exponent": lambda seed: TorusElem.monomial(seed.l_init, (1.5, 0, 0)),
+    "monomial_coefficient": lambda seed: TorusElem.monomial(seed.l_init, (1, 0, 0), 2.5),
+    "monomial_coefficient_dict": lambda seed: TorusElem.monomial(
+        seed.l_init, (1, 0, 0), {0: 0.5}),
+    "scaled_coefficient": lambda seed: seed.vars[0].scaled({0: 0.5}),
+    "scaled_v_exponent": lambda seed: seed.vars[0].scaled({0.5: 1}),
+    "scaled_int": lambda seed: seed.vars[0].scaled(0.5),
+    "cluster_monomial": lambda seed: cluster_monomial(seed, (0.5, 1, 1.9)),
+    "run_suite_float": lambda seed: qca.run_suite(seed, [(0.9,), (0, 0.2)]),
+    "run_suite_bool": lambda seed: qca.run_suite(seed, [(False,)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_CALLS))
+def test_a_non_integer_is_refused_not_truncated(name):
+    with pytest.raises(ValueError):
+        NON_INTEGER_CALLS[name](make_seed("a2"))
+
+
 def test_cluster_monomial_q_commutation_after_mutation():
     # realized monomials must keep multiplying by the current L matrix
     rng = random.Random(31)
