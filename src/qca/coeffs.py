@@ -80,16 +80,6 @@ def qc_div_exact(num: dict, den: dict) -> dict | None:
         raise ZeroDivisionError("coefficient division by zero")
     if not num:
         return {}
-    if len(den) == 1:
-        # a single entry d v^f divides entry by entry, top down as below
-        ((f, d),) = den.items()
-        out = {}
-        for e in sorted(num, reverse=True):
-            c, r = divmod(num[e], d)
-            if r:
-                return None
-            out[e - f] = c
-        return out
     dmax = max(den)
     dc = den[dmax]
     emin = min(num) - min(den)

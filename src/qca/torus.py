@@ -17,19 +17,21 @@ Python int holding its balanced base-2^W digits (Kronecker substitution),
 so a coefficient convolution is a single bigint multiply.  The digit width
 W always comes from a proven bound on the result, so the packing is exact
 for every input; a run of digits is encoded and decoded in one conversion
-(offset binary through ``array``).  A product with a monomial operand
-c v^s X^a needs no packing, and q-commutation with a single-term side
-needs no product.
+(offset binary through ``array``).
 
-The exchange relation of seed mutation divides a sum of products of
-variables, v^{t'} prod_i x_i^{c'_i} + v^{t''} prod_i x_i^{c''_i}, by X_k.
-A PackedSum multiplies those products on packed runs at one width W, fixed
-before any product from B = sum prod_i ||x_i||_1^{c_i}, which bounds every
-partial sum of their coefficients.  exact_left_div peels the sum of their
+Every product is a PackedSum: a sum of products of elements, multiplied
+on packed runs at one width W, fixed before any product from
+B = sum prod_i ||x_i||_1^{c_i}, which bounds every partial sum of their
+coefficients.  x * y is a PackedSum of one product of two factors, and
+x.pow(n) one of a single factor taken n times.  A monomial factor
+c v^s X^a only shifts and scales the runs of the other.  The exchange
+relation of seed mutation divides such a sum, v^{t'} prod_i x_i^{c'_i} +
+v^{t''} prod_i x_i^{c''_i}, by X_k: exact_left_div peels the sum of its
 runs as it is, widened first if X_k needs it; a TorusElem numerator is
 packed as a PackedSum of one product.  When the lead of X_k is a unit
 +-v^t (as for every cluster variable), each quotient coefficient is the
-lead's run shifted and signed.
+lead's run shifted and signed.  q-commutation with a single-term side
+needs no product.
 """
 
 from __future__ import annotations
@@ -89,17 +91,6 @@ def _combine_rows(rows, a) -> list:
     return out
 
 
-def _pack_terms(terms: dict, w: int, g: int) -> dict:
-    """exponent -> the runs of its coefficient, packed at (W, g)."""
-    return {a: pack(cf, w, g) for a, cf in terms.items()}
-
-
-def _unpack_terms(packed: dict, w: int, g: int) -> dict:
-    """The terms of a packed element; an exponent whose runs cancel is
-    left out."""
-    return {a: cf for a, runs in packed.items() if (cf := collect(runs, w, g))}
-
-
 def _mul_packed(xp: dict, yp: dict, lam, w: int, g: int) -> dict:
     """The product of two packed elements, packed at the same (W, g): each
     pair of runs contributes one bigint product, added into the runs of its
@@ -107,8 +98,10 @@ def _mul_packed(xp: dict, yp: dict, lam, w: int, g: int) -> dict:
     coefficient.  Neither operand is changed.
 
     An operand with one term of one run, c X^m, gives each term of the
-    other its own output exponent, as in _mul_terms: every run of it is
-    multiplied by c and shifted, and nothing is added.
+    other its own output exponent: X^m X^b = v^{mT L b} X^{m+b} on the
+    left, and X^b X^m = v^{-mT L b} X^{b+m} on the right (L is
+    skew-symmetric).  Every run of the other is multiplied by c and
+    shifted, and nothing is added.
     """
     for one, other, sign in ((xp, yp, 1), (yp, xp, -1)):
         if len(one) == 1:
@@ -131,42 +124,6 @@ def _mul_packed(xp: dict, yp: dict, lam, w: int, g: int) -> dict:
                     s = la + lb + sum(map(mul, row, b))
                     add_piece(acc.setdefault(tuple(map(add, a, b)), []), s, na * nb, w, g)
     return acc
-
-
-def _mul_terms(xt: dict, yt: dict, lam) -> dict:
-    """Product of two term dicts: (c X^a)(d X^b) = c d v^{aT L b} X^{a+b}.
-
-    When one operand is a monomial c v^s X^m (one term, one coefficient
-    entry), the exponents of the product are distinct, so each term of the
-    other operand is only scaled by c and shifted: X^m X^b = v^{mT L b}
-    X^{m+b} on the left, and X^a X^m = v^{aT L m} = v^{-mT L a} X^{a+m}
-    on the right (L is skew-symmetric).  Nothing is packed.
-
-    Otherwise both are packed and multiplied by _mul_packed.  An output
-    coefficient is a sum of products of input coefficients, so every
-    partial sum is at most ||x||_1 ||y||_1 in absolute value; that fixes W.
-    A zero operand is settled first, since that bound would then not cover
-    the other one.
-    """
-    if not xt or not yt:
-        return {}
-    for mono, other, sign in ((xt, yt, 1), (yt, xt, -1)):
-        if len(mono) == 1:
-            ((m, cf),) = mono.items()
-            if len(cf) == 1:
-                ((s, c),) = cf.items()
-                row = _combine_rows(lam, m)
-                out = {}
-                for b, df in other.items():
-                    t = s + sign * sum(map(mul, row, b))
-                    out[tuple(map(add, m, b))] = {e + t: c * d for e, d in df.items()}
-                return out
-    x_l1, x_g = norm_and_stride(xt)
-    y_l1, y_g = norm_and_stride(yt)
-    g = gcd(x_g, y_g) or 1
-    w = digit_width(x_l1 * y_l1)
-    return _unpack_terms(_mul_packed(_pack_terms(xt, w, g), _pack_terms(yt, w, g), lam, w, g),
-                         w, g)
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +272,7 @@ class TorusElem:
         return self + (-other)
 
     def __mul__(self, other: "TorusElem") -> "TorusElem":
-        self._require_same(other)
-        prod = _mul_terms(self.terms, other.terms, self.ambient.rows)
-        return TorusElem(self.ambient, prod, _trusted=True)
+        return PackedSum(self.ambient, [(0, [(self, 1), (other, 1)])])[0]
 
     def scaled(self, coeff) -> "TorusElem":
         """Multiply by a central coefficient (dict or int)."""
@@ -337,13 +292,15 @@ class TorusElem:
         return TorusElem(self.ambient, out, _trusted=True)
 
     def pow(self, n: int) -> "TorusElem":
-        """n-th power; n < 0 needs an invertible monomial (+-v^k X^a).
+        """n-th power; n < 0 needs an invertible monomial (+-v^k X^a), and
+        a non-integer n raises ValueError.
 
         >>> lam = LMatrix.from_rows([[0, 1], [-1, 0]])
         >>> x = TorusElem.monomial(lam, (2, -1))
         >>> (x.pow(-1) * x) == TorusElem.one(lam)
         True
         """
+        n = as_int(n)
         if n < 0:
             inv = None
             if len(self.terms) == 1:
@@ -359,10 +316,7 @@ class TorusElem:
             return inv.pow(-n)
         if n == 0:
             return TorusElem.one(self.ambient)
-        acc = self
-        for _ in range(n - 1):
-            acc = acc * self
-        return acc
+        return PackedSum(self.ambient, [(0, [(self, n)])])[0]
 
     # -- the extra structure the engine verifies ---------------------------
 
@@ -387,14 +341,18 @@ class TorusElem:
 
 class PackedSum:
     """A sum of ordered products, sum_i v^{t_i} x_i1^{c_i1} x_i2^{c_i2} ...,
-    computed on packed runs as a numerator of exact_left_div(p, .).
+    computed on packed runs: every torus product (x * y, x.pow(n)) and
+    every numerator of exact_left_div(p, .).
 
     products holds one (t_i, ((x_i1, c_i1), (x_i2, c_i2), ...)) per
-    product, every c >= 1; a product with no factors is v^{t_i}.  Each
-    distinct factor is packed, and its norm taken, once.  A product starts
-    from the runs of its first factor, shifted by v^t, and takes the other
-    factors from the left, one power at a time, so a monomial factor
-    shifts and scales the runs (_mul_packed) and is never multiplied out.
+    product, every c >= 1; a product with no factors is v^{t_i}, and one
+    with a zero factor is zero.  Each distinct factor has its norm taken
+    once, and is packed once by the first nonzero product that holds it; a
+    zero product packs nothing, since W need not cover its factors.  A
+    product starts from the runs of its first factor, shifted by v^t, and
+    takes the other factors from the left, one power at a time, so a
+    monomial factor shifts and scales the runs (_mul_packed) and is never
+    multiplied out.
     exact_left_div takes the sum of the products' runs as its starting
     remainder, so the sum is never unpacked; an exponent whose runs cancel
     stays a key of that remainder.  s[i] is product i as a TorusElem,
@@ -420,24 +378,31 @@ class PackedSum:
 
     def __init__(self, ambient: LMatrix, products):
         lam = ambient.rows
-        norms = {}  # id -> (factor, ||x||_1, stride)
-        bound = 0
+        norms = {}  # id -> (||x||_1, stride)
+        bounds = []
         for _, factors in products:
             b = 1
             for x, c in factors:
-                f = norms.get(id(x))
-                if f is None:
+                if id(x) not in norms:
                     if x.ambient != ambient:
                         raise ValueError("torus elements live in different ambients")
-                    f = norms[id(x)] = (x, *norm_and_stride(x.terms))
-                b *= f[1] ** c
-            bound += b
-        g = gcd(*[f[2] for f in norms.values()]) or 1
+                    norms[id(x)] = norm_and_stride(x.terms)
+                b *= norms[id(x)][0] ** c
+            bounds.append(b)
+        bound = sum(bounds)
+        g = gcd(*[stride for _, stride in norms.values()]) or 1
         w = digit_width(2 * bound)
-        packed = {key: _pack_terms(x.terms, w, g) for key, (x, _, _) in norms.items()}
+        packed = {}
         self._runs = []
-        for t, factors in products:
-            powers = [packed[id(x)] for x, c in factors for _ in range(c)]
+        for (t, factors), b in zip(products, bounds):
+            if not b:
+                self._runs.append({})
+                continue
+            powers = []
+            for x, c in factors:
+                if id(x) not in packed:
+                    packed[id(x)] = {a: pack(cf, w, g) for a, cf in x.terms.items()}
+                powers += [packed[id(x)]] * c
             acc = powers[0] if powers else {(0,) * ambient.k: [[0, 0, 1]]}
             if t:
                 acc = {a: [[lo + t, hi + t, n] for lo, hi, n in runs] for a, runs in acc.items()}
@@ -448,9 +413,11 @@ class PackedSum:
         self._parts = [None] * len(products)
 
     def __getitem__(self, i: int) -> TorusElem:
+        """Product i; an exponent whose runs cancel is left out."""
         if self._parts[i] is None:
-            self._parts[i] = TorusElem(
-                self.ambient, _unpack_terms(self._runs[i], self.w, self.g), _trusted=True)
+            w, g = self.w, self.g
+            terms = {a: cf for a, runs in self._runs[i].items() if (cf := collect(runs, w, g))}
+            self._parts[i] = TorusElem(self.ambient, terms, _trusted=True)
         return self._parts[i]
 
     def _remainder(self) -> dict:
@@ -494,13 +461,6 @@ def exact_left_div(p: TorusElem, q) -> TorusElem:
     the lead's run itself, shifted and signed, and it is subtracted without
     being packed again.
 
-    A single-term divisor p = c X^a peels nothing: p * d X^b = c d
-    v^{aT L b} X^{a+b}, so every term of q is one term of p * s, and it is
-    unpacked, shifted back and divided by c on its own.  The terms are
-    taken in the descending lex order of the peeling, whose Newton box they
-    never leave, so a failure names the same term.  For a monomial
-    c = c0 v^t, the division is entry by entry.
-
     >>> L = LMatrix.from_rows([[0, 1], [-1, 0]])
     >>> q = TorusElem.monomial(L, (2, 1), qc_v(3))
     >>> s = exact_left_div(TorusElem.monomial(L, (1, 0)), q)
@@ -522,13 +482,6 @@ def exact_left_div(p: TorusElem, q) -> TorusElem:
                if (runs[0][2] if len(runs) == 1 else collect(runs, w, g))]
     if not support:
         return TorusElem.zero(p.ambient)
-    if len(pt) == 1:
-        qt = _unpack_terms(rem, w, g)
-        out = {}
-        for ar in sorted(qt, reverse=True):
-            aq = tuple(map(sub, ar, ap))
-            out[aq] = _quotient_coeff(ar, qt[ar], sum(map(mul, lead_row, aq)), cp)
-        return TorusElem(p.ambient, out, _trusted=True)
     p_l1 = norm_and_stride(pt)[0]
     if digit_width(p_l1) > w:
         rem, w = _repacked(rem, w, g, digit_width(p_l1))

@@ -7,9 +7,11 @@ to break a packing whose digit width or span is wrong: coefficients at
 machine-word boundaries, cancellation, digits at the edge of the width,
 sparse and wide v-spans, and ranks above 64.  Packing is drawn at every
 width the code can choose: 8, 16, 32 and 64 bits, which convert through
-``array``, and 72 and 128 bits, which do not.  A monomial operand, a
-single-term divisor and a single-term side of q-commutation skip the
-packing; they are drawn on either side of every property.
+``array``, and 72 and 128 bits, which do not.  A monomial operand only
+shifts and scales the other's runs, a single-term divisor forces each
+quotient term from one term of the dividend, and a single-term side of
+q-commutation needs no product; they are drawn on either side of every
+property.
 """
 
 import itertools
@@ -174,6 +176,11 @@ def test_product_matches_schoolbook(ops):
     # operand on the left and on the right
     for x, y in itertools.permutations(ops, 2):
         assert (x * y).terms == schoolbook_mul(x, y)
+    # an operand times itself, which the product packs once
+    for x in ops:
+        square = schoolbook_mul(x, x)
+        assert (x * x).terms == x.pow(2).terms == square
+        assert x.pow(3).terms == schoolbook_mul(TorusElem(x.ambient, square), x)
 
 
 @PROFILE

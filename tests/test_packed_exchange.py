@@ -7,9 +7,10 @@ returns.  Here every step is compared with exact_left_div(X_k, m_pos +
 m_neg) on monomials built by cluster_monomial: on random symmetric GCM
 seeds, on both Kronecker chains, with an empty cluster monomial, with a
 divisor whose lead is 2 or -v^2, and with a numerator whose runs cancel or
-whose quotient outgrows the first width.  A PackedSum is built without its
-divisor, so the division is also checked against divisors of another
-stride or a wider norm, and one stored numerator against several divisors.
+whose quotient outgrows the first width.  A product with a zero factor is
+zero.  A PackedSum is built without its divisor, so the division is also
+checked against divisors of another stride or a wider norm, and one stored
+numerator against several divisors.
 """
 
 from dataclasses import replace
@@ -228,6 +229,24 @@ def test_a_divisor_off_the_packed_stride_divides_as_exact_left_div_does():
     # the factors name the torus, and all must live in it
     with pytest.raises(ValueError):
         PackedSum(commutative(3), [(0, [(f, 1)])])
+
+
+def test_a_zero_factor_makes_a_zero_product_and_packs_nothing():
+    # a product's bound is 0 when one of its factors is zero, and a width
+    # fixed from it (8 bits) holds no coefficient of x; such a product is
+    # zero, and next to a nonzero product it adds nothing to the sum
+    lam = LMatrix.from_rows([[0, 1], [-1, 0]])
+    x = TorusElem(lam, {(1, 1): {0: 2**64 + 1, 3: -2**63}})
+    zero = TorusElem.zero(lam)
+    for factors in ([(x, 1), (zero, 1)], [(zero, 1), (x, 2)]):
+        assert PackedSum(lam, [(0, factors)])[0] == zero
+    assert x * zero == zero * x == zero.pow(2) == zero
+    s = PackedSum(lam, [(0, [(x, 1), (zero, 1)]), (1, [(x, 1)])])
+    assert (s[0], s[1]) == (zero, x.v_shift(1))
+    assert exact_left_div(x, s) == TorusElem.one(lam).v_shift(1)
+    # the factors of a zero product must still live in the torus
+    with pytest.raises(ValueError):
+        PackedSum(commutative(2), [(0, [(x, 1), (zero, 1)])])
 
 
 def test_a_divisor_that_needs_a_wider_width_divides_as_exact_left_div_does():

@@ -285,6 +285,8 @@ NON_INTEGER_CALLS = {
     "scaled_v_exponent": lambda seed: seed.vars[0].scaled({0.5: 1}),
     "scaled_int": lambda seed: seed.vars[0].scaled(0.5),
     "cluster_monomial": lambda seed: cluster_monomial(seed, (0.5, 1, 1.9)),
+    "pow_float": lambda seed: seed.vars[0].pow(2.0),
+    "pow_bool": lambda seed: seed.vars[0].pow(True),
     "run_suite_float": lambda seed: qca.run_suite(seed, [(0.9,), (0, 0.2)]),
     "run_suite_bool": lambda seed: qca.run_suite(seed, [(False,)]),
 }
