@@ -26,24 +26,26 @@ does each job once per distinct key:
   every check, or the refusal), keyed by the direction, the parent's L,
   B~, D and variables, and its q = 1 shadow (rows and variables);
 - pairs: the q-commutation exponent of an ordered pair of variables;
-- terms: the numerator of an exchange (seeds._exchange_terms), shared by
-  a step's exchange and involutivity's exchange back;
-- divisions: the exchange parts, keyed by the terms key and X_k;
+- terms: the numerator of an exchange, a torus.PackedSum, keyed by the
+  product list that seeds._exchange_terms returns for it;
+- divisions: the new variable of an exchange, keyed by the terms key and
+  X_k;
 - products: the single products of exchange_identity and involutivity.
 
 Every operand is interned by content (a torus element or a q = 1 Laurent
 polynomial by its sorted terms, the two kinds apart; L, B~, a D weight and
 the shadow's rows by themselves; a tuple of them by its items): the first
 one met stands for every equal one, and a key holds its id and every
-integer the job reads, so a lookup hashes a few ints.  The terms of an
-exchange in direction k (a torus.PackedSum numerator) read k, the support
-of column k of B~ with its entries and variables, the L entries among the
-support and the two shifts, and never X_k.  A job is a function of its key
-alone (the torus, the grading D and the Cartan datum are the starting
-seed's throughout), and the walk never mutates a seed, so a lookup returns
-what evaluating again would.  Each check still compares a shared value with its
-own node's L, B~ and D, and each path records a step's outcome under its
-own sequence and step text.  The table is dropped when the call returns.
+integer the job reads, so a lookup hashes a few ints.  The terms key is
+the product list itself, one (t, ((variable, power), ...)) per monomial,
+so exchanges in different directions or with different shifts share a
+numerator when their lists agree, and each step keeps its own exponents
+and shifts.  A job is a function of its key alone (the torus, the
+grading D and the Cartan datum are the starting seed's throughout), and
+the walk never mutates a seed, so a lookup returns what evaluating again
+would.  Each check still compares a shared value with its own node's L,
+B~ and D, and each path records a step's outcome under its own sequence
+and step text.  The table is dropped when the call returns.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from functools import cache
 from .classical import classical_shadow, classical_mutate, compare_q1
 from .errors import IncompatibleError, NotDivisibleError, as_int
 from .seeds import (
+    ExchangeParts,
     QuantumSeed,
     _child,
     _exchange_terms,
@@ -70,7 +73,7 @@ from .seeds import (
     parity_witness,
     qcommute_witness,
 )
-from .torus import TorusElem, q_commute_exponent
+from .torus import PackedSum, TorusElem, q_commute_exponent
 
 __all__ = [
     "STANDARD_CHECKS",
@@ -288,31 +291,22 @@ class _Walk:
     def product(self, x: TorusElem, y: TorusElem) -> TorusElem:
         return self._lookup("products", (self._id(x), self._id(y)), lambda: x * y)
 
-    def _exchange_key(self, seed: QuantumSeed, k: int) -> tuple:
-        """All that seeds._exchange_terms reads of seed in direction k."""
-        col = seed.bmat.column(k)
-        supp = [i for i, b in enumerate(col) if b]
-        rows = seed.lmat.rows
-        row_k = rows[k]
-        shift_pos = sum(row_k[i] * col[i] for i in supp if col[i] > 0)
-        shift_neg = -sum(row_k[i] * col[i] for i in supp if col[i] < 0)
-        return (k, tuple((i, col[i], self._id(seed.vars[i])) for i in supp),
-                tuple(rows[i][j] for n, i in enumerate(supp) for j in supp[:n]),
-                shift_pos, shift_neg)
+    def terms(self, seed: QuantumSeed, k: int) -> tuple:
+        """(key, (a', a'', p', p'', N)): seeds._exchange_terms(seed, k) with
+        its product list P as a PackedSum N, built once per distinct P; the
+        key is P with each factor as its id.  Exchanges with one P, whatever
+        their k and shifts, share N."""
+        *head, prods = _exchange_terms(seed, k)
+        key = tuple([(t, tuple([(self._id(x), c) for x, c in factors])) for t, factors in prods])
+        return key, (*head, self._lookup("terms", key, lambda: PackedSum(seed.l_init, prods)))
 
-    def terms(self, seed: QuantumSeed, k: int, key=None) -> tuple:
-        """seeds._exchange_terms(seed, k), once per distinct exchange: a
-        step's exchange, involutivity's exchange back and every X_k share
-        it.  key, if given, is _exchange_key(seed, k)."""
-        return self._lookup("terms", key or self._exchange_key(seed, k),
-                            lambda: _exchange_terms(seed, k))
-
-    def exchange(self, seed: QuantumSeed, k: int):
-        """The exchange parts in direction k, divided once per distinct
-        exchange and X_k."""
-        key = self._exchange_key(seed, k)
-        return self._lookup("divisions", (key, self._id(seed.vars[k])),
-                            lambda: exchange_parts(seed, k, self.terms(seed, k, key)))
+    def exchange(self, seed: QuantumSeed, k: int) -> ExchangeParts:
+        """The exchange parts in direction k; the new variable is divided
+        once per distinct numerator and X_k."""
+        key, terms = self.terms(seed, k)
+        new_var = self._lookup("divisions", (key, self._id(seed.vars[k])),
+                               lambda: exchange_parts(seed, k, terms).new_var)
+        return ExchangeParts(k, *terms, new_var)
 
 
 # -- the checks at one tree node ----------------------------------------------
@@ -371,7 +365,7 @@ def _involutivity_witness(node, idx, shadow, parent, parts, walk) -> str | None:
     # the torus is a domain, so the back division returns parent.vars[k]
     # exactly when one product equals the back numerator
     k = parts.k
-    a_pos, a_neg, _, _, num = walk.terms(node, k)
+    _, (a_pos, a_neg, _, _, num) = walk.terms(node, k)
     if (mutate_matrices(node.lmat, node.bmat, k, a_neg) != (parent.lmat, parent.bmat)
             or mutate_dvector(node.dvec, k, a_pos) != parent.dvec
             or walk.product(node.vars[k], parent.vars[k]) != num[0] + num[1]):

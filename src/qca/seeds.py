@@ -262,9 +262,10 @@ def exchange_exponents(bmat: BMatrix, k: int):
     if k not in bmat.ex:
         raise ValueError("direction %d is frozen" % (k + 1))
     col = bmat.column(k)
-    a_pos = tuple(-1 if i == k else max(0, b) for i, b in enumerate(col))
-    a_neg = tuple(-1 if i == k else max(0, -b) for i, b in enumerate(col))
-    return a_pos, a_neg
+    a_pos = [b if b > 0 else 0 for b in col]
+    a_neg = [-b if b < 0 else 0 for b in col]
+    a_pos[k] = a_neg[k] = -1
+    return tuple(a_pos), tuple(a_neg)
 
 
 def homogeneous_weight(x: TorusElem, d_init) -> Weight | None:
@@ -441,11 +442,11 @@ class ExchangeParts:
 
 
 def _exchange_terms(seed: QuantumSeed, k: int):
-    """(a', a'', p', p'', N), the ExchangeParts fields a_pos to monomials
-    in order, computed without division: N is the torus.PackedSum of
-    v^{p'} M' and v^{p''} M'', the cluster monomials with exponents
-    c = a + e_k, whose factors vars_i^{c_i} it multiplies in index order
-    on packed runs.
+    """(a', a'', p', p'', P): the exponents and shifts of the exchange in
+    direction k, and the product list of its numerator v^{p'} M' + v^{p''}
+    M'' as torus.PackedSum takes it, one (t, [(vars_i, c_i), ...]) per
+    monomial, with c = a + e_k and t its prefactor plus its shift.  P is all
+    that the numerator reads of the seed, so run_suite keys it by P.
 
     The commuting prefactors come from X_k X^a = v^{sum_i a_i lambda_ki}
     X^{e_k + a}, applied with the *current* L.  p' - p'' = (L B~)_kk, so
@@ -457,10 +458,9 @@ def _exchange_terms(seed: QuantumSeed, k: int):
     # a' and a'' hold -1 at k
     cs = [a[:k] + (0,) + a[k + 1:] for a in (a_pos, a_neg)]
     vs = seed.vars
-    num = PackedSum(seed.l_init, [
-        (_prefactor(seed.lmat, c) + shift, [(vs[i], ci) for i, ci in enumerate(c) if ci])
-        for c, shift in zip(cs, shifts)])
-    return a_pos, a_neg, *shifts, num
+    prods = [(_prefactor(seed.lmat, c) + shift, [(vs[i], ci) for i, ci in enumerate(c) if ci])
+             for c, shift in zip(cs, shifts)]
+    return a_pos, a_neg, *shifts, prods
 
 
 def exchange_parts(seed: QuantumSeed, k: int, terms=None) -> ExchangeParts:
@@ -468,10 +468,13 @@ def exchange_parts(seed: QuantumSeed, k: int, terms=None) -> ExchangeParts:
     shifts and shifted monomials, and the exact left quotient of their sum
     by vars_k (the new variable).
 
-    terms is _exchange_terms(seed, k), which run_suite takes from its
-    table; its PackedSum is divided as it is.
+    terms is (a', a'', p', p'', N), the ExchangeParts fields a_pos to
+    monomials, which run_suite passes with a numerator N from its table;
+    without it, N is the PackedSum of _exchange_terms' product list.
     """
-    terms = terms or _exchange_terms(seed, k)
+    if terms is None:
+        *head, prods = _exchange_terms(seed, k)
+        terms = (*head, PackedSum(seed.l_init, prods))
     return ExchangeParts(k, *terms, exact_left_div(seed.vars[k], terms[4]))
 
 
@@ -483,17 +486,14 @@ MAX_EXCHANGE_TERMS = 10**6
 def exchange_term_bound(seed: QuantumSeed, k: int) -> int:
     """An upper bound on the terms of the exchange numerator in direction k.
 
-    A power x^a of a variable with t terms has at most C(a + t - 1, t - 1)
-    exponents, one per multiset of a of its terms; exponents add under
-    products, so each monomial of the numerator has at most the product of
-    these over its factors, and the numerator at most the sum over a', a''.
-    Computed from the exponents and term counts alone, before any product.
+    A power x^c of a variable with t terms has at most C(c + t - 1, c)
+    exponents, one per multiset of c of its terms; exponents add under
+    products, so each product of _exchange_terms' list has at most the
+    product of these over its factors, and the numerator at most their
+    sum.  Computed from that list, before any product.
     """
-    counts = [len(x.terms) for x in seed.vars]
-    return sum(
-        math.prod(math.comb(ai + t - 1, t - 1) for ai, t in zip(a, counts) if ai > 0)
-        for a in exchange_exponents(seed.bmat, k)
-    )
+    return sum(math.prod(math.comb(c + len(x.terms) - 1, c) for x, c in factors)
+               for _, factors in _exchange_terms(seed, k)[4])
 
 
 def exchange_size_witness(seed: QuantumSeed, k: int) -> str | None:

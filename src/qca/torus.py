@@ -101,18 +101,20 @@ def _mul_packed(xp: dict, yp: dict, lam, w: int, g: int) -> dict:
     other its own output exponent: X^m X^b = v^{mT L b} X^{m+b} on the
     left, and X^b X^m = v^{-mT L b} X^{b+m} on the right (L is
     skew-symmetric).  Every run of the other is multiplied by c and
-    shifted, and nothing is added.
+    shifted, and nothing is added; a run [lo, hi] times c's run [s, h]
+    spans [lo + s, hi + h], plus the twist.
     """
     for one, other, sign in ((xp, yp, 1), (yp, xp, -1)):
         if len(one) == 1:
             ((m, runs),) = one.items()
             if len(runs) == 1:
-                ((s, _, c),) = runs
+                ((s, h, c),) = runs
                 row = _combine_rows(lam, m)
                 out = {}
                 for b, b_runs in other.items():
                     t = s + sign * sum(map(mul, row, b))
-                    out[tuple(map(add, m, b))] = [[lo + t, hi + t, c * n] for lo, hi, n in b_runs]
+                    out[tuple(map(add, m, b))] = [[lo + t, hi + t + h - s, c * n]
+                                                  for lo, hi, n in b_runs]
                 return out
     ys = [(b, lo, n) for b, runs in yp.items() for lo, _, n in runs if n]
     acc: dict = {}
@@ -421,8 +423,9 @@ class PackedSum:
         return self._parts[i]
 
     def _remainder(self) -> dict:
-        """The sum of the products' runs, in lists of its own."""
-        first, *rest = self._runs
+        """The sum of the products' runs, in lists of its own; {} for an
+        empty sum."""
+        first, *rest = self._runs or [{}]
         rem = {a: [run[:] for run in runs] for a, runs in first.items()}
         for r in rest:
             for a, runs in r.items():

@@ -17,7 +17,6 @@ from qca.checks import (
     run_suite,
 )
 from qca.classical import classical_shadow
-from qca.seeds import _exchange_terms
 from qca.serialize import canonical_dumps, report_to_json
 from qca.torus import LMatrix, PackedSum, TorusElem, qc_v
 
@@ -410,21 +409,21 @@ def test_each_distinct_step_is_evaluated_once(monkeypatch):
 
 
 def test_each_exchange_key_is_computed_once_per_look_up(monkeypatch):
-    # a division miss passes its key on to the terms entry, so the key is
-    # computed once for each look-up of divisions and for each of
-    # involutivity's look-ups of terms: 216 + 216 on this tree
+    # each step's exchange and each of involutivity's exchanges back looks
+    # up terms once, keyed by the product list of one derivation, and a
+    # division miss takes its numerator from that look-up: 216 + 216 on
+    # this tree
     seed = a4_seed()
-    key_of = qca.checks._Walk._exchange_key
+    real = qca.checks._exchange_terms
     calls = []
 
-    def counted(walk, cur, k):
+    def counted(cur, k):
         calls.append(k)
-        return key_of(walk, cur, k)
+        return real(cur, k)
 
-    monkeypatch.setattr(qca.checks._Walk, "_exchange_key", counted)
+    monkeypatch.setattr(qca.checks, "_exchange_terms", counted)
     report = run_suite(seed, default_sequences(seed, depth=3, rng_seed=0))
-    divisions, terms = report.oracles["divisions"], report.oracles["terms"]
-    assert len(calls) == sum(divisions) + sum(terms) - divisions[0] == 432
+    assert len(calls) == sum(report.oracles["terms"]) == 432
 
 
 def test_a_step_from_equal_matrices_and_weights_is_reused():
@@ -597,8 +596,8 @@ def test_each_ordered_pair_is_computed_once_per_call(monkeypatch):
         assert len(calls) == len(set(calls)) == 480
     first, second = reports
     assert first.oracles == second.oracles == {
-        "pairs": (480, 1509), "terms": (188, 149),
-        "divisions": (121, 95), "products": (144, 288)}
+        "pairs": (480, 1509), "terms": (152, 280),
+        "divisions": (109, 107), "products": (144, 288)}
     assert canonical_dumps(report_to_json(first, "x")) == canonical_dumps(
         report_to_json(second, "x"))
 
@@ -673,16 +672,18 @@ def test_an_exchange_is_reused_only_under_the_same_l(monkeypatch, entry):
 
 
 def _outside_the_exchange_key(seed, k):
-    """Copies of seed that differ from it only where the exchange key of
-    direction k does not look: one L entry not among the support of column
-    k nor between k and the support, two entries of row k within one
-    monomial moved so that its shift stays, or one variable off the
-    support, X_k among them."""
+    """Copies of seed whose exchange in direction k has the product list of
+    seed's: one L entry neither within one monomial nor between k and the
+    support of column k (an entry between an index of M' and one of M''
+    among them), two entries of row k within one monomial moved so that
+    its shift stays, an entry within one monomial and one of row k moved
+    so that its v-power t stays, or one variable off the support, X_k
+    among them."""
     col = seed.bmat.column(k)
     supp = {i for i, b in enumerate(col) if b}
     rows = seed.lmat.rows
     for i, j in itertools.combinations(range(seed.k), 2):
-        if not ({i, j} <= supp or (k in (i, j) and {i, j} - {k} <= supp)):
+        if col[i] * col[j] <= 0 and not (k in (i, j) and {i, j} - {k} <= supp):
             yield flip_l(seed, i, j, rows[i][j] + 2)
     for sign in (1, -1):
         same = sorted(i for i in supp if sign * col[i] > 0)
@@ -690,6 +691,10 @@ def _outside_the_exchange_key(seed, k):
             # the shift sum_i lambda_ki |b_ik| over the monomial stays
             moved = flip_l(seed, k, i, rows[k][i] + col[j])
             yield flip_l(moved, k, j, rows[k][j] - col[i])
+            # the prefactor gains 2 |b_ik b_jk| from lambda_ji, and the
+            # shift loses it from lambda_ki
+            moved = flip_l(seed, j, i, rows[j][i] + 2)
+            yield flip_l(moved, k, i, rows[k][i] - 2 * abs(col[j]))
     for i in range(seed.k):
         if i not in supp:
             yield _with_var(seed, i, seed.vars[i].v_shift(1))
@@ -697,54 +702,61 @@ def _outside_the_exchange_key(seed, k):
 
 @pytest.mark.parametrize("case", sorted(SEED_CASES))
 def test_the_exchange_key_covers_what_the_exchange_terms_read(case):
-    # the table shares the terms of two exchanges with one key, so nothing
-    # that _exchange_terms reads may lie outside the key: the terms may not
-    # move with it
+    # the table shares the numerator of two exchanges with one product
+    # list, so every copy that keeps the list must get the stored numerator,
+    # and it must be that copy's own, with that copy's exponents and shifts
     start = make_seed(case)
     seeds = [start] + [qca.mutate_seq(start, s) for n in (1, 2)
                        for s in itertools.product(start.ex, repeat=n)]
     walk = qca.checks._Walk(())
     for seed in seeds:
         for k in seed.ex:
-            key, terms = walk._exchange_key(seed, k), exchange_reference(seed, k)
+            key, (*_, num) = walk.terms(seed, k)
             for variant in _outside_the_exchange_key(seed, k):
-                assert walk._exchange_key(variant, k) == key
-                *head, num = _exchange_terms(variant, k)
-                assert (*head, num[0], num[1]) == terms
+                variant_key, (*head, variant_num) = walk.terms(variant, k)
+                assert variant_key == key and variant_num is num
+                assert (*head, num[0], num[1]) == exchange_reference(variant, k)
 
 
 # sha256 of canonical_dumps(report_to_json(report, "x")) over
-# default_sequences, (steps, evaluated), and the distinct exchanges whose
-# terms the table computes, forward and back
+# default_sequences, (steps, evaluated), and the distinct product lists
+# whose numerators the table computes, forward and back
 SHARED_TERMS = {
     "a4": (a4_seed, 3, "05d1e5fa72d336de829cf97dbc2ddf1cbf019ba05047e8b6a5b5ffa664e4c78e",
-           302, 216, 188),
+           302, 216, 152),
     "wild": (_wild_seed, 4, "86d2657964bb80556070e7de0bf26a329c2036db1d9ca1a9173694d24cac0e41",
-             352, 170, 172),
+             352, 170, 140),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SHARED_TERMS))
 def test_the_exchange_terms_are_computed_once_per_distinct_key(monkeypatch, name):
-    # a step's exchange and involutivity's exchange back from its child
-    # read one terms entry; the report keeps its bytes, and every
-    # numerator that run_suite stores is a PackedSum, as mutate's is
+    # exchanges with one product list, by the content of its factors, read
+    # one terms entry, whatever their direction; the report keeps its
+    # bytes, and every numerator that run_suite divides is a PackedSum, as
+    # mutate's is
     make, depth, digest, steps, evaluated, distinct = SHARED_TERMS[name]
     seed = make()
-    probe = qca.checks._Walk(())
-    real = qca.checks._exchange_terms
+    real_terms, real_parts = qca.checks._exchange_terms, qca.checks.exchange_parts
     keys, forms = [], []
 
     def counted(cur, k):
-        keys.append(probe._exchange_key(cur, k))
-        terms = real(cur, k)
-        forms.append(isinstance(terms[4], PackedSum))
+        terms = real_terms(cur, k)
+        keys.append(tuple((t, tuple((_content(x), c) for x, c in factors))
+                          for t, factors in terms[4]))
         return terms
 
+    def divided(cur, k, terms=None):
+        forms.append(isinstance(terms[4], PackedSum))
+        return real_parts(cur, k, terms)
+
     monkeypatch.setattr(qca.checks, "_exchange_terms", counted)
+    monkeypatch.setattr(qca.checks, "exchange_parts", divided)
     report = run_suite(seed, default_sequences(seed, depth=depth))
     text = canonical_dumps(report_to_json(report, "x"))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert (report.steps, report.evaluated) == (steps, evaluated)
-    assert len(keys) == len(set(keys)) == report.oracles["terms"][0] == distinct
+    assert len(keys) == sum(report.oracles["terms"])
+    assert len(set(keys)) == report.oracles["terms"][0] == distinct
+    assert len(forms) == report.oracles["divisions"][0] and all(forms)
     assert all(forms)

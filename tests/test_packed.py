@@ -8,17 +8,17 @@ machine-word boundaries, cancellation, digits at the edge of the width,
 sparse and wide v-spans, and ranks above 64.  Packing is drawn at every
 width the code can choose: 8, 16, 32 and 64 bits, which convert through
 ``array``, and 72 and 128 bits, which do not.  A monomial operand only
-shifts and scales the other's runs, a single-term divisor forces each
-quotient term from one term of the dividend, and a single-term side of
-q-commutation needs no product; they are drawn on either side of every
-property.
+shifts and scales the other's runs, each stored with the span of its
+digits, a single-term divisor forces each quotient term from one term of
+the dividend, and a single-term side of q-commutation needs no product;
+they are drawn on either side of every property.
 """
 
 import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qca.coeffs import (
@@ -33,7 +33,7 @@ from qca.coeffs import (
 )
 from qca.errors import NotDivisibleError
 from qca.seeds import mutate_seq
-from qca.torus import LMatrix, TorusElem, exact_left_div, q_commute_exponent
+from qca.torus import LMatrix, PackedSum, TorusElem, exact_left_div, q_commute_exponent
 
 from conftest import make_seed
 
@@ -169,13 +169,38 @@ def operand_sets(draw):
             draw(one_term(lam, monomial_coeffs)), draw(one_term(lam, wide_coeffs)))
 
 
+def is_monomial(x: TorusElem) -> bool:
+    return len(x.terms) == 1 and len(next(iter(x.terms.values()))) == 1
+
+
+def assert_runs_hold_their_digits(s: PackedSum):
+    """Every stored run [lo, hi, n] has its digits in [lo, hi], on the
+    stride, within _SPAN strides."""
+    for product in s._runs:
+        for runs in product.values():
+            for lo, hi, n in runs:
+                assert all(lo <= e <= hi for e in unpack(lo, n, s.w, s.g))
+                assert (hi - lo) % s.g == 0 and 0 <= hi - lo <= _SPAN * s.g
+
+
+# (1 + v^2) X^(1,0) and X^(0,1) over L = 0: the first is one term of one
+# run, which the product shifts the other's run by, and its run is v^0..v^2
+ZERO_L = LMatrix.from_rows([[0, 0], [0, 0]])
+ONE_RUN_PAIR = (TorusElem.monomial(ZERO_L, (1, 0), {0: 1, 2: 1}),
+                TorusElem.monomial(ZERO_L, (0, 1)))
+
+
 @PROFILE
 @given(operand_sets())
+@example(ONE_RUN_PAIR)
 def test_product_matches_schoolbook(ops):
     # every ordered pair: general operands, and a monomial or single-term
-    # operand on the left and on the right
+    # operand on the left and on the right; a product with a monomial
+    # operand stores each run with the span of its digits
     for x, y in itertools.permutations(ops, 2):
         assert (x * y).terms == schoolbook_mul(x, y)
+        if is_monomial(x) or is_monomial(y):
+            assert_runs_hold_their_digits(PackedSum(x.ambient, [(0, [(x, 1), (y, 1)])]))
     # an operand times itself, which the product packs once
     for x in ops:
         square = schoolbook_mul(x, x)

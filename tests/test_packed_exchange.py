@@ -273,12 +273,12 @@ def test_one_stored_numerator_serves_every_divisor():
         seed = mutate(seed, k)
     k = ks[-1]
     walk = _Walk(())
-    num = walk.terms(seed, k)[4]
+    num = walk.terms(seed, k)[1][4]
     assert isinstance(num, PackedSum)
     *_, m_pos, m_neg = exchange_reference(seed, k)
     for coeff in ({0: 1}, {2: 1}, {0: 2}):
         other = scaled_var(seed, k, coeff)
-        assert walk.terms(other, k)[4] is num
+        assert walk.terms(other, k)[1][4] is num
         try:
             expected = exact_left_div(other.vars[k], m_pos + m_neg)
         except NotDivisibleError as e:

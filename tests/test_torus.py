@@ -11,6 +11,7 @@ from qca.serialize import torus_from_json, torus_to_json
 from qca.torus import (
     KERNEL_BACKEND,
     LMatrix,
+    PackedSum,
     TorusElem,
     exact_left_div,
     q_commute_exponent,
@@ -212,6 +213,7 @@ def test_division_identities():
     assert exact_left_div(x, x) == TorusElem.one(LAM2)
     assert exact_left_div(TorusElem.one(LAM2), x) == x
     assert exact_left_div(x, TorusElem.zero(LAM2)).is_zero()
+    assert exact_left_div(x, PackedSum(LAM2, [])).is_zero()
     with pytest.raises(ZeroDivisionError):
         exact_left_div(TorusElem.zero(LAM2), x)
 
