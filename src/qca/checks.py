@@ -63,10 +63,10 @@ from .seeds import (
     QuantumSeed,
     _child,
     _exchange_terms,
+    _size_witness,
     balance_witness,
     check_compatible,
     exchange_parts,
-    exchange_size_witness,
     homogeneity_witness,
     mutate_dvector,
     mutate_matrices,
@@ -291,19 +291,19 @@ class _Walk:
     def product(self, x: TorusElem, y: TorusElem) -> TorusElem:
         return self._lookup("products", (self._id(x), self._id(y)), lambda: x * y)
 
-    def terms(self, seed: QuantumSeed, k: int) -> tuple:
-        """(key, (a', a'', p', p'', N)): seeds._exchange_terms(seed, k) with
-        its product list P as a PackedSum N, built once per distinct P; the
-        key is P with each factor as its id.  Exchanges with one P, whatever
-        their k and shifts, share N."""
-        *head, prods = _exchange_terms(seed, k)
+    def terms(self, seed: QuantumSeed, k: int, derived=None) -> tuple:
+        """(key, (a', a'', p', p'', N)): seeds._exchange_terms(seed, k), or
+        derived if given, with its product list P as a PackedSum N, built
+        once per distinct P; the key is P with each factor as its id.
+        Exchanges with one P, whatever their k and shifts, share N."""
+        *head, prods = derived or _exchange_terms(seed, k)
         key = tuple([(t, tuple([(self._id(x), c) for x, c in factors])) for t, factors in prods])
         return key, (*head, self._lookup("terms", key, lambda: PackedSum(seed.l_init, prods)))
 
-    def exchange(self, seed: QuantumSeed, k: int) -> ExchangeParts:
-        """The exchange parts in direction k; the new variable is divided
-        once per distinct numerator and X_k."""
-        key, terms = self.terms(seed, k)
+    def exchange(self, seed: QuantumSeed, k: int, derived=None) -> ExchangeParts:
+        """The exchange parts in direction k, from derived as in terms; the
+        new variable is divided once per distinct numerator and X_k."""
+        key, terms = self.terms(seed, k, derived)
         new_var = self._lookup("divisions", (key, self._id(seed.vars[k])),
                                lambda: exchange_parts(seed, k, terms).new_var)
         return ExchangeParts(k, *terms, new_var)
@@ -426,11 +426,12 @@ def _evaluate_step(cur: QuantumSeed, cs, k: int, walk: _Walk) -> tuple:
     failed division, whose witness is under "laurent".  Witnesses carry no
     step text, which depends on the path.
     """
-    refusal = exchange_size_witness(cur, k)
+    derived = _exchange_terms(cur, k)
+    refusal = _size_witness(derived[4])
     if refusal:
         return None, None, {}, refusal
     try:
-        parts = walk.exchange(cur, k)
+        parts = walk.exchange(cur, k, derived)
     except NotDivisibleError as e:
         return None, None, {"laurent": str(e)}, None
     child = _child(cur, parts)

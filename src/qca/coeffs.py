@@ -125,7 +125,7 @@ def qc_str(a: dict) -> str:
 # ---------------------------------------------------------------------------
 # packed coefficients
 #
-# A coefficient sum_e c_e v^e is held as a list of runs [lo, hi, n] with
+# A coefficient sum_e c_e v^e is held as a list of runs [lo, n] with
 # n = sum_e c_e 2^{W (e - lo) / g} (Kronecker substitution): the stride g
 # divides every e - lo of a run, and W is the digit width.  When every
 # |c_e| < 2^(W-1), n holds the balanced base-2^W digits of the run, which
@@ -133,9 +133,16 @@ def qc_str(a: dict) -> str:
 # convolution, and a sum of shifted ones the packed sum, as long as the
 # digits of the *result* obey the same bound; W is always derived from a
 # proven bound on them.  A piece v^s m joins a run only if s - lo is a
-# multiple of g and the starts lo..hi of its pieces stay within _SPAN
-# strides, so no int grows with the gaps between exponents; a dense
-# coefficient is one run.
+# multiple of g and s lies within _SPAN strides of the run's other end,
+# so no int grows with the gaps between exponents; a dense coefficient is
+# one run.
+#
+# A run's top digit index j is not stored; _top_digit bounds it.  The
+# digits below d_j add up to at most 2^(W-1) (2^(Wj) - 1) / (2^W - 1) <=
+# (2/3) 2^(Wj) in absolute value, so |n| > 2^(Wj)/3 and Wj - 1 <=
+# bit_length(n); and |n| < 2^(Wj + W).  So j is (bit_length(n) + 1) // W or
+# one less.  bit_length(n) // W undercounts when every lower digit is
+# -2^(W-1) and d_j = 1, where bit_length(n) = Wj - 1.
 #
 # Runs are encoded and decoded in offset binary: adding H(W, m) =
 # sum_{i<m} 2^(W-1) 2^(W i) to a run of m balanced digits makes every digit
@@ -215,49 +222,49 @@ def norm_and_stride(terms: dict) -> tuple[int, int]:
     return l1, g
 
 
+def _top_digit(n: int, w: int) -> int:
+    """j or j + 1, for the index j of the top nonzero digit of a run."""
+    return (n.bit_length() + 1) // w
+
+
 def add_piece(runs: list, s: int, m: int, w: int, g: int) -> None:
-    """runs += v^s m, where m is packed at (W, g).
+    """runs += v^s m, where m is packed at (W, g).  Every digit of a run
+    lies at most _SPAN strides plus the longest piece above its lo.
 
     >>> runs = []
     >>> for e in (2, 0, 3):
     ...     add_piece(runs, e, 1, 8, 2)
     >>> runs
-    [[0, 2, 257], [3, 3, 1]]
+    [[0, 257], [3, 1]]
     """
     span = _SPAN * g
     for run in runs:
-        lo, hi = run[0], run[1]
-        # every run keeps hi - lo <= span, so the run with s added spans
-        # hi - s if s < lo, hi - lo if lo <= s <= hi, and s - lo if s > hi;
-        # each case is within span exactly when both tests below hold
-        if (s - lo) % g == 0 and s - lo <= span and hi - s <= span:
-            if s >= lo:
-                run[2] += m << (w * ((s - lo) // g))
-                if s > hi:
-                    run[1] = s
-            else:
-                run[2] = m + (run[2] << (w * ((lo - s) // g)))
-                run[0] = s
+        lo = run[0]
+        if (s - lo) % g:
+            continue
+        if s >= lo:
+            if s - lo <= span:
+                run[1] += m << (w * ((s - lo) // g))
+                return
+        elif lo - s + g * _top_digit(run[1], w) <= span:
+            run[0], run[1] = s, m + (run[1] << (w * ((lo - s) // g)))
             return
-    runs.append([s, s, m])
+    runs.append([s, m])
 
 
 def trim_run(run: list, w: int, g: int) -> list:
-    """A run [lo, hi, n] with nonzero n, less its zero low digits.
+    """A run [lo, n] with nonzero n, less its zero low digits.
 
     With every digit in [-2^(W-1), 2^(W-1)), the lowest nonzero digit
     holds the lowest set bit of n, so n's zero low digits are the whole
     W-bit digits below that bit.
 
-    >>> trim_run([0, 0, 5 << 16], 8, 2)
-    [4, 4, 5]
+    >>> trim_run([0, 5 << 16], 8, 2)
+    [4, 5]
     """
-    lo, hi, n = run
+    lo, n = run
     z = ((n & -n).bit_length() - 1) // w
-    if not z:
-        return run
-    lo += z * g
-    return [lo, max(hi, lo), n >> (w * z)]
+    return [lo + z * g, n >> (w * z)] if z else run
 
 
 def pack(cf: dict, w: int, g: int) -> list:
@@ -268,7 +275,7 @@ def pack(cf: dict, w: int, g: int) -> list:
     bound raises OverflowError, as a single entry does; nothing wraps.
 
     >>> pack({0: 1, 2: -1}, 8, 2)
-    [[0, 2, -255]]
+    [[0, -255]]
     >>> pack({0: 128, 1: 1}, 8, 1)  # doctest: +IGNORE_EXCEPTION_DETAIL
     Traceback (most recent call last):
     OverflowError: the digit 128 does not fit in 8 bits
@@ -277,7 +284,7 @@ def pack(cf: dict, w: int, g: int) -> list:
         ((e, c),) = cf.items()
         if not -(1 << (w - 1)) <= c < 1 << (w - 1):
             raise OverflowError("the digit %d does not fit in %d bits" % (c, w))
-        return [[e, e, c]]
+        return [[e, c]]
     lo, hi = min(cf), max(cf)
     if hi - lo <= _SPAN * g and gcd(*[e - lo for e in cf]) % g == 0:
         half = 1 << (w - 1)
@@ -286,7 +293,7 @@ def pack(cf: dict, w: int, g: int) -> list:
         for e, c in cf.items():
             digits[(e - lo) // g] = c + half
         n = int.from_bytes(_digit_bytes(digits, w), "little") - _offset(w, m)
-        return [[lo, hi, n]]
+        return [[lo, n]]
     runs: list = []
     for e in sorted(cf):
         add_piece(runs, e, cf[e], w, g)
@@ -297,7 +304,7 @@ def unpack(lo: int, n: int, w: int, g: int) -> dict:
     """The coefficient dict of a run starting at lo, every digit of n in
     [-2^(W-1), 2^(W-1)).
 
-    n has at most m = bit_length(n) // W + 1 such digits.  n + H(W, m) has
+    n has at most m = _top_digit(n, W) + 1 such digits.  n + H(W, m) has
     the unsigned digits d + 2^(W-1), which are read in one conversion and
     shifted back; a zero digit reads 2^(W-1) and is left out.
 
@@ -305,11 +312,13 @@ def unpack(lo: int, n: int, w: int, g: int) -> dict:
     {-1: 5, 3: -7}
     >>> unpack(0, 3 + (200 << 16) - (2**15 << 32), 16, 1)
     {0: 3, 1: 200, 2: -32768}
+    >>> unpack(0, -128 - (128 << 8) + (1 << 16), 8, 1)
+    {0: -128, 1: -128, 2: 1}
     """
     half = 1 << (w - 1)
     if -half <= n < half:
         return {lo: n} if n else {}
-    m = n.bit_length() // w + 1
+    m = _top_digit(n, w) + 1
     digits = _byte_digits((n + _offset(w, m)).to_bytes((w >> 3) * m, "little"), w)
     return {e: d - half for e, d in zip(range(lo, lo + g * m, g), digits) if d != half}
 
@@ -322,10 +331,9 @@ def collect(runs: list, w: int, g: int) -> dict:
     absolute values of all contributions.
     """
     if len(runs) == 1:
-        lo, _, n = runs[0]
-        return unpack(lo, n, w, g)
+        return unpack(*runs[0], w, g)
     out: dict = {}
-    for lo, _, n in runs:
+    for lo, n in runs:
         for e, d in unpack(lo, n, w, g).items():
             t = out.get(e, 0) + d
             if t:

@@ -492,14 +492,23 @@ def exchange_term_bound(seed: QuantumSeed, k: int) -> int:
     product of these over its factors, and the numerator at most their
     sum.  Computed from that list, before any product.
     """
+    return _term_bound(_exchange_terms(seed, k)[4])
+
+
+def _term_bound(prods) -> int:
     return sum(math.prod(math.comb(c + len(x.terms) - 1, c) for x, c in factors)
-               for _, factors in _exchange_terms(seed, k)[4])
+               for _, factors in prods)
 
 
 def exchange_size_witness(seed: QuantumSeed, k: int) -> str | None:
     """Why the step in direction k is refused, if its exchange numerator
     could have more than MAX_EXCHANGE_TERMS terms; None otherwise."""
-    bound = exchange_term_bound(seed, k)
+    return _size_witness(_exchange_terms(seed, k)[4])
+
+
+def _size_witness(prods) -> str | None:
+    """exchange_size_witness, from the product list P of _exchange_terms."""
+    bound = _term_bound(prods)
     if bound > MAX_EXCHANGE_TERMS:
         return ("the exchange numerator could have up to %d terms, over the "
                 "limit of %d" % (bound, MAX_EXCHANGE_TERMS))

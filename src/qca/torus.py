@@ -101,26 +101,25 @@ def _mul_packed(xp: dict, yp: dict, lam, w: int, g: int) -> dict:
     other its own output exponent: X^m X^b = v^{mT L b} X^{m+b} on the
     left, and X^b X^m = v^{-mT L b} X^{b+m} on the right (L is
     skew-symmetric).  Every run of the other is multiplied by c and
-    shifted, and nothing is added; a run [lo, hi] times c's run [s, h]
-    spans [lo + s, hi + h], plus the twist.
+    shifted, and nothing is added: a run [lo, n] times c's run [s, c] is
+    [lo + s + twist, c n].
     """
     for one, other, sign in ((xp, yp, 1), (yp, xp, -1)):
         if len(one) == 1:
             ((m, runs),) = one.items()
             if len(runs) == 1:
-                ((s, h, c),) = runs
+                ((s, c),) = runs
                 row = _combine_rows(lam, m)
                 out = {}
                 for b, b_runs in other.items():
                     t = s + sign * sum(map(mul, row, b))
-                    out[tuple(map(add, m, b))] = [[lo + t, hi + t + h - s, c * n]
-                                                  for lo, hi, n in b_runs]
+                    out[tuple(map(add, m, b))] = [[lo + t, c * n] for lo, n in b_runs]
                 return out
-    ys = [(b, lo, n) for b, runs in yp.items() for lo, _, n in runs if n]
+    ys = [(b, lo, n) for b, runs in yp.items() for lo, n in runs if n]
     acc: dict = {}
     for a, runs in xp.items():
         row = _combine_rows(lam, a)
-        for la, _, na in runs:
+        for la, na in runs:
             if na:
                 for b, lb, nb in ys:
                     s = la + lb + sum(map(mul, row, b))
@@ -351,10 +350,11 @@ class PackedSum:
     with a zero factor is zero.  Each distinct factor has its norm taken
     once, and is packed once by the first nonzero product that holds it; a
     zero product packs nothing, since W need not cover its factors.  A
-    product starts from the runs of its first factor, shifted by v^t, and
-    takes the other factors from the left, one power at a time, so a
-    monomial factor shifts and scales the runs (_mul_packed) and is never
-    multiplied out.
+    product maps each exponent to its runs [lo, n] (``qca.coeffs``).  It
+    starts from the runs of its first factor, or from the run [0, 1] when
+    it has none, shifted by v^t (t added to every lo), and takes the other
+    factors from the left, one power at a time, so a monomial factor shifts
+    and scales the runs (_mul_packed) and is never multiplied out.
     exact_left_div takes the sum of the products' runs as its starting
     remainder, so the sum is never unpacked; an exponent whose runs cancel
     stays a key of that remainder.  s[i] is product i as a TorusElem,
@@ -405,9 +405,9 @@ class PackedSum:
                 if id(x) not in packed:
                     packed[id(x)] = {a: pack(cf, w, g) for a, cf in x.terms.items()}
                 powers += [packed[id(x)]] * c
-            acc = powers[0] if powers else {(0,) * ambient.k: [[0, 0, 1]]}
+            acc = powers[0] if powers else {(0,) * ambient.k: [[0, 1]]}
             if t:
-                acc = {a: [[lo + t, hi + t, n] for lo, hi, n in runs] for a, runs in acc.items()}
+                acc = {a: [[lo + t, n] for lo, n in runs] for a, runs in acc.items()}
             for xp in powers[1:]:
                 acc = _mul_packed(acc, xp, lam, w, g)
             self._runs.append(acc)
@@ -423,14 +423,12 @@ class PackedSum:
         return self._parts[i]
 
     def _remainder(self) -> dict:
-        """The sum of the products' runs, in lists of its own; {} for an
-        empty sum."""
-        first, *rest = self._runs or [{}]
-        rem = {a: [run[:] for run in runs] for a, runs in first.items()}
-        for r in rest:
+        """The sum of the products' runs, in lists of its own."""
+        rem: dict = {}
+        for r in self._runs:
             for a, runs in r.items():
                 into = rem.setdefault(a, [])
-                for lo, _, n in runs:
+                for lo, n in runs:
                     add_piece(into, lo, n, self.w, self.g)
         return rem
 
@@ -482,7 +480,7 @@ def exact_left_div(p: TorusElem, q) -> TorusElem:
     w, g, q_l1 = q.w, q.g, q.bound
     rem = q._remainder()
     support = [a for a, runs in rem.items()
-               if (runs[0][2] if len(runs) == 1 else collect(runs, w, g))]
+               if (runs[0][1] if len(runs) == 1 else collect(runs, w, g))]
     if not support:
         return TorusElem.zero(p.ambient)
     p_l1 = norm_and_stride(pt)[0]
@@ -500,7 +498,7 @@ def exact_left_div(p: TorusElem, q) -> TorusElem:
     # the leading term of p is left out: its product with each quotient
     # term cancels the remainder's leading coefficient, which is popped
     p_rest = [(b, _combine_rows(lam, b), cf) for b, cf in pt.items() if b != ap]
-    pp = [(b, row, lo, n) for b, row, cf in p_rest for lo, _, n in pack(cf, w, g)]
+    pp = [(b, row, lo, n) for b, row, cf in p_rest for lo, n in pack(cf, w, g)]
     s_l1 = 0
     out: dict = {}
     while rem:
@@ -510,7 +508,7 @@ def exact_left_div(p: TorusElem, q) -> TorusElem:
         shift = sum(map(mul, lead_row, aq))
         if unit:
             d = unit[0] + shift
-            runs = [[lo - d, hi - d, unit[1] * n] for lo, hi, n in runs]
+            runs = [[lo - d, unit[1] * n] for lo, n in runs]
         lead = collect(runs, w, g)
         if not lead:
             continue
@@ -535,9 +533,9 @@ def exact_left_div(p: TorusElem, q) -> TorusElem:
         if need > w:
             rem, w = _repacked(rem, w, g, need)
             pp = [(b, row, lo, n)
-                  for b, row, cf in p_rest for lo, _, n in pack(cf, w, g)]
+                  for b, row, cf in p_rest for lo, n in pack(cf, w, g)]
             runs = None
-        for lc, _, nc in runs or pack(c, w, g):
+        for lc, nc in runs or pack(c, w, g):
             for b, row, lb, nb in pp:
                 s = lb + lc + sum(map(mul, row, aq))
                 add_piece(rem.setdefault(tuple(map(add, b, aq)), []), s, -nb * nc, w, g)

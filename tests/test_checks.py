@@ -412,9 +412,10 @@ def test_each_exchange_key_is_computed_once_per_look_up(monkeypatch):
     # each step's exchange and each of involutivity's exchanges back looks
     # up terms once, keyed by the product list of one derivation, and a
     # division miss takes its numerator from that look-up: 216 + 216 on
-    # this tree
+    # this tree.  The size bound of a step reads the list of its look-up,
+    # so no exchange is derived anywhere else
     seed = a4_seed()
-    real = qca.checks._exchange_terms
+    real = qca.seeds._exchange_terms
     calls = []
 
     def counted(cur, k):
@@ -422,6 +423,7 @@ def test_each_exchange_key_is_computed_once_per_look_up(monkeypatch):
         return real(cur, k)
 
     monkeypatch.setattr(qca.checks, "_exchange_terms", counted)
+    monkeypatch.setattr(qca.seeds, "_exchange_terms", counted)
     report = run_suite(seed, default_sequences(seed, depth=3, rng_seed=0))
     assert len(calls) == sum(report.oracles["terms"]) == 432
 
@@ -738,13 +740,22 @@ def test_the_exchange_terms_are_computed_once_per_distinct_key(monkeypatch, name
     make, depth, digest, steps, evaluated, distinct = SHARED_TERMS[name]
     seed = make()
     real_terms, real_parts = qca.checks._exchange_terms, qca.checks.exchange_parts
-    keys, forms = [], []
+    real_size = qca.checks._size_witness
+    keys, refused, forms = [], [], []
+
+    def content_key(prods):
+        return tuple((t, tuple((_content(x), c) for x, c in factors)) for t, factors in prods)
 
     def counted(cur, k):
         terms = real_terms(cur, k)
-        keys.append(tuple((t, tuple((_content(x), c) for x, c in factors))
-                          for t, factors in terms[4]))
+        keys.append(content_key(terms[4]))
         return terms
+
+    def sized(prods):
+        refusal = real_size(prods)
+        if refusal:
+            refused.append(content_key(prods))
+        return refusal
 
     def divided(cur, k, terms=None):
         forms.append(isinstance(terms[4], PackedSum))
@@ -752,11 +763,13 @@ def test_the_exchange_terms_are_computed_once_per_distinct_key(monkeypatch, name
 
     monkeypatch.setattr(qca.checks, "_exchange_terms", counted)
     monkeypatch.setattr(qca.checks, "exchange_parts", divided)
+    monkeypatch.setattr(qca.checks, "_size_witness", sized)
     report = run_suite(seed, default_sequences(seed, depth=depth))
     text = canonical_dumps(report_to_json(report, "x"))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert (report.steps, report.evaluated) == (steps, evaluated)
-    assert len(keys) == sum(report.oracles["terms"])
-    assert len(set(keys)) == report.oracles["terms"][0] == distinct
+    # a refused step derives its exchange for the size bound alone
+    assert len(keys) == sum(report.oracles["terms"]) + len(refused)
+    assert len(set(keys) - set(refused)) == report.oracles["terms"][0] == distinct
     assert len(forms) == report.oracles["divisions"][0] and all(forms)
     assert all(forms)

@@ -7,11 +7,12 @@ to break a packing whose digit width or span is wrong: coefficients at
 machine-word boundaries, cancellation, digits at the edge of the width,
 sparse and wide v-spans, and ranks above 64.  Packing is drawn at every
 width the code can choose: 8, 16, 32 and 64 bits, which convert through
-``array``, and 72 and 128 bits, which do not.  A monomial operand only
-shifts and scales the other's runs, each stored with the span of its
-digits, a single-term divisor forces each quotient term from one term of
-the dividend, and a single-term side of q-commutation needs no product;
-they are drawn on either side of every property.
+``array``, and 72 and 128 bits, which do not.  Every product keeps the
+digits of each run within the span that add_piece keeps.  A monomial
+operand only shifts and scales the other's runs, a single-term divisor
+forces each quotient term from one term of the dividend, and a
+single-term side of q-commutation needs no product; they are drawn on
+either side of every property.
 """
 
 import itertools
@@ -169,40 +170,50 @@ def operand_sets(draw):
             draw(one_term(lam, monomial_coeffs)), draw(one_term(lam, wide_coeffs)))
 
 
-def is_monomial(x: TorusElem) -> bool:
-    return len(x.terms) == 1 and len(next(iter(x.terms.values()))) == 1
+def v_span(x: TorusElem) -> int:
+    """The widest v-span max(cf) - min(cf) of a coefficient cf of x."""
+    return max((max(cf) - min(cf) for cf in x.terms.values()), default=0)
 
 
-def assert_runs_hold_their_digits(s: PackedSum):
-    """Every stored run [lo, hi, n] has its digits in [lo, hi], on the
-    stride, within _SPAN strides."""
+def assert_runs_hold_their_digits(x: TorusElem, y: TorusElem):
+    """Every run [lo, n] stored for x * y has its digits on the stride,
+    at or above lo and at most _SPAN strides plus the longest piece above
+    it; a piece, one run of x times one of y, spans at most v_span(x) +
+    v_span(y)."""
+    s = PackedSum(x.ambient, [(0, [(x, 1), (y, 1)])])
+    reach = _SPAN * s.g + v_span(x) + v_span(y)
     for product in s._runs:
         for runs in product.values():
-            for lo, hi, n in runs:
-                assert all(lo <= e <= hi for e in unpack(lo, n, s.w, s.g))
-                assert (hi - lo) % s.g == 0 and 0 <= hi - lo <= _SPAN * s.g
+            for lo, n in runs:
+                for e in unpack(lo, n, s.w, s.g):
+                    assert (e - lo) % s.g == 0 and 0 <= e - lo <= reach
 
 
-# (1 + v^2) X^(1,0) and X^(0,1) over L = 0: the first is one term of one
-# run, which the product shifts the other's run by, and its run is v^0..v^2
+# over L = 0: (1 + v^2) X^(1,0) is one term of one run, which the product
+# shifts the other's run by; and two elements whose product at X^(1,1)
+# joins the piece (1 + v^2)^2 and the piece 1 in one run
 ZERO_L = LMatrix.from_rows([[0, 0], [0, 0]])
 ONE_RUN_PAIR = (TorusElem.monomial(ZERO_L, (1, 0), {0: 1, 2: 1}),
                 TorusElem.monomial(ZERO_L, (0, 1)))
+JOINED_PAIR = (ONE_RUN_PAIR[0] + ONE_RUN_PAIR[1],
+               TorusElem.monomial(ZERO_L, (0, 1), {0: 1, 2: 1})
+               + TorusElem.monomial(ZERO_L, (1, 0)))
 
 
 @PROFILE
 @given(operand_sets())
 @example(ONE_RUN_PAIR)
+@example(JOINED_PAIR)
 def test_product_matches_schoolbook(ops):
     # every ordered pair: general operands, and a monomial or single-term
-    # operand on the left and on the right; a product with a monomial
-    # operand stores each run with the span of its digits
+    # operand on the left and on the right; every product stores each run
+    # with its digits within the span that add_piece keeps
     for x, y in itertools.permutations(ops, 2):
         assert (x * y).terms == schoolbook_mul(x, y)
-        if is_monomial(x) or is_monomial(y):
-            assert_runs_hold_their_digits(PackedSum(x.ambient, [(0, [(x, 1), (y, 1)])]))
+        assert_runs_hold_their_digits(x, y)
     # an operand times itself, which the product packs once
     for x in ops:
+        assert_runs_hold_their_digits(x, x)
         square = schoolbook_mul(x, x)
         assert (x * x).terms == x.pow(2).terms == square
         assert x.pow(3).terms == schoolbook_mul(TorusElem(x.ambient, square), x)
@@ -379,9 +390,11 @@ pieces = st.lists(
 @PROFILE
 @given(pieces, st.sampled_from((1, 2, 4)))
 def test_add_piece_keeps_runs_within_span(drawn, g):
-    # runs built piece by piece keep their starts on the stride and within
-    # _SPAN strides, and collect to the schoolbook sum of the pieces
+    # runs built piece by piece keep their digits on the stride, at or
+    # above lo and at most _SPAN strides plus the longest piece above it,
+    # and collect to the schoolbook sum of the pieces
     w = digit_width(sum(abs(c) for _, _, digits in drawn for c in digits))
+    reach = g * (_SPAN + max(len(digits) for _, _, digits in drawn) - 1)
     runs: list = []
     expected: dict = {}
     for k, off, digits in drawn:
@@ -390,9 +403,26 @@ def test_add_piece_keeps_runs_within_span(drawn, g):
         add_piece(runs, s, m, w, g)
         for i, c in enumerate(digits):
             expected[s + g * i] = expected.get(s + g * i, 0) + c
-    for lo, hi, _ in runs:
-        assert (hi - lo) % g == 0 and 0 <= hi - lo <= _SPAN * g
+    for lo, n in runs:
+        for e in unpack(lo, n, w, g):
+            assert (e - lo) % g == 0 and 0 <= e - lo <= reach
     assert collect(runs, w, g) == {e: c for e, c in expected.items() if c}
+
+
+def test_a_piece_below_a_full_run_opens_a_run():
+    # two 4-digit pieces reach v^_SPAN from lo = 0; a piece at v^-2 lies
+    # more than _SPAN strides below that run's top, so it opens its own,
+    # while one at v^(4 - _SPAN) below a run of one piece joins it
+    piece = sum(1 << (8 * i) for i in range(4))
+    runs: list = []
+    add_piece(runs, 0, piece, 8, 1)
+    add_piece(runs, _SPAN - 3, piece, 8, 1)
+    assert len(runs) == 1 and max(unpack(*runs[0], 8, 1)) == _SPAN
+    add_piece(runs, -2, 1, 8, 1)
+    assert len(runs) == 2 and runs[1] == [-2, 1]
+    runs = [[0, piece]]
+    add_piece(runs, 4 - _SPAN, 1, 8, 1)
+    assert runs == [[4 - _SPAN, 1 + (piece << (8 * (_SPAN - 4)))]]
 
 
 def test_digits_at_the_width_boundary():
@@ -401,8 +431,12 @@ def test_digits_at_the_width_boundary():
         for digits in ({0: half - 1, 1: -half, 2: half - 1},
                        {0: -half, 3: -half},
                        {5: half - 1, 6: 1 - half},
-                       {4: half - 1}, {4: -half}):
-            ((lo, _, n),) = pack(digits, w, 1)
+                       {4: half - 1}, {4: -half},
+                       # every digit below the top one at -2^(W-1): n has
+                       # bit length W j - 1 for the top digit's index j
+                       {0: -half, 1: -half, 2: 1},
+                       {0: -half, 1: -half, 2: -half, 3: 1}):
+            ((lo, n),) = pack(digits, w, 1)
             assert unpack(lo, n, w, 1) == digits
         # a digit outside the width raises, a single entry's too (at W = 8:
         # 127 and -128 pack, 128 raises); it never packs to a wrong int

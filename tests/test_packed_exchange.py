@@ -10,7 +10,9 @@ divisor whose lead is 2 or -v^2, and with a numerator whose runs cancel or
 whose quotient outgrows the first width.  A product with a zero factor is
 zero.  A PackedSum is built without its divisor, so the division is also
 checked against divisors of another stride or a wider norm, and one stored
-numerator against several divisors.
+numerator against several divisors.  Deep in a Kronecker chain, where
+the digits need more than 64 bits, mutate is checked against a linear
+recurrence whose coefficients are written out as data.
 """
 
 from dataclasses import replace
@@ -305,3 +307,26 @@ def test_deep_kronecker_steps_match_the_classical_oracle(first):
         if step >= 12:
             assert seed.vars[k] == new_var
             assert compare_q1(seed, shadow) == []
+
+
+@pytest.mark.slow
+def test_the_kronecker_chain_keeps_its_recurrence_past_64_bit_digits():
+    # rank-2 affine cluster variables satisfy a three-term linear
+    # recurrence (Sherman-Zelevinsky, Mosc. Math. J. 2004, at q = 1): from
+    # direction 1, the variable y_n made at step n satisfies
+    # y_n = y_{n-1} z - c y_{n-2} for n >= 4, with z and c written out here
+    # rather than taken from the engine; at step 24 the numerator's digits
+    # need more than 64 bits, so checked mutate runs at W = 72
+    seed, ks = kronecker_chain(make_seed("aff").ex[0], 24)
+    lam = seed.l_init
+    z = TorusElem(lam, {(-1, -1, 2, 0): {-2: 1}, (-1, 1, 1, 0): {-2: 1},
+                        (1, -1, 0, 1): {-2: 1}})
+    c = TorusElem.monomial(lam, (0, 0, 1, 1), {8: 1})
+    y = {}
+    for n, k in enumerate(ks, 1):
+        if n == 24:
+            assert exchange_parts(seed, k).monomials.w > 64
+        seed = mutate(seed, k)
+        y[n] = seed.vars[k]
+        if n >= 4:
+            assert y[n] == y[n - 1] * z - c * y[n - 2]
