@@ -27,7 +27,7 @@ from .errors import (
     NotReducedError,
 )
 from .gls import _assemble, build_initial_seed
-from .seeds import check_compatible, exchange_size_witness, mutate
+from .seeds import _mutate, check_compatible
 from .serialize import (
     atomic_write_text,
     canonical_dumps,
@@ -211,10 +211,8 @@ def cmd_mutate(args) -> int:
         start = build_initial_seed(cartan, word)
     result = start
     for step, k in enumerate(seq, 1):
-        refusal = exchange_size_witness(result, k - 1)
-        if refusal:
-            raise ValueError("step %d (direction %d): %s" % (step, k, refusal))
-        result = mutate(result, k - 1)
+        result = _mutate(result, k - 1, lambda witness: ValueError(
+            "step %d (direction %d): %s" % (step, k, witness)))
     text = pretty_dumps(seed_for_dumps(result))
     if not args.no_cache:
         try:

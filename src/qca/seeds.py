@@ -63,7 +63,6 @@ __all__ = [
     "exchange_exponents",
     "exchange_parts",
     "exchange_term_bound",
-    "exchange_size_witness",
     "MAX_EXCHANGE_TERMS",
     "mutate_variable",
     "mutate",
@@ -469,17 +468,18 @@ def exchange_parts(seed: QuantumSeed, k: int, terms=None) -> ExchangeParts:
     by vars_k (the new variable).
 
     terms is (a', a'', p', p'', N), the ExchangeParts fields a_pos to
-    monomials, which run_suite passes with a numerator N from its table;
-    without it, N is the PackedSum of _exchange_terms' product list.
+    monomials, with N a PackedSum, which run_suite passes from its table,
+    or the product list P of _exchange_terms, multiplied here; without
+    terms, they are _exchange_terms(seed, k).
     """
-    if terms is None:
-        *head, prods = _exchange_terms(seed, k)
-        terms = (*head, PackedSum(seed.l_init, prods))
-    return ExchangeParts(k, *terms, exact_left_div(seed.vars[k], terms[4]))
+    *head, num = terms or _exchange_terms(seed, k)
+    if not isinstance(num, PackedSum):
+        num = PackedSum(seed.l_init, num)
+    return ExchangeParts(k, *head, num, exact_left_div(seed.vars[k], num))
 
 
 # `qca mutate` refuses, and run_suite prunes, a step whose exchange numerator
-# could have more terms (exchange_size_witness); qca.mutate stays unbounded
+# could have more terms (_size_witness); qca.mutate stays unbounded
 MAX_EXCHANGE_TERMS = 10**6
 
 
@@ -500,14 +500,10 @@ def _term_bound(prods) -> int:
                for _, factors in prods)
 
 
-def exchange_size_witness(seed: QuantumSeed, k: int) -> str | None:
-    """Why the step in direction k is refused, if its exchange numerator
-    could have more than MAX_EXCHANGE_TERMS terms; None otherwise."""
-    return _size_witness(_exchange_terms(seed, k)[4])
-
-
 def _size_witness(prods) -> str | None:
-    """exchange_size_witness, from the product list P of _exchange_terms."""
+    """Why a step is refused, if the exchange numerator with the product
+    list P of _exchange_terms could have more than MAX_EXCHANGE_TERMS
+    terms; None otherwise."""
     bound = _term_bound(prods)
     if bound > MAX_EXCHANGE_TERMS:
         return ("the exchange numerator could have up to %d terms, over the "
@@ -566,9 +562,23 @@ def mutate(seed: QuantumSeed, k: int) -> QuantumSeed:
     every new variable's q-commutation in the torus, as the independent
     oracle.
     """
+    return _mutate(seed, k)
+
+
+def _mutate(seed: QuantumSeed, k: int, refusal=None) -> QuantumSeed:
+    """mutate(seed, k), with the exchange derived once.  With a refusal
+    callable, a step whose numerator could have more than
+    MAX_EXCHANGE_TERMS terms raises refusal(witness), the witness taken
+    from the product list that the step would multiply; `qca mutate`
+    passes one."""
+    derived = _exchange_terms(seed, k)
+    if refusal is not None:
+        witness = _size_witness(derived[4])
+        if witness:
+            raise refusal(witness)
     if not seed._certified:
         seed.validate_full()
-    new_seed = _child(seed, exchange_parts(seed, k))
+    new_seed = _child(seed, exchange_parts(seed, k, derived))
     check_compatible(new_seed.lmat, new_seed.bmat)
     w = homogeneity_witness(new_seed, (k,))
     if w:

@@ -32,15 +32,25 @@ packed as a PackedSum of one product.  When the lead of X_k is a unit
 +-v^t (as for every cluster variable), each quotient coefficient is the
 lead's run shifted and signed.  q-commutation with a single-term side
 needs no product.
+
+Inside a product or a division, an exponent vector is keyed by one int,
+its components as balanced base-2^V digits, with V fixed with W from a
+proven bound (see the comment on exponent keys).  A run pair then costs
+one int add for its key, one list read for its twist (each term's twists
+against the whole other operand come from one pass), one bigint multiply
+and one shift-add; only TorusElem terms, PackedSum[i] and the peeled
+quotient exponents are tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from operator import add, mul, sub
 
 from .coeffs import (
+    _SPAN,
     add_piece,
     collect,
     digit_width,
@@ -79,23 +89,91 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
+# exponent keys
+#
+# Products and exact division key an exponent vector a = (a_1, ..., a_K)
+# by the int E(a) = sum_i a_i M^(K-i), M = 2^V, whose balanced base-M
+# digits are a_K (lowest) up to a_1.  E is linear, so E(a) + E(b) =
+# E(a + b): the exponent of a product costs one int add.  Let every
+# component of a and b lie in [-M/2, M/2), and let a < b in lex order,
+# first differing at i.  Since |b_j - a_j| <= M - 1,
+#
+#     E(b) - E(a) >= M^(K-i) - (M - 1) sum_{j>i} M^(K-j) = 1,
+#
+# so E is injective and int order on keys is lex order on exponents: the
+# max of the keys is the lex-leading exponent.  V = digit_width(e) for a
+# bound e on every component met, so e < M/2:
+# - an exponent of a product of factors x_j^{c_j}, or of a partial
+#   product, has components at most sum_j c_j e(x_j) in absolute value,
+#   e(x) = max |a_i| over supp x; a PackedSum takes the max over its
+#   products;
+# - exact_left_div meets q's exponents, p's and quotient exponents
+#   ar - ap, so it takes e(q) + e(p).  An exponent b + aq that it adds to
+#   lies in the bounding box of q's, once aq passed the Newton-box check.
+#
+# A packed factor carries its vectors with its keys.  A product's are kept
+# once, in a map E -> a that the PackedSum and its division share, each
+# when its key first appears, as the sum of the pair that made it (a
+# partial product's go to a map of its own).  The vectors go back into
+# TorusElem terms, the twists and the Newton box; no key is ever decoded.
+
+def _sizes(x) -> tuple:
+    """(||x||_1, stride, e(x)) of an element x, e(x) = max |a_i| over its
+    exponents a; computed once per element."""
+    try:
+        return x._sizes
+    except AttributeError:
+        terms = x.terms
+        e = max(max(map(max, terms)), -min(map(min, terms))) if terms and x.ambient.k else 0
+        sizes = (*norm_and_stride(terms), e)
+        object.__setattr__(x, "_sizes", sizes)
+        return sizes
+
+
+def _packed(x, w: int, g: int, v: int) -> list:
+    """[(E(a), a, runs of a's coefficient at (W, g)), ...] over x's terms,
+    keyed at width V; computed once per element and widths.  Nothing
+    changes the cached runs: products read them, and a remainder copies
+    them."""
+    cached = getattr(x, "_packed", None)
+    if cached is None or cached[0] != (w, g, v):
+        weights = _weights(v, x.ambient.k)
+        cached = (w, g, v), [(sum(map(mul, a, weights)), a, pack(cf, w, g))
+                             for a, cf in x.terms.items()]
+        object.__setattr__(x, "_packed", cached)
+    return cached[1]
+
+
+@lru_cache(maxsize=64)
+def _weights(v: int, k: int) -> tuple:
+    """(M^(K-1), ..., M, 1) for M = 2^V, so that E(a) = sum(map(mul, a, weights))."""
+    return tuple([1 << (v * i) for i in range(k - 1, -1, -1)])
+
+
+# ---------------------------------------------------------------------------
 # products on packed coefficients
 
 def _combine_rows(rows, a) -> list:
     """sum_i a_i rows[i] as a list, for rows of any common width.  With
     rows = L it is aT L, so that aT L b = sum(map(mul, _combine_rows(L, a), b))."""
-    out = [0] * len(rows[0]) if rows else []
+    out = None
     for ai, ri in zip(a, rows):
         if ai:
-            out = [r + ai * x for r, x in zip(out, ri)]
+            out = [ai * x for x in ri] if out is None else [r + ai * x for r, x in zip(out, ri)]
+    if out is None:
+        return [0] * len(rows[0]) if rows else []
     return out
 
 
-def _mul_packed(xp: dict, yp: dict, lam, w: int, g: int) -> dict:
-    """The product of two packed elements, packed at the same (W, g): each
-    pair of runs contributes one bigint product, added into the runs of its
-    output exponent.  The caller's W bounds every partial sum of an output
-    coefficient.  Neither operand is changed.
+def _mul_packed(xs: list, ys: list, lam, w: int, g: int, exps: dict) -> dict:
+    """The product of two packed elements, each a list of (E(a), a, runs
+    of a), at the same (W, g) and V, as a map E -> runs; exps gains the
+    exponent vector of each of its keys.  Each pair of runs costs one int
+    add for its key, one list read for its twist, one bigint multiply and
+    one shift-add into the runs of its key; the twist v^{aT L b} of a term
+    a of x against every run of y is computed in one pass.  The caller's W
+    bounds every partial sum of an output coefficient, and its V every
+    exponent.  Neither operand is changed.
 
     An operand with one term of one run, c X^m, gives each term of the
     other its own output exponent: X^m X^b = v^{mT L b} X^{m+b} on the
@@ -104,26 +182,35 @@ def _mul_packed(xp: dict, yp: dict, lam, w: int, g: int) -> dict:
     shifted, and nothing is added: a run [lo, n] times c's run [s, c] is
     [lo + s + twist, c n].
     """
-    for one, other, sign in ((xp, yp, 1), (yp, xp, -1)):
-        if len(one) == 1:
-            ((m, runs),) = one.items()
-            if len(runs) == 1:
-                ((s, c),) = runs
-                row = _combine_rows(lam, m)
-                out = {}
-                for b, b_runs in other.items():
-                    t = s + sign * sum(map(mul, row, b))
-                    out[tuple(map(add, m, b))] = [[lo + t, c * n] for lo, n in b_runs]
-                return out
-    ys = [(b, lo, n) for b, runs in yp.items() for lo, n in runs if n]
+    for one, other, sign in ((xs, ys, 1), (ys, xs, -1)):
+        if len(one) == 1 and len(one[0][2]) == 1:
+            ((km, m, ((s, c),)),) = one
+            row = _combine_rows(lam, m)
+            out = {}
+            for kb, b, runs in other:
+                t = s + sign * sum(map(mul, row, b))
+                kc = km + kb
+                out[kc] = [[lo + t, c * n] for lo, n in runs]
+                exps[kc] = tuple(map(add, m, b))
+            return out
+    flat = [(kb, lb, nb, b) for kb, b, runs in ys for lb, nb in runs if nb]
+    span = _SPAN * g
     acc: dict = {}
-    for a, runs in xp.items():
+    for ka, a, runs in xs:
         row = _combine_rows(lam, a)
+        twists = [lb + sum(map(mul, row, b)) for _, lb, _, b in flat]
         for la, na in runs:
             if na:
-                for b, lb, nb in ys:
-                    s = la + lb + sum(map(mul, row, b))
-                    add_piece(acc.setdefault(tuple(map(add, a, b)), []), s, na * nb, w, g)
+                for (kb, _, nb, b), t in zip(flat, twists):
+                    kc = ka + kb
+                    into = acc.get(kc)
+                    if into is None:
+                        acc[kc] = [[la + t, na * nb]]
+                        exps[kc] = tuple(map(add, a, b))
+                    elif len(into) == 1 and 0 <= (d := la + t - into[0][0]) <= span and not d % g:
+                        into[0][1] += na * nb << w * (d // g)
+                    else:
+                        add_piece(into, la + t, na * nb, w, g)
     return acc
 
 
@@ -177,7 +264,8 @@ class TorusElem:
     True
     """
 
-    __slots__ = ("ambient", "terms")
+    # _sizes and _packed are filled when the element is first packed
+    __slots__ = ("ambient", "terms", "_sizes", "_packed")
 
     def __init__(self, ambient: LMatrix, terms: dict, _trusted: bool = False):
         if not _trusted:
@@ -347,10 +435,13 @@ class PackedSum:
 
     products holds one (t_i, ((x_i1, c_i1), (x_i2, c_i2), ...)) per
     product, every c >= 1; a product with no factors is v^{t_i}, and one
-    with a zero factor is zero.  Each distinct factor has its norm taken
-    once, and is packed once by the first nonzero product that holds it; a
-    zero product packs nothing, since W need not cover its factors.  A
-    product maps each exponent to its runs [lo, n] (``qca.coeffs``).  It
+    with a zero factor is zero.  Each factor has its norm and exponent
+    bound taken once per element, and is packed, with the keys E(a) of its
+    exponents, once per element and widths (W, g, V), by the first nonzero
+    product that holds it; a zero product packs nothing, since W need not
+    cover its factors.  A product maps the key of each exponent
+    to its runs [lo, n] (``qca.coeffs``), and one map from keys to exponent
+    vectors serves every product and the division.  It
     starts from the runs of its first factor, or from the run [0, 1] when
     it has none, shifted by v^t (t added to every lo), and takes the other
     factors from the left, one power at a time, so a monomial factor shifts
@@ -366,6 +457,10 @@ class PackedSum:
     every partial sum of the sum is at most B = sum_i B_i (``bound``).  W
     covers 2 B, and the stride g divides that of every factor; the divisor
     sets neither, so any divisor can use one PackedSum (see exact_left_div).
+    In the same pass, e = max_i sum_j c_ij e(x_ij), e(x) = max |a_k| over
+    supp x, bounds every component of every exponent of a product or a
+    partial product, and the key width V = digit_width(e) makes e < 2^(V-1)
+    = M/2, so E is additive, injective and lex-ordered on all of them.
 
     >>> lam = LMatrix.from_rows([[0, 1], [-1, 0]])
     >>> PackedSum(lam, [(3, [])])[0]
@@ -376,25 +471,30 @@ class PackedSum:
     (True, True)
     """
 
-    __slots__ = ("ambient", "bound", "w", "g", "_runs", "_parts")
+    __slots__ = ("ambient", "bound", "w", "g", "e", "v", "_runs", "_exps", "_parts")
 
     def __init__(self, ambient: LMatrix, products):
-        lam = ambient.rows
-        norms = {}  # id -> (||x||_1, stride)
+        lam, k = ambient.rows, ambient.k
+        norms = {}  # id -> (||x||_1, stride, e(x))
         bounds = []
+        e = 0
         for _, factors in products:
             b = 1
+            ei = 0
             for x, c in factors:
                 if id(x) not in norms:
                     if x.ambient != ambient:
                         raise ValueError("torus elements live in different ambients")
-                    norms[id(x)] = norm_and_stride(x.terms)
-                b *= norms[id(x)][0] ** c
+                    norms[id(x)] = _sizes(x)
+                l1, _, ex = norms[id(x)]
+                b *= l1 ** c
+                ei += c * ex
             bounds.append(b)
+            e = max(e, ei)
         bound = sum(bounds)
-        g = gcd(*[stride for _, stride in norms.values()]) or 1
-        w = digit_width(2 * bound)
-        packed = {}
+        g = gcd(*[stride for _, stride, _ in norms.values()]) or 1
+        w, v = digit_width(2 * bound), digit_width(e)
+        exps = {}
         self._runs = []
         for (t, factors), b in zip(products, bounds):
             if not b:
@@ -402,35 +502,55 @@ class PackedSum:
                 continue
             powers = []
             for x, c in factors:
-                if id(x) not in packed:
-                    packed[id(x)] = {a: pack(cf, w, g) for a, cf in x.terms.items()}
-                powers += [packed[id(x)]] * c
-            acc = powers[0] if powers else {(0,) * ambient.k: [[0, 1]]}
+                powers += [_packed(x, w, g, v)] * c
+            acc = powers[0] if powers else [(0, (0,) * k, [[0, 1]])]
             if t:
-                acc = {a: [[lo + t, n] for lo, n in runs] for a, runs in acc.items()}
-            for xp in powers[1:]:
-                acc = _mul_packed(acc, xp, lam, w, g)
-            self._runs.append(acc)
-        self.ambient, self.bound, self.w, self.g = ambient, bound, w, g
+                acc = [(ka, a, [[lo + t, n] for lo, n in runs]) for ka, a, runs in acc]
+            out = None
+            for j in range(1, len(powers)):
+                if out is not None:
+                    acc = [(ka, found[ka], runs) for ka, runs in out.items()]
+                # a partial product's vectors are needed by the next step only
+                found = exps if j == len(powers) - 1 else {}
+                out = _mul_packed(acc, powers[j], lam, w, g, found)
+            if out is None:
+                out = {}
+                for ka, a, runs in acc:
+                    out[ka], exps[ka] = runs, a
+            self._runs.append(out)
+        self.ambient, self.bound, self.w, self.g, self.e, self.v = ambient, bound, w, g, e, v
+        self._exps = exps
         self._parts = [None] * len(products)
 
     def __getitem__(self, i: int) -> TorusElem:
         """Product i; an exponent whose runs cancel is left out."""
         if self._parts[i] is None:
-            w, g = self.w, self.g
-            terms = {a: cf for a, runs in self._runs[i].items() if (cf := collect(runs, w, g))}
+            w, g, exps = self.w, self.g, self._exps
+            terms = {exps[ka]: cf for ka, runs in self._runs[i].items()
+                     if (cf := collect(runs, w, g))}
             self._parts[i] = TorusElem(self.ambient, terms, _trusted=True)
         return self._parts[i]
 
-    def _remainder(self) -> dict:
-        """The sum of the products' runs, in lists of its own."""
+    def _remainder(self, v: int) -> tuple[dict, dict]:
+        """(the sum of the products' runs, in lists of its own, keyed by E
+        at a width V of at least self.v; a map E -> a that holds its keys
+        and that the caller may extend: the sum's own at V = self.v, since
+        E is one map at one width, and a new one at a wider V)."""
         rem: dict = {}
-        for r in self._runs:
-            for a, runs in r.items():
-                into = rem.setdefault(a, [])
-                for lo, n in runs:
-                    add_piece(into, lo, n, self.w, self.g)
-        return rem
+        if self._runs:
+            first, *rest = self._runs
+            rem = {ka: [[lo, n] for lo, n in runs] for ka, runs in first.items()}
+            for r in rest:
+                for ka, runs in r.items():
+                    into = rem.setdefault(ka, [])
+                    for lo, n in runs:
+                        add_piece(into, lo, n, self.w, self.g)
+        exps = self._exps
+        if v == self.v:
+            return rem, exps
+        weights = _weights(v, self.ambient.k)
+        wider = [(sum(map(mul, exps[ka], weights)), exps[ka], runs) for ka, runs in rem.items()]
+        return {ka: runs for ka, _, runs in wider}, {ka: a for ka, a, _ in wider}
 
 
 def exact_left_div(p: TorusElem, q) -> TorusElem:
@@ -462,6 +582,11 @@ def exact_left_div(p: TorusElem, q) -> TorusElem:
     the lead's run itself, shifted and signed, and it is subtracted without
     being packed again.
 
+    The remainder is keyed by E at the width of e(q) + e(p), or at q's own
+    if that is wider (see the comment on exponent keys), so its largest
+    key is its lex-leading exponent.  The twists of a quotient term
+    against every run of p come from one pass.
+
     >>> L = LMatrix.from_rows([[0, 1], [-1, 0]])
     >>> q = TorusElem.monomial(L, (2, 1), qc_v(3))
     >>> s = exact_left_div(TorusElem.monomial(L, (1, 0)), q)
@@ -478,12 +603,13 @@ def exact_left_div(p: TorusElem, q) -> TorusElem:
     cp = pt[ap]
     lead_row = _combine_rows(lam, ap)
     w, g, q_l1 = q.w, q.g, q.bound
-    rem = q._remainder()
-    support = [a for a, runs in rem.items()
+    p_l1, _, p_e = _sizes(p)
+    v = max(q.v, digit_width(q.e + p_e))
+    rem, exps = q._remainder(v)
+    support = [exps[kr] for kr, runs in rem.items()
                if (runs[0][1] if len(runs) == 1 else collect(runs, w, g))]
     if not support:
         return TorusElem.zero(p.ambient)
-    p_l1 = norm_and_stride(pt)[0]
     if digit_width(p_l1) > w:
         rem, w = _repacked(rem, w, g, digit_width(p_l1))
     box = [(min(qi) - min(pi), max(qi) - max(pi))
@@ -497,14 +623,17 @@ def exact_left_div(p: TorusElem, q) -> TorusElem:
             unit = t, c0
     # the leading term of p is left out: its product with each quotient
     # term cancels the remainder's leading coefficient, which is popped
-    p_rest = [(b, _combine_rows(lam, b), cf) for b, cf in pt.items() if b != ap]
-    pp = [(b, row, lo, n) for b, row, cf in p_rest for lo, n in pack(cf, w, g)]
+    kp = max(_packed(p, w, g, v))[0]  # the keys are distinct, and E(ap) the largest
+    rows = {b: _combine_rows(lam, b) for b in pt if b != ap}
+    pp = [(kb, b, rows[b], lo, n) for kb, b, runs in _packed(p, w, g, v) if kb != kp
+          for lo, n in runs]
+    span = _SPAN * g
     s_l1 = 0
     out: dict = {}
     while rem:
-        ar = max(rem)
-        runs = rem.pop(ar)
-        aq = tuple(map(sub, ar, ap))
+        kr = max(rem)
+        runs = rem.pop(kr)
+        aq = tuple(map(sub, exps[kr], ap))
         shift = sum(map(mul, lead_row, aq))
         if unit:
             d = unit[0] + shift
@@ -526,19 +655,31 @@ def exact_left_div(p: TorusElem, q) -> TorusElem:
             c = lead
             runs = [trim_run(runs[0], w, g)] if len(runs) == 1 else None
         else:
-            c, runs = _quotient_coeff(ar, lead, shift, cp), None
+            c, runs = _quotient_coeff(exps[kr], lead, shift, cp), None
         out[aq] = c
         s_l1 += sum(map(abs, c.values()))
         need = digit_width(q_l1 + p_l1 * s_l1)
         if need > w:
             rem, w = _repacked(rem, w, g, need)
-            pp = [(b, row, lo, n)
-                  for b, row, cf in p_rest for lo, n in pack(cf, w, g)]
+            pp = [(kb, b, rows[b], lo, n) for kb, b, runs in _packed(p, w, g, v) if kb != kp
+                  for lo, n in runs]
             runs = None
+        if not pp:
+            continue
+        kq = kr - kp
+        # the twist v^{bT L aq} of each run of p against aq, in one pass
+        twists = [lb + sum(map(mul, row, aq)) for _, _, row, lb, _ in pp]
         for lc, nc in runs or pack(c, w, g):
-            for b, row, lb, nb in pp:
-                s = lb + lc + sum(map(mul, row, aq))
-                add_piece(rem.setdefault(tuple(map(add, b, aq)), []), s, -nb * nc, w, g)
+            for (kb, b, _, _, nb), t in zip(pp, twists):
+                kc = kb + kq
+                into = rem.get(kc)
+                if into is None:
+                    rem[kc] = [[lc + t, -nb * nc]]
+                    exps[kc] = tuple(map(add, b, aq))
+                elif len(into) == 1 and 0 <= (d := lc + t - into[0][0]) <= span and not d % g:
+                    into[0][1] -= nb * nc << w * (d // g)
+                else:
+                    add_piece(into, lc + t, -nb * nc, w, g)
     return TorusElem(p.ambient, out, _trusted=True)
 
 

@@ -250,6 +250,25 @@ def test_mutate_refuses_an_exploding_exchange(tmp_path, capsys):
     assert code == 0
 
 
+def test_mutate_derives_each_exchange_once(tmp_path, capsys, monkeypatch):
+    # the refusal is read from the product list that the step multiplies,
+    # so 8 Kronecker steps derive 8 exchanges, not 16
+    calls = []
+    derive = qca.seeds._exchange_terms
+
+    def counted(seed, k):
+        calls.append(k)
+        return derive(seed, k)
+
+    monkeypatch.setattr(qca.seeds, "_exchange_terms", counted)
+    seed = make_seed("aff")
+    seq = ",".join(str(seed.ex[i % 2] + 1) for i in range(8))
+    inp = write_input(tmp_path, *SEED_CASES["aff"])
+    code, out, _ = run(capsys, ["mutate", "--no-cache", "--cartan", inp, "--seq", seq])
+    assert code == 0 and json.loads(out)["history"] == [int(k) for k in seq.split(",")]
+    assert len(calls) == 8
+
+
 def test_mutate_cache_hit_builds_no_seed(tmp_path, capsys, monkeypatch):
     # the key comes from (cartan, word, seq), and a hit checks the entry's
     # digest and emits its bytes, so it neither builds nor parses a seed

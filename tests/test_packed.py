@@ -33,8 +33,15 @@ from qca.coeffs import (
     unpack,
 )
 from qca.errors import NotDivisibleError
-from qca.seeds import mutate_seq
-from qca.torus import LMatrix, PackedSum, TorusElem, exact_left_div, q_commute_exponent
+from qca.seeds import _exchange_terms, mutate, mutate_seq
+from qca.torus import (
+    LMatrix,
+    PackedSum,
+    TorusElem,
+    _packed,
+    exact_left_div,
+    q_commute_exponent,
+)
 
 from conftest import make_seed
 
@@ -522,6 +529,135 @@ def test_rank_above_64():
     assert (x * y).terms == schoolbook_mul(x, y)
     assert exact_left_div(x, x * y) == y
     assert q_commute_exponent(x, y) == two_product_gamma(x, y)
+
+
+# ---------------------------------------------------------------------------
+# exponent keys: products and division key each exponent vector a by the
+# int E(a) whose balanced base-2^V digits are a's components
+
+@pytest.mark.parametrize("big", (2**31, 2**63, 2**70))
+def test_exponents_past_machine_words(big):
+    # components at +-big, of both signs within one exponent, so that the
+    # keys need V > 32, > 64 and > 72 bits, and twists reach big^2
+    lam = LMatrix.from_rows([[0, 1, -2], [-1, 0, 3], [2, -3, 0]])
+    x = (TorusElem.monomial(lam, (big, -big, 1), {0: 2, 1: -1})
+         + TorusElem.monomial(lam, (-big, 0, big), {3: 1})
+         + TorusElem.monomial(lam, (0, 1, -1), 5))
+    y = (TorusElem.monomial(lam, (big, big, -big), {-2: 1})
+         + TorusElem.monomial(lam, (1, -big, 0), {0: -3, 4: 1}))
+    # every component stays below 2^(V-1), the cube's included
+    assert PackedSum(lam, [(0, [(x, 1), (y, 1)])]).v > (2 * big).bit_length()
+    assert PackedSum(lam, [(0, [(x, 3)])]).v > (3 * big).bit_length()
+    for a, b in ((x, y), (y, x), (x, x), (y, y)):
+        assert (a * b).terms == schoolbook_mul(a, b)
+        assert exact_left_div(a, a * b) == b
+    assert x.pow(3).terms == schoolbook_mul(TorusElem(lam, schoolbook_mul(x, x)), x)
+
+
+@PROFILE
+@given(st.data())
+def test_exponent_keys_sort_in_lex_order(data):
+    # every component in [-M/2, M/2), M = 2^V: vectors that share a prefix
+    # and differ further on, where only the lower digits decide
+    k = data.draw(st.integers(1, 70))
+    v = data.draw(st.sampled_from((8, 16, 32, 64, 72, 128)))
+    half = 1 << (v - 1)
+    comps = st.one_of(st.sampled_from((-half, -half + 1, -1, 0, 1, half - 2, half - 1)),
+                      st.integers(-half, half - 1))
+    base = data.draw(st.lists(comps, min_size=k, max_size=k))
+    vecs = {tuple(base)}
+    for _ in range(data.draw(st.integers(1, 8))):
+        vec = list(base)
+        for i in data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=3)):
+            vec[i] = data.draw(comps)
+        vecs.add(tuple(vec))
+    x = TorusElem(skew({}, k), {a: 1 for a in vecs})
+    by_key = {key: a for key, a, _ in _packed(x, 8, 1, v)}
+    assert len(by_key) == len(vecs)
+    assert [by_key[key] for key in sorted(by_key)] == sorted(vecs)
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+def test_exponent_keys_at_the_edge_of_their_width(sign):
+    # e(x) + e(y) = 100 + 27 = 127 = M/2 - 1 at V = 8, which the product
+    # reaches at (127, .) and (-127, .)
+    lam = LMatrix.from_rows([[0, 1], [-1, 0]])
+    x = TorusElem.monomial(lam, (100, 0)) + TorusElem.monomial(lam, (-100, 1), {1: 2})
+    y = TorusElem.monomial(lam, (27 * sign, -3)) + TorusElem.monomial(lam, (-27 * sign, 0), -1)
+    s = PackedSum(lam, [(0, [(x, 1), (y, 1)])])
+    assert (s.e, s.v) == (127, 8)
+    assert {127, -127} <= {a[0] for a in s[0].terms}
+    assert s[0].terms == schoolbook_mul(x, y)
+    # q's exponents reach 100 and p's 27, so the division keys at
+    # V = digit_width(127) = 8 and meets the quotient exponents ar - ap,
+    # one of which has the component 127 sign
+    p = TorusElem.monomial(lam, (-27 * sign, 0)) + TorusElem.monomial(lam, (-27 * sign, -1), {2: 3})
+    quo = (TorusElem.monomial(lam, (127 * sign, 0), {0: 1, 2: 1})
+           + TorusElem.monomial(lam, (126 * sign, 1), -1))
+    q = p * quo
+    assert max(max(map(abs, a)) for a in q.terms) == 100 and digit_width(127) == 8
+    assert exact_left_div(p, q) == quo
+    # p's exponents reach 127 while q's stay below 3: the division keys at
+    # digit_width(2 + 127) = 16, wider than q's own V = 8, so it keys q's
+    # remainder again
+    p = TorusElem.monomial(lam, (127 * sign, 0)) + TorusElem.monomial(lam, (126 * sign, 1), {0: 2})
+    quo = TorusElem.monomial(lam, (-127 * sign, 1)) + TorusElem.monomial(lam, (-126 * sign, 0), -1)
+    q = p * quo
+    assert PackedSum(lam, [(0, [(q, 1)])]).v == 8 < digit_width(2 + 127)
+    assert exact_left_div(p, q) == quo
+
+
+def schoolbook_left_div(p: TorusElem, q: dict) -> dict:
+    """s with p s = q, for q divisible by p, peeled with dicts: the
+    remainder's lex-leading coefficient at X^ar, less the twist
+    v^{apT L aq}, divided by p's leading coefficient (qc_div_exact), is the
+    coefficient of X^aq, aq = ar - ap."""
+    rows, ap = p.ambient.rows, max(p.terms)
+    rem = {a: dict(cf) for a, cf in q.items()}
+    out = {}
+    while rem:
+        ar = max(rem)
+        aq = tuple(r - e for r, e in zip(ar, ap))
+        twist = sum(ai * rows[i][j] * bj for i, ai in enumerate(ap) for j, bj in enumerate(aq))
+        c = qc_div_exact({e - twist: d for e, d in rem[ar].items()}, p.terms[ap])
+        assert c is not None
+        out[aq] = c
+        for a, cf in schoolbook_mul(p, TorusElem(p.ambient, {aq: c})).items():
+            acc = rem.setdefault(a, {})
+            for e, d in cf.items():
+                acc[e] = acc.get(e, 0) - d
+                if not acc[e]:
+                    del acc[e]
+            if not acc:
+                del rem[a]
+    return out
+
+
+def test_kronecker_exchange_against_the_schoolbook():
+    # step 11 of the Kronecker chain: its numerator holds the square of
+    # step 10's variable, and it is divided by step 9's
+    seed = make_seed("aff")
+    ks = [seed.ex[i % 2] for i in range(11)]
+    made = {}
+    for n, k in enumerate(ks[:10], 1):
+        seed = mutate(seed, k)
+        made[n] = seed.vars[k]
+    k, lam = ks[10], seed.l_init
+    assert seed.vars[k] is made[9]
+    *_, prods = _exchange_terms(seed, k)
+    assert any(x is made[10] and c == 2 for _, factors in prods for x, c in factors)
+    packed = PackedSum(lam, prods)
+    num: dict = {}
+    for i, (t, factors) in enumerate(prods):
+        term = {(0,) * lam.k: {t: 1}}
+        for x, c in factors:
+            for _ in range(c):
+                term = schoolbook_mul(TorusElem(lam, term), x)
+        assert packed[i].terms == term
+        num = (TorusElem(lam, num) + TorusElem(lam, term)).terms
+    quotient = exact_left_div(made[9], packed)
+    assert quotient.terms == schoolbook_left_div(made[9], num)
+    assert quotient == mutate(seed, k).vars[k]
 
 
 def exact_quotient_over_q(num: dict, den: dict):

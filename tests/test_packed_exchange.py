@@ -310,18 +310,21 @@ def test_deep_kronecker_steps_match_the_classical_oracle(first):
 
 
 @pytest.mark.slow
-def test_the_kronecker_chain_keeps_its_recurrence_past_64_bit_digits():
+@pytest.mark.parametrize("first, twist", [(0, 1), (1, -1)])
+def test_the_kronecker_chain_keeps_its_recurrence_past_64_bit_digits(first, twist):
     # rank-2 affine cluster variables satisfy a three-term linear
     # recurrence (Sherman-Zelevinsky, Mosc. Math. J. 2004, at q = 1): from
-    # direction 1, the variable y_n made at step n satisfies
+    # either first direction, the variable y_n made at step n satisfies
     # y_n = y_{n-1} z - c y_{n-2} for n >= 4, with z and c written out here
-    # rather than taken from the engine; at step 24 the numerator's digits
-    # need more than 64 bits, so checked mutate runs at W = 72
-    seed, ks = kronecker_chain(make_seed("aff").ex[0], 24)
+    # rather than taken from the engine: z = v^{-2 twist} (X^(1,-1,0,1) +
+    # X^(-1,1,1,0) + X^(-1,-1,2,0)) and c = v^{8 twist} X^(0,0,1,1); at
+    # step 24 the numerator's digits need more than 64 bits, so checked
+    # mutate runs at W = 72
+    seed, ks = kronecker_chain(make_seed("aff").ex[first], 24)
     lam = seed.l_init
-    z = TorusElem(lam, {(-1, -1, 2, 0): {-2: 1}, (-1, 1, 1, 0): {-2: 1},
-                        (1, -1, 0, 1): {-2: 1}})
-    c = TorusElem.monomial(lam, (0, 0, 1, 1), {8: 1})
+    z = TorusElem(lam, {(-1, -1, 2, 0): {-2 * twist: 1}, (-1, 1, 1, 0): {-2 * twist: 1},
+                        (1, -1, 0, 1): {-2 * twist: 1}})
+    c = TorusElem.monomial(lam, (0, 0, 1, 1), {8 * twist: 1})
     y = {}
     for n, k in enumerate(ks, 1):
         if n == 24:
