@@ -27,7 +27,7 @@ from .errors import (
     NotReducedError,
 )
 from .gls import _assemble, build_initial_seed
-from .seeds import _mutate, check_compatible
+from .seeds import check_compatible, mutate
 from .serialize import (
     atomic_write_text,
     canonical_dumps,
@@ -211,7 +211,7 @@ def cmd_mutate(args) -> int:
         start = build_initial_seed(cartan, word)
     result = start
     for step, k in enumerate(seq, 1):
-        result = _mutate(result, k - 1, lambda witness: ValueError(
+        result = mutate(result, k - 1, _refusal=lambda witness: ValueError(
             "step %d (direction %d): %s" % (step, k, witness)))
     text = pretty_dumps(seed_for_dumps(result))
     if not args.no_cache:

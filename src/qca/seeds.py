@@ -479,7 +479,8 @@ def exchange_parts(seed: QuantumSeed, k: int, terms=None) -> ExchangeParts:
 
 
 # `qca mutate` refuses, and run_suite prunes, a step whose exchange numerator
-# could have more terms (_size_witness); qca.mutate stays unbounded
+# could have more terms (_size_witness); qca.mutate is unbounded unless
+# given a refusal
 MAX_EXCHANGE_TERMS = 10**6
 
 
@@ -533,7 +534,7 @@ def _child(seed: QuantumSeed, parts: ExchangeParts) -> QuantumSeed:
     )
 
 
-def mutate(seed: QuantumSeed, k: int) -> QuantumSeed:
+def mutate(seed: QuantumSeed, k: int, *, _refusal=None) -> QuantumSeed:
     """Mutation in direction k, with every changed invariant certified:
 
     - compatibility of degree 2 of (mu_k L, mu_k B~), checked;
@@ -561,23 +562,20 @@ def mutate(seed: QuantumSeed, k: int) -> QuantumSeed:
     dataclasses.replace) is validated in full once first.  run_suite's lambda_mutation re-derives
     every new variable's q-commutation in the torus, as the independent
     oracle.
+
+    mutate is unbounded.  With a _refusal callable, which `qca mutate`
+    passes, a step whose numerator could have more than MAX_EXCHANGE_TERMS
+    terms raises _refusal(witness) instead, the witness taken from the
+    product list that the step would multiply, so the exchange is derived
+    once.
     """
-    return _mutate(seed, k)
-
-
-def _mutate(seed: QuantumSeed, k: int, refusal=None) -> QuantumSeed:
-    """mutate(seed, k), with the exchange derived once.  With a refusal
-    callable, a step whose numerator could have more than
-    MAX_EXCHANGE_TERMS terms raises refusal(witness), the witness taken
-    from the product list that the step would multiply; `qca mutate`
-    passes one."""
-    derived = _exchange_terms(seed, k)
-    if refusal is not None:
-        witness = _size_witness(derived[4])
-        if witness:
-            raise refusal(witness)
     if not seed._certified:
         seed.validate_full()
+    derived = _exchange_terms(seed, k)
+    if _refusal is not None:
+        witness = _size_witness(derived[4])
+        if witness:
+            raise _refusal(witness)
     new_seed = _child(seed, exchange_parts(seed, k, derived))
     check_compatible(new_seed.lmat, new_seed.bmat)
     w = homogeneity_witness(new_seed, (k,))

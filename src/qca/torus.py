@@ -38,8 +38,8 @@ its components as balanced base-2^V digits, with V fixed with W from a
 proven bound (see the comment on exponent keys).  A run pair then costs
 one int add for its key, one list read for its twist (each term's twists
 against the whole other operand come from one pass), one bigint multiply
-and one shift-add; only TorusElem terms, PackedSum[i] and the peeled
-quotient exponents are tuples.
+and one shift-add (add_piece); only TorusElem terms, PackedSum[i] and
+the peeled quotient exponents are tuples.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from math import gcd
 from operator import add, mul, sub
 
 from .coeffs import (
-    _SPAN,
     add_piece,
     collect,
     digit_width,
@@ -107,9 +106,13 @@ __all__ = [
 #   product, has components at most sum_j c_j e(x_j) in absolute value,
 #   e(x) = max |a_i| over supp x; a PackedSum takes the max over its
 #   products;
-# - exact_left_div meets q's exponents, p's and quotient exponents
-#   ar - ap, so it takes e(q) + e(p).  An exponent b + aq that it adds to
-#   lies in the bounding box of q's, once aq passed the Newton-box check.
+# - exact_left_div keys its remainder at q's V.  The remainder's keys are
+#   q's, and E(b + aq) = E(b) + E(aq) for b in supp p and a quotient
+#   exponent aq that passed the Newton-box check, so b + aq lies in the
+#   bounding box of q's support and within e(q).  p's keys and the
+#   quotient keys E(ar) - E(ap) are only ever added, and E is linear over
+#   all integers, so they need no bound; the lead ap is chosen by its
+#   vector, not by its key.
 #
 # A packed factor carries its vectors with its keys.  A product's are kept
 # once, in a map E -> a that the PackedSum and its division share, each
@@ -170,10 +173,10 @@ def _mul_packed(xs: list, ys: list, lam, w: int, g: int, exps: dict) -> dict:
     of a), at the same (W, g) and V, as a map E -> runs; exps gains the
     exponent vector of each of its keys.  Each pair of runs costs one int
     add for its key, one list read for its twist, one bigint multiply and
-    one shift-add into the runs of its key; the twist v^{aT L b} of a term
-    a of x against every run of y is computed in one pass.  The caller's W
-    bounds every partial sum of an output coefficient, and its V every
-    exponent.  Neither operand is changed.
+    one shift-add into the runs of its key (add_piece); the twist
+    v^{aT L b} of a term a of x against every run of y is computed in one
+    pass.  The caller's W bounds every partial sum of an output
+    coefficient, and its V every exponent.  Neither operand is changed.
 
     An operand with one term of one run, c X^m, gives each term of the
     other its own output exponent: X^m X^b = v^{mT L b} X^{m+b} on the
@@ -194,7 +197,6 @@ def _mul_packed(xs: list, ys: list, lam, w: int, g: int, exps: dict) -> dict:
                 exps[kc] = tuple(map(add, m, b))
             return out
     flat = [(kb, lb, nb, b) for kb, b, runs in ys for lb, nb in runs if nb]
-    span = _SPAN * g
     acc: dict = {}
     for ka, a, runs in xs:
         row = _combine_rows(lam, a)
@@ -207,8 +209,6 @@ def _mul_packed(xs: list, ys: list, lam, w: int, g: int, exps: dict) -> dict:
                     if into is None:
                         acc[kc] = [[la + t, na * nb]]
                         exps[kc] = tuple(map(add, a, b))
-                    elif len(into) == 1 and 0 <= (d := la + t - into[0][0]) <= span and not d % g:
-                        into[0][1] += na * nb << w * (d // g)
                     else:
                         add_piece(into, la + t, na * nb, w, g)
     return acc
@@ -471,7 +471,7 @@ class PackedSum:
     (True, True)
     """
 
-    __slots__ = ("ambient", "bound", "w", "g", "e", "v", "_runs", "_exps", "_parts")
+    __slots__ = ("ambient", "bound", "w", "g", "v", "_runs", "_exps", "_parts")
 
     def __init__(self, ambient: LMatrix, products):
         lam, k = ambient.rows, ambient.k
@@ -518,7 +518,7 @@ class PackedSum:
                 for ka, a, runs in acc:
                     out[ka], exps[ka] = runs, a
             self._runs.append(out)
-        self.ambient, self.bound, self.w, self.g, self.e, self.v = ambient, bound, w, g, e, v
+        self.ambient, self.bound, self.w, self.g, self.v = ambient, bound, w, g, v
         self._exps = exps
         self._parts = [None] * len(products)
 
@@ -531,11 +531,9 @@ class PackedSum:
             self._parts[i] = TorusElem(self.ambient, terms, _trusted=True)
         return self._parts[i]
 
-    def _remainder(self, v: int) -> tuple[dict, dict]:
-        """(the sum of the products' runs, in lists of its own, keyed by E
-        at a width V of at least self.v; a map E -> a that holds its keys
-        and that the caller may extend: the sum's own at V = self.v, since
-        E is one map at one width, and a new one at a wider V)."""
+    def _remainder(self) -> tuple[dict, dict]:
+        """(the sum of the products' runs, in lists of its own; the map
+        E -> a that holds its keys, which the caller may extend)."""
         rem: dict = {}
         if self._runs:
             first, *rest = self._runs
@@ -545,12 +543,7 @@ class PackedSum:
                     into = rem.setdefault(ka, [])
                     for lo, n in runs:
                         add_piece(into, lo, n, self.w, self.g)
-        exps = self._exps
-        if v == self.v:
-            return rem, exps
-        weights = _weights(v, self.ambient.k)
-        wider = [(sum(map(mul, exps[ka], weights)), exps[ka], runs) for ka, runs in rem.items()]
-        return {ka: runs for ka, _, runs in wider}, {ka: a for ka, a, _ in wider}
+        return rem, self._exps
 
 
 def exact_left_div(p: TorusElem, q) -> TorusElem:
@@ -582,8 +575,8 @@ def exact_left_div(p: TorusElem, q) -> TorusElem:
     the lead's run itself, shifted and signed, and it is subtracted without
     being packed again.
 
-    The remainder is keyed by E at the width of e(q) + e(p), or at q's own
-    if that is wider (see the comment on exponent keys), so its largest
+    The remainder is keyed by E at q's own width V, which bounds every
+    exponent it holds (see the comment on exponent keys), so its largest
     key is its lex-leading exponent.  The twists of a quotient term
     against every run of p come from one pass.
 
@@ -603,9 +596,8 @@ def exact_left_div(p: TorusElem, q) -> TorusElem:
     cp = pt[ap]
     lead_row = _combine_rows(lam, ap)
     w, g, q_l1 = q.w, q.g, q.bound
-    p_l1, _, p_e = _sizes(p)
-    v = max(q.v, digit_width(q.e + p_e))
-    rem, exps = q._remainder(v)
+    p_l1, v = _sizes(p)[0], q.v
+    rem, exps = q._remainder()
     support = [exps[kr] for kr, runs in rem.items()
                if (runs[0][1] if len(runs) == 1 else collect(runs, w, g))]
     if not support:
@@ -623,11 +615,10 @@ def exact_left_div(p: TorusElem, q) -> TorusElem:
             unit = t, c0
     # the leading term of p is left out: its product with each quotient
     # term cancels the remainder's leading coefficient, which is popped
-    kp = max(_packed(p, w, g, v))[0]  # the keys are distinct, and E(ap) the largest
+    kp = sum(map(mul, ap, _weights(v, p.ambient.k)))
     rows = {b: _combine_rows(lam, b) for b in pt if b != ap}
-    pp = [(kb, b, rows[b], lo, n) for kb, b, runs in _packed(p, w, g, v) if kb != kp
+    pp = [(kb, b, rows[b], lo, n) for kb, b, runs in _packed(p, w, g, v) if b != ap
           for lo, n in runs]
-    span = _SPAN * g
     s_l1 = 0
     out: dict = {}
     while rem:
@@ -661,7 +652,7 @@ def exact_left_div(p: TorusElem, q) -> TorusElem:
         need = digit_width(q_l1 + p_l1 * s_l1)
         if need > w:
             rem, w = _repacked(rem, w, g, need)
-            pp = [(kb, b, rows[b], lo, n) for kb, b, runs in _packed(p, w, g, v) if kb != kp
+            pp = [(kb, b, rows[b], lo, n) for kb, b, runs in _packed(p, w, g, v) if b != ap
                   for lo, n in runs]
             runs = None
         if not pp:
@@ -676,8 +667,6 @@ def exact_left_div(p: TorusElem, q) -> TorusElem:
                 if into is None:
                     rem[kc] = [[lc + t, -nb * nc]]
                     exps[kc] = tuple(map(add, b, aq))
-                elif len(into) == 1 and 0 <= (d := lc + t - into[0][0]) <= span and not d % g:
-                    into[0][1] -= nb * nc << w * (d // g)
                 else:
                     add_piece(into, lc + t, -nb * nc, w, g)
     return TorusElem(p.ambient, out, _trusted=True)

@@ -585,25 +585,25 @@ def test_exponent_keys_at_the_edge_of_their_width(sign):
     x = TorusElem.monomial(lam, (100, 0)) + TorusElem.monomial(lam, (-100, 1), {1: 2})
     y = TorusElem.monomial(lam, (27 * sign, -3)) + TorusElem.monomial(lam, (-27 * sign, 0), -1)
     s = PackedSum(lam, [(0, [(x, 1), (y, 1)])])
-    assert (s.e, s.v) == (127, 8)
+    assert s.v == 8 and digit_width(127) == 8
     assert {127, -127} <= {a[0] for a in s[0].terms}
     assert s[0].terms == schoolbook_mul(x, y)
-    # q's exponents reach 100 and p's 27, so the division keys at
-    # V = digit_width(127) = 8 and meets the quotient exponents ar - ap,
-    # one of which has the component 127 sign
+    # q's exponents reach 100, so the division keys at q's V = 8; p's
+    # exponents reach 27 and the quotient's 127 sign, keys that are only
+    # ever added
     p = TorusElem.monomial(lam, (-27 * sign, 0)) + TorusElem.monomial(lam, (-27 * sign, -1), {2: 3})
     quo = (TorusElem.monomial(lam, (127 * sign, 0), {0: 1, 2: 1})
            + TorusElem.monomial(lam, (126 * sign, 1), -1))
     q = p * quo
-    assert max(max(map(abs, a)) for a in q.terms) == 100 and digit_width(127) == 8
+    assert max(max(map(abs, a)) for a in q.terms) == 100
     assert exact_left_div(p, q) == quo
-    # p's exponents reach 127 while q's stay below 3: the division keys at
-    # digit_width(2 + 127) = 16, wider than q's own V = 8, so it keys q's
-    # remainder again
-    p = TorusElem.monomial(lam, (127 * sign, 0)) + TorusElem.monomial(lam, (126 * sign, 1), {0: 2})
-    quo = TorusElem.monomial(lam, (-127 * sign, 1)) + TorusElem.monomial(lam, (-126 * sign, 0), -1)
+    # p's and the quotient's exponents reach 200 > M/2 while q's stay below
+    # 3: keyed at q's V = 8, every exponent the remainder meets lies in
+    # q's bounding box, and the lead of p is chosen by its vector
+    p = TorusElem.monomial(lam, (200 * sign, 0)) + TorusElem.monomial(lam, (199 * sign, 1), {0: 2})
+    quo = TorusElem.monomial(lam, (-200 * sign, 1)) + TorusElem.monomial(lam, (-199 * sign, 0), -1)
     q = p * quo
-    assert PackedSum(lam, [(0, [(q, 1)])]).v == 8 < digit_width(2 + 127)
+    assert PackedSum(lam, [(0, [(q, 1)])]).v == 8
     assert exact_left_div(p, q) == quo
 
 
