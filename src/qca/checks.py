@@ -329,8 +329,7 @@ def _exchange_witness(node, idx, shadow, parent, parts, walk) -> str | None:
     if parts is None:
         return None
     lhs = walk.product(parent.vars[parts.k], parts.new_var)
-    rhs = (parts.m_pos.v_shift(2 - parts.shift_pos)
-           + parts.m_neg.v_shift(-parts.shift_neg)).v_shift(parts.shift_neg)
+    rhs = parts.m_pos.v_shift(2 + parts.shift_neg - parts.shift_pos) + parts.m_neg
     if lhs != rhs:
         return "vars_k * new_var differs from v^{p''}(v^2 M' + M'')"
     return None

@@ -23,8 +23,7 @@ Every product is a PackedSum: a sum of products of elements, multiplied
 on packed runs at one width W, fixed before any product from
 B = sum prod_i ||x_i||_1^{c_i}, which bounds every partial sum of their
 coefficients.  x * y is a PackedSum of one product of two factors, and
-x.pow(n) one of a single factor taken n times.  A monomial factor
-c v^s X^a only shifts and scales the runs of the other.  The exchange
+x.pow(n) one of a single factor taken n times.  The exchange
 relation of seed mutation divides such a sum, v^{t'} prod_i x_i^{c'_i} +
 v^{t''} prod_i x_i^{c''_i}, by X_k: exact_left_div peels the sum of its
 runs as it is, widened first if X_k needs it; a TorusElem numerator is
@@ -35,11 +34,11 @@ needs no product.
 
 Inside a product or a division, an exponent vector is keyed by one int,
 its components as balanced base-2^V digits, with V fixed with W from a
-proven bound (see the comment on exponent keys).  A run pair then costs
-one int add for its key, one list read for its twist (each term's twists
-against the whole other operand come from one pass), one bigint multiply
-and one shift-add (add_piece); only TorusElem terms, PackedSum[i] and
-the peeled quotient exponents are tuples.
+proven bound (see the comment on exponent keys).  One loop, _mul_packed,
+adds the run pairs of every product and of every peel step of the
+division.  A run pair costs one int add for its key, one list read for
+its twist (each term's twists against the whole other operand come from
+one pass), one bigint multiply and one shift-add (add_piece).
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 
 from .coeffs import (
     add_piece,
@@ -114,10 +113,9 @@ __all__ = [
 #   all integers, so they need no bound; the lead ap is chosen by its
 #   vector, not by its key.
 #
-# A packed factor carries its vectors with its keys.  A product's are kept
-# once, in a map E -> a that the PackedSum and its division share, each
-# when its key first appears, as the sum of the pair that made it (a
-# partial product's go to a map of its own).  The vectors go back into
+# Every key is stored with its vector: a packed factor's entries hold
+# both, and a product or a remainder maps E(a) -> (a, runs), where a new
+# key gets the sum of the pair that made it.  The vectors go into
 # TorusElem terms, the twists and the Newton box; no key is ever decoded.
 
 def _sizes(x) -> tuple:
@@ -134,15 +132,19 @@ def _sizes(x) -> tuple:
 
 
 def _packed(x, w: int, g: int, v: int) -> list:
-    """[(E(a), a, runs of a's coefficient at (W, g)), ...] over x's terms,
-    keyed at width V; computed once per element and widths.  Nothing
-    changes the cached runs: products read them, and a remainder copies
-    them."""
+    """[(E(a), a, L a, lo, n), ...], one entry per run [lo, n] of the
+    coefficient of each term a of x at (W, g), keyed at width V; computed
+    once per element and widths, so each twist vector L a is too.
+    Nothing changes the cached entries: products read them."""
     cached = getattr(x, "_packed", None)
     if cached is None or cached[0] != (w, g, v):
-        weights = _weights(v, x.ambient.k)
-        cached = (w, g, v), [(sum(map(mul, a, weights)), a, pack(cf, w, g))
-                             for a, cf in x.terms.items()]
+        lam, weights = x.ambient.rows, _weights(v, x.ambient.k)
+        entries = []
+        for a, cf in x.terms.items():
+            # L a = -(aT L), since L is skew-symmetric
+            ka, la = sum(map(mul, a, weights)), _combine_rows(lam, map(neg, a))
+            entries += [(ka, a, la, lo, n) for lo, n in pack(cf, w, g)]
+        cached = (w, g, v), entries
         object.__setattr__(x, "_packed", cached)
     return cached[1]
 
@@ -168,49 +170,29 @@ def _combine_rows(rows, a) -> list:
     return out
 
 
-def _mul_packed(xs: list, ys: list, lam, w: int, g: int, exps: dict) -> dict:
-    """The product of two packed elements, each a list of (E(a), a, runs
-    of a), at the same (W, g) and V, as a map E -> runs; exps gains the
-    exponent vector of each of its keys.  Each pair of runs costs one int
-    add for its key, one list read for its twist, one bigint multiply and
-    one shift-add into the runs of its key (add_piece); the twist
-    v^{aT L b} of a term a of x against every run of y is computed in one
-    pass.  The caller's W bounds every partial sum of an output
+def _mul_packed(xs, ys: list, w: int, g: int, acc: dict) -> dict:
+    """acc += x y, returned, for x given by pairs (E(a), (a, runs of a))
+    and y by entries (E(b), b, vec_b, lo, n) as _packed gives them, at the
+    same (W, g) and V; acc maps E(c) -> (c, runs of c).  The twist of a
+    pair is v^{vec_b . a}: a product passes vec_b = L b, so the twist is
+    aT L b, and exact_left_div passes bT L, so it is bT L aq.  Each pair
+    of runs costs one int add for its key, one list read for its twist
+    (those of a term of x against every run of y come from one pass), one
+    bigint multiply and one shift-add into the runs of its key
+    (add_piece).  The caller's W bounds every partial sum of an output
     coefficient, and its V every exponent.  Neither operand is changed.
-
-    An operand with one term of one run, c X^m, gives each term of the
-    other its own output exponent: X^m X^b = v^{mT L b} X^{m+b} on the
-    left, and X^b X^m = v^{-mT L b} X^{b+m} on the right (L is
-    skew-symmetric).  Every run of the other is multiplied by c and
-    shifted, and nothing is added: a run [lo, n] times c's run [s, c] is
-    [lo + s + twist, c n].
     """
-    for one, other, sign in ((xs, ys, 1), (ys, xs, -1)):
-        if len(one) == 1 and len(one[0][2]) == 1:
-            ((km, m, ((s, c),)),) = one
-            row = _combine_rows(lam, m)
-            out = {}
-            for kb, b, runs in other:
-                t = s + sign * sum(map(mul, row, b))
-                kc = km + kb
-                out[kc] = [[lo + t, c * n] for lo, n in runs]
-                exps[kc] = tuple(map(add, m, b))
-            return out
-    flat = [(kb, lb, nb, b) for kb, b, runs in ys for lb, nb in runs if nb]
-    acc: dict = {}
-    for ka, a, runs in xs:
-        row = _combine_rows(lam, a)
-        twists = [lb + sum(map(mul, row, b)) for _, lb, _, b in flat]
+    for ka, (a, runs) in xs:
+        twists = [lb + sum(map(mul, vb, a)) for _, _, vb, lb, _ in ys]
         for la, na in runs:
             if na:
-                for (kb, _, nb, b), t in zip(flat, twists):
+                for (kb, b, _, _, nb), t in zip(ys, twists):
                     kc = ka + kb
                     into = acc.get(kc)
                     if into is None:
-                        acc[kc] = [[la + t, na * nb]]
-                        exps[kc] = tuple(map(add, a, b))
+                        acc[kc] = (tuple(map(add, a, b)), [[la + t, na * nb]])
                     else:
-                        add_piece(into, la + t, na * nb, w, g)
+                        add_piece(into[1], la + t, na * nb, w, g)
     return acc
 
 
@@ -436,16 +418,14 @@ class PackedSum:
     products holds one (t_i, ((x_i1, c_i1), (x_i2, c_i2), ...)) per
     product, every c >= 1; a product with no factors is v^{t_i}, and one
     with a zero factor is zero.  Each factor has its norm and exponent
-    bound taken once per element, and is packed, with the keys E(a) of its
-    exponents, once per element and widths (W, g, V), by the first nonzero
-    product that holds it; a zero product packs nothing, since W need not
-    cover its factors.  A product maps the key of each exponent
-    to its runs [lo, n] (``qca.coeffs``), and one map from keys to exponent
-    vectors serves every product and the division.  It
+    bound taken once per element, and is packed, with the key E(a) and the
+    twist vector L a of each exponent, once per element and widths (W, g,
+    V), by the first nonzero product that holds it; a zero product packs
+    nothing, since W need not cover its factors.  A product maps the key
+    of each exponent a to (a, its runs [lo, n]) (``qca.coeffs``).  It
     starts from the runs of its first factor, or from the run [0, 1] when
-    it has none, shifted by v^t (t added to every lo), and takes the other
-    factors from the left, one power at a time, so a monomial factor shifts
-    and scales the runs (_mul_packed) and is never multiplied out.
+    it has none, shifted by v^t (t added to every lo), and multiplies in
+    the other factors from the left, one power at a time (_mul_packed).
     exact_left_div takes the sum of the products' runs as its starting
     remainder, so the sum is never unpacked; an exponent whose runs cancel
     stays a key of that remainder.  s[i] is product i as a TorusElem,
@@ -471,10 +451,10 @@ class PackedSum:
     (True, True)
     """
 
-    __slots__ = ("ambient", "bound", "w", "g", "v", "_runs", "_exps", "_parts")
+    __slots__ = ("ambient", "bound", "w", "g", "v", "_runs", "_parts")
 
     def __init__(self, ambient: LMatrix, products):
-        lam, k = ambient.rows, ambient.k
+        k = ambient.k
         norms = {}  # id -> (||x||_1, stride, e(x))
         bounds = []
         e = 0
@@ -494,56 +474,45 @@ class PackedSum:
         bound = sum(bounds)
         g = gcd(*[stride for _, stride, _ in norms.values()]) or 1
         w, v = digit_width(2 * bound), digit_width(e)
-        exps = {}
         self._runs = []
         for (t, factors), b in zip(products, bounds):
-            if not b:
-                self._runs.append({})
-                continue
-            powers = []
-            for x, c in factors:
-                powers += [_packed(x, w, g, v)] * c
-            acc = powers[0] if powers else [(0, (0,) * k, [[0, 1]])]
-            if t:
-                acc = [(ka, a, [[lo + t, n] for lo, n in runs]) for ka, a, runs in acc]
-            out = None
-            for j in range(1, len(powers)):
-                if out is not None:
-                    acc = [(ka, found[ka], runs) for ka, runs in out.items()]
-                # a partial product's vectors are needed by the next step only
-                found = exps if j == len(powers) - 1 else {}
-                out = _mul_packed(acc, powers[j], lam, w, g, found)
-            if out is None:
-                out = {}
-                for ka, a, runs in acc:
-                    out[ka], exps[ka] = runs, a
+            out = {}
+            if b:
+                powers = []
+                for x, c in factors:
+                    powers += [_packed(x, w, g, v)] * c
+                if powers:
+                    for ka, a, _, lo, n in powers[0]:
+                        out.setdefault(ka, (a, []))[1].append([lo + t, n])
+                else:
+                    out[0] = ((0,) * k, [[t, 1]])
+                for ys in powers[1:]:
+                    out = _mul_packed(out.items(), ys, w, g, {})
             self._runs.append(out)
         self.ambient, self.bound, self.w, self.g, self.v = ambient, bound, w, g, v
-        self._exps = exps
         self._parts = [None] * len(products)
 
     def __getitem__(self, i: int) -> TorusElem:
         """Product i; an exponent whose runs cancel is left out."""
         if self._parts[i] is None:
-            w, g, exps = self.w, self.g, self._exps
-            terms = {exps[ka]: cf for ka, runs in self._runs[i].items()
-                     if (cf := collect(runs, w, g))}
+            w, g = self.w, self.g
+            terms = {a: cf for a, runs in self._runs[i].values() if (cf := collect(runs, w, g))}
             self._parts[i] = TorusElem(self.ambient, terms, _trusted=True)
         return self._parts[i]
 
-    def _remainder(self) -> tuple[dict, dict]:
-        """(the sum of the products' runs, in lists of its own; the map
-        E -> a that holds its keys, which the caller may extend)."""
+    def _remainder(self) -> dict:
+        """The sum of the products' runs, E(a) -> (a, runs), in lists of
+        its own."""
         rem: dict = {}
-        if self._runs:
-            first, *rest = self._runs
-            rem = {ka: [[lo, n] for lo, n in runs] for ka, runs in first.items()}
-            for r in rest:
-                for ka, runs in r.items():
-                    into = rem.setdefault(ka, [])
+        for r in self._runs:
+            for ka, (a, runs) in r.items():
+                into = rem.get(ka)
+                if into is None:
+                    rem[ka] = (a, [[lo, n] for lo, n in runs])
+                else:
                     for lo, n in runs:
-                        add_piece(into, lo, n, self.w, self.g)
-        return rem, self._exps
+                        add_piece(into[1], lo, n, self.w, self.g)
+        return rem
 
 
 def exact_left_div(p: TorusElem, q) -> TorusElem:
@@ -577,8 +546,10 @@ def exact_left_div(p: TorusElem, q) -> TorusElem:
 
     The remainder is keyed by E at q's own width V, which bounds every
     exponent it holds (see the comment on exponent keys), so its largest
-    key is its lex-leading exponent.  The twists of a quotient term
-    against every run of p come from one pass.
+    key is its lex-leading exponent.  Each peel step subtracts p less its
+    lead times the new quotient term c X^aq through the product loop
+    (_mul_packed), with -c X^aq as the outer operand and p's runs, each
+    with bT L, packed once per width as the inner one.
 
     >>> L = LMatrix.from_rows([[0, 1], [-1, 0]])
     >>> q = TorusElem.monomial(L, (2, 1), qc_v(3))
@@ -595,10 +566,10 @@ def exact_left_div(p: TorusElem, q) -> TorusElem:
     ap = max(pt)
     cp = pt[ap]
     lead_row = _combine_rows(lam, ap)
-    w, g, q_l1 = q.w, q.g, q.bound
-    p_l1, v = _sizes(p)[0], q.v
-    rem, exps = q._remainder()
-    support = [exps[kr] for kr, runs in rem.items()
+    w, g, v, q_l1 = q.w, q.g, q.v, q.bound
+    p_l1 = _sizes(p)[0]
+    rem = q._remainder()
+    support = [a for a, runs in rem.values()
                if (runs[0][1] if len(runs) == 1 else collect(runs, w, g))]
     if not support:
         return TorusElem.zero(p.ambient)
@@ -613,18 +584,14 @@ def exact_left_div(p: TorusElem, q) -> TorusElem:
         ((t, c0),) = cp.items()
         if c0 in (1, -1):
             unit = t, c0
-    # the leading term of p is left out: its product with each quotient
-    # term cancels the remainder's leading coefficient, which is popped
     kp = sum(map(mul, ap, _weights(v, p.ambient.k)))
-    rows = {b: _combine_rows(lam, b) for b in pt if b != ap}
-    pp = [(kb, b, rows[b], lo, n) for kb, b, runs in _packed(p, w, g, v) if b != ap
-          for lo, n in runs]
+    pp = None
     s_l1 = 0
     out: dict = {}
     while rem:
         kr = max(rem)
-        runs = rem.pop(kr)
-        aq = tuple(map(sub, exps[kr], ap))
+        ar, runs = rem.pop(kr)
+        aq = tuple(map(sub, ar, ap))
         shift = sum(map(mul, lead_row, aq))
         if unit:
             d = unit[0] + shift
@@ -646,29 +613,23 @@ def exact_left_div(p: TorusElem, q) -> TorusElem:
             c = lead
             runs = [trim_run(runs[0], w, g)] if len(runs) == 1 else None
         else:
-            c, runs = _quotient_coeff(exps[kr], lead, shift, cp), None
+            c, runs = _quotient_coeff(ar, lead, shift, cp), None
         out[aq] = c
         s_l1 += sum(map(abs, c.values()))
         need = digit_width(q_l1 + p_l1 * s_l1)
         if need > w:
             rem, w = _repacked(rem, w, g, need)
-            pp = [(kb, b, rows[b], lo, n) for kb, b, runs in _packed(p, w, g, v) if b != ap
-                  for lo, n in runs]
-            runs = None
-        if not pp:
-            continue
-        kq = kr - kp
-        # the twist v^{bT L aq} of each run of p against aq, in one pass
-        twists = [lb + sum(map(mul, row, aq)) for _, _, row, lb, _ in pp]
-        for lc, nc in runs or pack(c, w, g):
-            for (kb, b, _, _, nb), t in zip(pp, twists):
-                kc = kb + kq
-                into = rem.get(kc)
-                if into is None:
-                    rem[kc] = [[lc + t, -nb * nc]]
-                    exps[kc] = tuple(map(add, b, aq))
-                else:
-                    add_piece(into, lc + t, -nb * nc, w, g)
+            pp = runs = None
+        if pp is None:
+            # p's runs but its lead's, whose product with the quotient term
+            # cancels the popped coefficient; the twist of X^b X^aq is
+            # bT L aq, and bT L = -(L b) since L is skew-symmetric
+            pp = [(kb, b, [-x for x in lb], lo, n)
+                  for kb, b, lb, lo, n in _packed(p, w, g, v) if b != ap]
+        if pp:
+            # rem += (p less its lead) (-c X^aq), and kr - kp = E(aq)
+            negated = [[lo, -n] for lo, n in runs or pack(c, w, g)]
+            _mul_packed([(kr - kp, (aq, negated))], pp, w, g, rem)
     return TorusElem(p.ambient, out, _trusted=True)
 
 
@@ -687,7 +648,7 @@ def _repacked(rem: dict, w: int, g: int, need: int):
     quotient repacks only O(log) times; that width).  Exponents whose runs
     cancelled are dropped."""
     wider = max(need, 2 * w)
-    return {a: pack(cf, wider, g) for a, runs in rem.items()
+    return {ka: (a, pack(cf, wider, g)) for ka, (a, runs) in rem.items()
             if (cf := collect(runs, w, g))}, wider
 
 

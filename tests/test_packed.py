@@ -9,10 +9,9 @@ sparse and wide v-spans, and ranks above 64.  Packing is drawn at every
 width the code can choose: 8, 16, 32 and 64 bits, which convert through
 ``array``, and 72 and 128 bits, which do not.  Every product keeps the
 digits of each run within the span that add_piece keeps.  A monomial
-operand only shifts and scales the other's runs, a single-term divisor
-forces each quotient term from one term of the dividend, and a
-single-term side of q-commutation needs no product; they are drawn on
-either side of every property.
+operand, a single-term divisor, which forces each quotient term from one
+term of the dividend, and a single-term side of q-commutation, which
+needs no product, are drawn on either side of every property.
 """
 
 import itertools
@@ -22,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import qca.torus
 from qca.coeffs import (
     _SPAN,
     add_piece,
@@ -190,7 +190,7 @@ def assert_runs_hold_their_digits(x: TorusElem, y: TorusElem):
     s = PackedSum(x.ambient, [(0, [(x, 1), (y, 1)])])
     reach = _SPAN * s.g + v_span(x) + v_span(y)
     for product in s._runs:
-        for runs in product.values():
+        for _, runs in product.values():
             for lo, n in runs:
                 for e in unpack(lo, n, s.w, s.g):
                     assert (e - lo) % s.g == 0 and 0 <= e - lo <= reach
@@ -572,7 +572,7 @@ def test_exponent_keys_sort_in_lex_order(data):
             vec[i] = data.draw(comps)
         vecs.add(tuple(vec))
     x = TorusElem(skew({}, k), {a: 1 for a in vecs})
-    by_key = {key: a for key, a, _ in _packed(x, 8, 1, v)}
+    by_key = {key: a for key, a, _, _, _ in _packed(x, 8, 1, v)}
     assert len(by_key) == len(vecs)
     assert [by_key[key] for key in sorted(by_key)] == sorted(vecs)
 
@@ -605,6 +605,27 @@ def test_exponent_keys_at_the_edge_of_their_width(sign):
     q = p * quo
     assert PackedSum(lam, [(0, [(q, 1)])]).v == 8
     assert exact_left_div(p, q) == quo
+
+
+def test_twist_vectors_are_computed_once_per_element(monkeypatch):
+    # packing an element computes L a once for each of its terms, and a
+    # second product of the same elements, at the same widths, reads them
+    # from the packed copy
+    calls = []
+    combine_rows = qca.torus._combine_rows
+
+    def spy(rows, a):
+        calls.append(a)
+        return combine_rows(rows, a)
+
+    monkeypatch.setattr(qca.torus, "_combine_rows", spy)
+    lam = skew({(1, 0): 1, (2, 0): -2, (2, 1): 3}, 3)
+    x = TorusElem(lam, {(1, 0, 0): {0: 1, 2: 3}, (0, 1, 0): 2, (-1, 0, 2): {1: -1}})
+    y = TorusElem(lam, {(0, 0, 1): 1, (2, -1, 0): {0: 1, 2: 1}})
+    first = x * y
+    assert len(calls) == len(x.terms) + len(y.terms)
+    assert x * y == first == TorusElem(lam, schoolbook_mul(x, y))
+    assert len(calls) == len(x.terms) + len(y.terms)
 
 
 def schoolbook_left_div(p: TorusElem, q: dict) -> dict:

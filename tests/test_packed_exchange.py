@@ -319,8 +319,8 @@ def test_the_kronecker_chain_keeps_its_recurrence_past_64_bit_digits(first, twis
     # rather than taken from the engine: z = v^{-2 twist} (X^(1,-1,0,1) +
     # X^(-1,1,1,0) + X^(-1,-1,2,0)) and c = v^{8 twist} X^(0,0,1,1); at
     # step 24 the numerator's digits need more than 64 bits, so checked
-    # mutate runs at W = 72
-    seed, ks = kronecker_chain(make_seed("aff").ex[first], 24)
+    # mutate runs at W = 72, and the chain goes on to step 28
+    seed, ks = kronecker_chain(make_seed("aff").ex[first], 28)
     lam = seed.l_init
     z = TorusElem(lam, {(-1, -1, 2, 0): {-2 * twist: 1}, (-1, 1, 1, 0): {-2 * twist: 1},
                         (1, -1, 0, 1): {-2 * twist: 1}})
