@@ -35,10 +35,16 @@ needs no product.
 Inside a product or a division, an exponent vector is keyed by one int,
 its components as balanced base-2^V digits, with V fixed with W from a
 proven bound (see the comment on exponent keys).  One loop, _mul_packed,
-adds the run pairs of every product and of every peel step of the
+adds the ordered run pairs of every product and of every peel step of the
 division.  A run pair costs one int add for its key, one list read for
 its twist (each term's twists against the whole other operand come from
-one pass), one bigint multiply and one shift-add (add_piece).
+one pass), one bigint multiply and one shift-add (add_piece).  A product
+that opens with a power x^c, c >= 2, starts from x^2, which takes one
+pair per unordered pair of x's n runs, n (n + 1) / 2 instead of n^2
+(_square_packed): coefficients are central, and the twists of X^a X^b
+and X^b X^a are s and -s, so the two ordered pairs give one multiply,
+and one shift-add when their pieces join.  Each partial sum it forms is
+a sum of some of the ordered product's contributions, so W holds it.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from math import gcd
 from operator import add, mul, neg, sub
 
 from .coeffs import (
+    _SPAN,
     add_piece,
     collect,
     digit_width,
@@ -193,6 +200,39 @@ def _mul_packed(xs, ys: list, w: int, g: int, acc: dict) -> dict:
                         acc[kc] = (tuple(map(add, a, b)), [[la + t, na * nb]])
                     else:
                         add_piece(into[1], la + t, na * nb, w, g)
+    return acc
+
+
+def _square_packed(xs: list, t: int, w: int, g: int) -> dict:
+    """v^t x^2 as E(c) -> (c, runs of c), for x given by its entries
+    (E(a), a, L a, lo, n) as _packed gives them, one pair of runs per
+    unordered pair.  A run paired with itself gives n^2 at X^{2a}, since
+    aT L a = 0.  Coefficients are central, so the two ordered pairs of two
+    runs give m v^s X^{a+b} and m v^-s X^{a+b}, m = n_a n_b, s = aT L b
+    (0 when a = b): one piece m + m v^{2|s|} at v^-|s|, packed as one int
+    when 2|s| is a multiple of g and at most _SPAN strides, else the two
+    pieces.  Every partial sum of an output coefficient is a sum of some of
+    its contributions, as in _mul_packed, so the caller's W holds it.
+    """
+    span = _SPAN * g
+    acc: dict = {}
+    for i, (ka, a, _, la, na) in enumerate(xs):
+        into = acc.get(2 * ka)
+        if into is None:
+            acc[2 * ka] = (tuple([2 * x for x in a]), [[2 * la + t, na * na]])
+        else:
+            add_piece(into[1], 2 * la + t, na * na, w, g)
+        la += t
+        for kb, b, vb, lb, nb in xs[i + 1:]:
+            into = acc.get(ka + kb)
+            if into is None:
+                into = acc[ka + kb] = (tuple(map(add, a, b)), [])
+            s, m = abs(sum(map(mul, vb, a))), na * nb
+            if 2 * s % g or 2 * s > span:
+                add_piece(into[1], la + lb + s, m, w, g)
+                add_piece(into[1], la + lb - s, m, w, g)
+            else:
+                add_piece(into[1], la + lb - s, m + (m << (w * (2 * s // g))), w, g)
     return acc
 
 
@@ -426,6 +466,10 @@ class PackedSum:
     starts from the runs of its first factor, or from the run [0, 1] when
     it has none, shifted by v^t (t added to every lo), and multiplies in
     the other factors from the left, one power at a time (_mul_packed).
+    When it opens with a power x^c, c >= 2 (x.pow(n), x * x of one
+    element, a squared variable of an exchange numerator), it starts from
+    v^t x^2 instead, one pair per unordered pair of x's runs
+    (_square_packed), and multiplies in x^(c-2) and the rest as above.
     exact_left_div takes the sum of the products' runs as its starting
     remainder, so the sum is never unpacked; an exponent whose runs cancel
     stays a key of that remainder.  s[i] is product i as a TorusElem,
@@ -481,7 +525,10 @@ class PackedSum:
                 powers = []
                 for x, c in factors:
                     powers += [_packed(x, w, g, v)] * c
-                if powers:
+                if len(powers) > 1 and powers[0] is powers[1]:
+                    # a power x^c, c >= 2, opens the product: x^2 first
+                    out, powers = _square_packed(powers[0], t, w, g), powers[1:]
+                elif powers:
                     for ka, a, _, lo, n in powers[0]:
                         out.setdefault(ka, (a, []))[1].append([lo + t, n])
                 else:

@@ -8,7 +8,9 @@ machine-word boundaries, cancellation, digits at the edge of the width,
 sparse and wide v-spans, and ranks above 64.  Packing is drawn at every
 width the code can choose: 8, 16, 32 and 64 bits, which convert through
 ``array``, and 72 and 128 bits, which do not.  Every product keeps the
-digits of each run within the span that add_piece keeps.  A monomial
+digits of each run within the span that add_piece keeps.  A square, which
+adds one pair per unordered pair of runs, has a fixed case for each way a
+pair adds its pieces.  A monomial
 operand, a single-term divisor, which forces each quotient term from one
 term of the dividend, and a single-term side of q-commutation, which
 needs no product, are drawn on either side of every property.
@@ -185,10 +187,11 @@ def v_span(x: TorusElem) -> int:
 def assert_runs_hold_their_digits(x: TorusElem, y: TorusElem):
     """Every run [lo, n] stored for x * y has its digits on the stride,
     at or above lo and at most _SPAN strides plus the longest piece above
-    it; a piece, one run of x times one of y, spans at most v_span(x) +
-    v_span(y)."""
+    it.  A piece of x * y, one run of x times one of y, spans at most
+    v_span(x) + v_span(y).  x * x joins the two ordered pairs of two runs
+    into one piece, which spans at most 2 v_span(x) + _SPAN strides."""
     s = PackedSum(x.ambient, [(0, [(x, 1), (y, 1)])])
-    reach = _SPAN * s.g + v_span(x) + v_span(y)
+    reach = _SPAN * s.g + v_span(x) + v_span(y) + (_SPAN * s.g if x is y else 0)
     for product in s._runs:
         for _, runs in product.values():
             for lo, n in runs:
@@ -224,6 +227,79 @@ def test_product_matches_schoolbook(ops):
         square = schoolbook_mul(x, x)
         assert (x * x).terms == x.pow(2).terms == square
         assert x.pow(3).terms == schoolbook_mul(TorusElem(x.ambient, square), x)
+
+
+# x^2 adds one pair of runs per unordered pair: each case below takes one
+# way in which a pair adds its pieces, at the digit width W it packs at
+L_ONE = LMatrix.from_rows([[0, 1], [-1, 0]])
+L_TWO = LMatrix.from_rows([[0, 2], [-2, 0]])
+L_BIG = LMatrix.from_rows([[0, 2**31], [-(2**31), 0]])
+SQUARES = [
+    # X^(1,0)'s coefficient spans more than _SPAN strides and packs into
+    # two runs, which pair at twist 0
+    pytest.param(TorusElem(L_ONE, {(1, 0): {0: 1, 1: -2, 2 * _SPAN: 3}, (0, 1): 1}),
+                 8, id="two_runs"),
+    # stride g = 4 and twist 1: 2s is off the stride, so the two pieces of
+    # a pair stay apart
+    pytest.param(TorusElem(L_ONE, {(1, 0): {0: 1, 4: 1}, (0, 1): {8: 1, 0: -2}}),
+                 8, id="odd_twist_stride_4"),
+    # stride 4 and twist 2: they join, one digit apart
+    pytest.param(TorusElem(L_TWO, {(1, 0): {0: 1, 4: 1}, (0, 1): {8: 1, 0: -2}}),
+                 8, id="even_twist_stride_4"),
+    # twists of 2 _SPAN and 2^31, past _SPAN strides: no joined piece is
+    # built, which would hold digits past the reach of its run, or 2^35 bits
+    pytest.param(TorusElem(LMatrix.from_rows([[0, 2 * _SPAN], [-2 * _SPAN, 0]]),
+                           {(1, 0): {0: 1, 1: 1}, (0, 1): -1}),
+                 8, id="twist_2_span"),
+    pytest.param(TorusElem(L_BIG, {(1, 0): {0: 1, 1: 1}, (0, 1): {0: 2, 2: -1}, (1, 1): 1}),
+                 8, id="twist_2^31"),
+    # coefficients past 64 bits: pieces joined at W = 72 and 128
+    pytest.param(TorusElem(L_TWO, {(1, 0): {0: 2**31, 2: -(2**31)}, (0, 1): {1: 3},
+                                   (-1, 2): -1}), 72, id="w72"),
+    pytest.param(TorusElem(L_TWO, {(1, 0): {0: 2**59, 2: -(2**59)}, (0, 1): {1: 3},
+                                   (-1, 2): -1}), 128, id="w128"),
+]
+
+
+@pytest.mark.parametrize("x, w", SQUARES)
+def test_square_matches_schoolbook(x, w):
+    lam = x.ambient
+    square = schoolbook_mul(x, x)
+    assert PackedSum(lam, [(0, [(x, 2)])]).w == w
+    assert (x * x).terms == x.pow(2).terms == square
+    assert_runs_hold_their_digits(x, x)
+    # the ordered loop: x times a copy of it, a power after the first
+    # factor, and the square times x in a cube
+    assert (x * TorusElem(lam, dict(x.terms))).terms == square
+    y = TorusElem(lam, {(0, 1): {1: 1}, (2, 0): -1})
+    s = PackedSum(lam, [(3, [(x, 2), (y, 1)]), (-1, [(y, 1), (x, 2)])])
+    assert s[0].terms == schoolbook_mul(TorusElem(lam, square).v_shift(3), y)
+    assert s[1].terms == schoolbook_mul(
+        TorusElem(lam, schoolbook_mul(y.v_shift(-1), x)), x)
+    assert x.pow(3).terms == schoolbook_mul(TorusElem(lam, square), x)
+
+
+def test_a_square_opens_without_the_ordered_loop(monkeypatch):
+    # x.pow(2) and x * x of one object never enter _mul_packed; x.pow(3)
+    # enters it once, with the square on the left, and x times a copy of
+    # x takes it too
+    lefts = []
+    mul_packed = qca.torus._mul_packed
+
+    def spy(xs, ys, w, g, acc):
+        xs = list(xs)
+        lefts.append({a: cf for _, (a, runs) in xs if (cf := collect(runs, w, g))})
+        return mul_packed(xs, ys, w, g, acc)
+
+    monkeypatch.setattr(qca.torus, "_mul_packed", spy)
+    x = SQUARES[0].values[0]
+    square = schoolbook_mul(x, x)
+    assert x.pow(2).terms == (x * x).terms == square
+    assert lefts == []
+    assert x.pow(3).terms == schoolbook_mul(TorusElem(x.ambient, square), x)
+    assert lefts == [square]
+    assert (x * TorusElem(x.ambient, dict(x.terms))).terms == square
+    assert len(lefts) == 2
 
 
 @PROFILE
