@@ -75,29 +75,46 @@ def _load_json(path: str):
         return _parse_json(fh.read())
 
 
-def _load_cartan_word(args) -> tuple[CartanDatum, WeylWord]:
-    obj = _load_json(args.cartan)
+def _word_letters(args) -> tuple[int, ...] | None:
+    """The --word list, or None when the word is to come from the file."""
+    return _parse_csv_ints(args.word, "--word") if args.word else None
+
+
+def _cartan_word(obj, args) -> tuple[CartanDatum, WeylWord]:
+    """The Cartan datum and reduced word of a parsed --cartan file: the word
+    of --word if given, else of the file's "word" key."""
     if "cartan" not in obj:
         raise ValueError("input file has no \"cartan\" key")
     cartan = CartanDatum.from_rows(obj["cartan"])
-    if getattr(args, "word", None):
-        letters = _parse_csv_ints(args.word, "--word")
-    elif "word" in obj:
+    letters = _word_letters(args)
+    if letters is None:
+        if "word" not in obj:
+            raise ValueError("no word given (pass --word or a \"word\" key)")
         letters = obj["word"]
-    else:
-        raise ValueError("no word given (pass --word or a \"word\" key)")
     word = WeylWord.from_one_based(letters)
     word.validate(cartan)
     return cartan, word
 
 
-def _load_seed(args):
-    if getattr(args, "seed", None):
-        return seed_from_json(_load_json(args.seed))
-    if getattr(args, "cartan", None):
-        cartan, word = _load_cartan_word(args)
-        return build_initial_seed(cartan, word)
-    raise ValueError("pass --seed PATH, or --cartan PATH (with --word)")
+def _read_input(args) -> tuple[str, bytes]:
+    """The kind of input, "seed" or "cartan", and the bytes of its file."""
+    source = "seed" if args.seed else "cartan"
+    if not getattr(args, source):
+        raise ValueError("pass --seed PATH, or --cartan PATH (with --word)")
+    with open(getattr(args, source), "rb") as fh:
+        return source, fh.read()
+
+
+def _start_seed(args, source: str, data: bytes):
+    """The seed that a --seed file holds or a --cartan file builds, and the
+    report meta naming that input: the sha256 of a seed file's bytes (the
+    identity that the mutate cache keys), or the Cartan rows and word."""
+    obj = _parse_json(data.decode("utf-8"))
+    if source == "seed":
+        return seed_from_json(obj), {"seed_sha256": hashlib.sha256(data).hexdigest()}
+    cartan, word = _cartan_word(obj, args)
+    return build_initial_seed(cartan, word), {
+        "cartan": [list(r) for r in cartan.a], "word": list(word.to_one_based())}
 
 
 def _seed_summary(seed) -> None:
@@ -116,7 +133,7 @@ def _seed_summary(seed) -> None:
 
 
 def cmd_build(args) -> int:
-    cartan, word = _load_cartan_word(args)
+    cartan, word = _cartan_word(_load_json(args.cartan), args)
     seed, g, quiver = _assemble(cartan, word)
     obj = seed_for_dumps(seed)
     obj["gls"] = gls_block(word, g, quiver)
@@ -164,23 +181,13 @@ def _check_directions(seq, n: int) -> None:
 
 def cmd_mutate(args) -> int:
     seq = _parse_csv_ints(args.seq, "--seq")
-    # the start seed is built or parsed on a cache miss only
-    seed_path = getattr(args, "seed", None)
-    if seed_path:
-        with open(seed_path, "rb") as fh:
-            seed_bytes = fh.read()
-        # an entry exists only if a miss on these very bytes succeeded, so
-        # a hit needs neither the parse nor the direction check below
-        key_payload = {"seed_sha256": hashlib.sha256(seed_bytes).hexdigest(),
-                       "seq": list(seq)}
-    else:
-        cartan, word = _load_cartan_word(args)
-        _check_directions(seq, word.r)
-        key_payload = {
-            "cartan": [list(r) for r in cartan.a],
-            "word": list(word.to_one_based()),
-            "seq": list(seq),
-        }
+    source, data = _read_input(args)
+    # the key names the input by the sha256 of its bytes, so a hit parses no
+    # JSON and builds no seed.  An entry exists only if a miss on these very
+    # inputs succeeded, so a hit needs no direction check either.
+    key_payload = {source + "_sha256": hashlib.sha256(data).hexdigest(), "seq": seq}
+    if source == "cartan":
+        key_payload["word"] = _word_letters(args)
 
     key = _cache_key(key_payload)
     cache_path = os.path.join(_cache_dir(), key + ".json")
@@ -204,11 +211,8 @@ def cmd_mutate(args) -> int:
             _say("cache hit %s" % key[:16])
             return 0
 
-    if seed_path:
-        start = seed_from_json(_parse_json(seed_bytes.decode("utf-8")))
-        _check_directions(seq, start.k)
-    else:
-        start = build_initial_seed(cartan, word)
+    start, _ = _start_seed(args, source, data)
+    _check_directions(seq, start.k)
     result = start
     for step, k in enumerate(seq, 1):
         result = mutate(result, k - 1, _refusal=lambda witness: ValueError(
@@ -229,7 +233,8 @@ def cmd_mutate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = _load_seed(args)
+    source, data = _read_input(args)
+    seed, named = _start_seed(args, source, data)
     checks = None
     if args.checks is not None:
         checks = [c.strip() for c in args.checks.split(",") if c.strip()]
@@ -238,7 +243,7 @@ def cmd_verify(args) -> int:
         seed,
         sequences,
         checks=checks,
-        meta={"depth": args.depth, "rng_seed": args.rng_seed},
+        meta={"depth": args.depth, "rng_seed": args.rng_seed, **named},
     )
     _emit(pretty_dumps(report_to_json(report, __version__)), args.out)
     by_check: dict = {}

@@ -232,8 +232,10 @@ def test_mutate_rejects_frozen_direction(tmp_path, capsys):
 
 def test_mutate_rejects_out_of_range(tmp_path, capsys):
     inp = write_input(tmp_path, *SEED_CASES["a2"])
-    code, _, _ = run(capsys, ["mutate", "--cartan", inp, "--seq", "9"])
+    code, _, err = run(capsys, ["mutate", "--cartan", inp, "--seq", "9"])
     assert code == 2
+    assert "direction 9 outside 1..3" in err
+    assert not (tmp_path / "cache").exists()
     code, _, _ = run(capsys, ["mutate", "--cartan", inp, "--seq", "0"])
     assert code == 2
 
@@ -270,8 +272,9 @@ def test_mutate_derives_each_exchange_once(tmp_path, capsys, monkeypatch):
 
 
 def test_mutate_cache_hit_builds_no_seed(tmp_path, capsys, monkeypatch):
-    # the key comes from (cartan, word, seq), and a hit checks the entry's
-    # digest and emits its bytes, so it neither builds nor parses a seed
+    # the key comes from the file's bytes, --word and seq, and a hit checks
+    # the entry's digest and emits its bytes, so it neither parses the input
+    # nor builds a Cartan datum or a seed
     inp = write_input(tmp_path, *SEED_CASES["a3"])
     argv = ["mutate", "--cartan", inp, "--seq", "1,2"]
     code1, out1, err1 = run(capsys, argv)
@@ -281,6 +284,8 @@ def test_mutate_cache_hit_builds_no_seed(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(qca.cli, "build_initial_seed", refuse)
     monkeypatch.setattr(qca.cli, "seed_from_json", refuse)
+    monkeypatch.setattr(qca.cli, "_parse_json", refuse)
+    monkeypatch.setattr(qca.cartan.CartanDatum, "from_rows", refuse)
     code2, out2, err2 = run(capsys, argv)
     assert (code1, code2) == (0, 0)
     assert out2 == out1
@@ -335,6 +340,44 @@ def test_mutate_seed_key_follows_the_file_bytes(tmp_path, capsys, edit):
     else:
         assert (code3, out3) == (1, "")
         assert "q-commutation of variables (1, 6)" in err3
+
+
+def test_mutate_cartan_key_follows_the_file_bytes(tmp_path, capsys):
+    rows, word = SEED_CASES["a3"]
+    original = write_input(tmp_path, rows, word)
+
+    def fresh(argv):
+        # the uncached result, then a cached run that must miss and agree
+        _, expected, _ = run(capsys, argv + ["--no-cache"])
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (0, expected)
+        assert "cache store" in err and "cache hit" not in err
+        return out
+
+    out1 = fresh(["mutate", "--cartan", original, "--seq", "1,2"])
+    # the same input re-indented is another key: a miss with the same output
+    indented = tmp_path / "indented.json"
+    indented.write_text(json.dumps({"cartan": [list(r) for r in rows], "word": list(word)},
+                                   indent=2))
+    assert fresh(["mutate", "--cartan", str(indented), "--seq", "1,2"]) == out1
+    # another Cartan matrix in the same layout never hits the original's entry
+    other = tmp_path / "other"
+    other.mkdir()
+    affine_a2 = write_input(other, ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)), word)
+    assert fresh(["mutate", "--cartan", affine_a2, "--seq", "1,2"]) != out1
+    # --word equal to the file's own word is a separate entry
+    csv = ",".join(map(str, word))
+    assert fresh(["mutate", "--cartan", original, "--word", csv, "--seq", "1,2"]) == out1
+    # a built seed with a top-level word reads as a --seed file and as a
+    # --cartan file: the same bytes and output, but two entries
+    built = tmp_path / "built.json"
+    assert main(["build", "--cartan", original, "--out", str(built)]) == 0
+    data = json.loads(built.read_text())
+    data["word"] = list(word)
+    built.write_text(pretty_dumps(data))
+    assert fresh(["mutate", "--seed", str(built), "--seq", "1,2"]) == out1
+    assert fresh(["mutate", "--cartan", str(built), "--seq", "1,2"]) == out1
+    assert len(list((tmp_path / "cache").iterdir())) == 6
 
 
 def test_summary_trusts_a_certified_seed(tmp_path, capsys, monkeypatch):
@@ -477,14 +520,42 @@ def test_verify_summary_counts_the_oracle_table(tmp_path, capsys):
     code, out, err = run(capsys, ["verify", "--cartan", inp, "--depth", "2"])
     assert code == 0
     seed = make_seed("a3")
+    rows, word = SEED_CASES["a3"]
     report = qca.run_suite(seed, qca.default_sequences(seed, depth=2),
-                           meta={"depth": 2, "rng_seed": 0})
+                           meta={"depth": 2, "rng_seed": 0,
+                                 "cartan": [list(r) for r in rows], "word": list(word)})
     assert out == pretty_dumps(qca.serialize.report_to_json(report, qca.__version__))
     oracles = ", ".join("%s %d/%d" % (name, *n) for name, n in report.oracles.items())
     assert oracles.startswith("pairs ") and ", terms " in oracles and ", divisions " in oracles
     assert re.fullmatch(r"total \d+\.\d\ds, %d steps, %d evaluated; oracles "
                         r"computed/reused: %s" % (report.steps, report.evaluated, oracles),
                         err.splitlines()[-1])
+
+
+def test_verify_report_names_its_input(tmp_path, capsys):
+    # the Kronecker and the wild rank-2 word give the same entries at depth
+    # 4, so only the meta's Cartan rows tell the two reports apart
+    reports = []
+    for rows in (((2, -2), (-2, 2)), ((2, -3), (-3, 2))):
+        inp = write_input(tmp_path, rows, (2, 1))
+        code, out, _ = run(capsys, ["verify", "--cartan", inp, "--word", "1,2,1,2",
+                                    "--depth", "4"])
+        assert code == 0
+        reports.append(json.loads(out))
+        assert reports[-1]["meta"]["cartan"] == [list(r) for r in rows]
+        assert reports[-1]["meta"]["word"] == [1, 2, 1, 2]
+    kron, wild = reports
+    assert kron != wild
+    del kron["meta"]["cartan"], wild["meta"]["cartan"]
+    assert kron == wild
+    # a seed file is named by the sha256 of its bytes, as the mutate cache keys it
+    seed_path = tmp_path / "seed.json"
+    seed_path.write_text(pretty_dumps(seed_to_json(make_seed("a2"))))
+    code, out, _ = run(capsys, ["verify", "--seed", str(seed_path), "--depth", "1"])
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    assert meta["seed_sha256"] == hashlib.sha256(seed_path.read_bytes()).hexdigest()
+    assert "cartan" not in meta and "word" not in meta
 
 
 def test_verify_subset_of_checks(tmp_path, capsys):
