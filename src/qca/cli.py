@@ -97,7 +97,12 @@ def _cartan_word(obj, args) -> tuple[CartanDatum, WeylWord]:
 
 
 def _read_input(args) -> tuple[str, bytes]:
-    """The kind of input, "seed" or "cartan", and the bytes of its file."""
+    """The kind of input, "seed" or "cartan", and the bytes of its file.
+    A seed file holds its own matrix and word, so --seed with --cartan or
+    --word is refused before any file is read."""
+    for flag in ("cartan", "word"):
+        if args.seed and getattr(args, flag) is not None:
+            raise ValueError("--seed and --%s cannot be given together" % flag)
     source = "seed" if args.seed else "cartan"
     if not getattr(args, source):
         raise ValueError("pass --seed PATH, or --cartan PATH (with --word)")

@@ -231,7 +231,9 @@ def add_piece(runs: list, s: int, m: int, w: int, g: int) -> None:
     """runs += v^s m, where m is packed at (W, g).  Every digit of a run
     lies at most _SPAN strides plus the longest piece above its lo.  A
     piece is one run times another, or, in a square, two such products
-    joined at most _SPAN strides apart (torus._square_packed).
+    joined at most _SPAN strides apart (torus._square_packed).  The
+    product loops do the first branch in line when runs is one run, and
+    call this for every other piece.
 
     >>> runs = []
     >>> for e in (2, 0, 3):

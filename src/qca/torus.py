@@ -38,13 +38,18 @@ proven bound (see the comment on exponent keys).  One loop, _mul_packed,
 adds the ordered run pairs of every product and of every peel step of the
 division.  A run pair costs one int add for its key, one list read for
 its twist (each term's twists against the whole other operand come from
-one pass), one bigint multiply and one shift-add (add_piece).  A product
-that opens with a power x^c, c >= 2, starts from x^2, which takes one
-pair per unordered pair of x's n runs, n (n + 1) / 2 instead of n^2
+one pass), one bigint multiply and one shift-add.  The shift-add is done
+in line when the key's coefficient is one run and the piece starts on
+its stride, at or above its lo and at most _SPAN strides above it, and by
+add_piece otherwise (a new key opens a run of its own).  A product that
+opens with a power x^c, c >= 2, starts from x^2, which takes one pair per
+unordered pair of x's n runs, n (n + 1) / 2 instead of n^2
 (_square_packed): coefficients are central, and the twists of X^a X^b
 and X^b X^a are s and -s, so the two ordered pairs give one multiply,
 and one shift-add when their pieces join.  Each partial sum it forms is
 a sum of some of the ordered product's contributions, so W holds it.
+The peel drops a popped key held as one run that has cancelled to 0
+before any other work on it.
 """
 
 from __future__ import annotations
@@ -71,6 +76,7 @@ from .coeffs import (
     qc_str,
     qc_v,
     trim_run,
+    unpack,
 )
 from .errors import NotDivisibleError, as_int
 
@@ -185,10 +191,15 @@ def _mul_packed(xs, ys: list, w: int, g: int, acc: dict) -> dict:
     aT L b, and exact_left_div passes bT L, so it is bT L aq.  Each pair
     of runs costs one int add for its key, one list read for its twist
     (those of a term of x against every run of y come from one pass), one
-    bigint multiply and one shift-add into the runs of its key
-    (add_piece).  The caller's W bounds every partial sum of an output
-    coefficient, and its V every exponent.  Neither operand is changed.
+    bigint multiply and one shift-add into the runs of its key.  A new key
+    gets the piece as its run.  When the key holds one run and the piece
+    starts on its stride, at or above its lo and at most _SPAN strides
+    above it, the piece is added to that run in line, as the first branch
+    of add_piece would; any other piece goes through add_piece.  The
+    caller's W bounds every partial sum of an output coefficient, and its
+    V every exponent.  Neither operand is changed.
     """
+    span = _SPAN * g
     for ka, (a, runs) in xs:
         twists = [lb + sum(map(mul, vb, a)) for _, _, vb, lb, _ in ys]
         for la, na in runs:
@@ -198,8 +209,15 @@ def _mul_packed(xs, ys: list, w: int, g: int, acc: dict) -> dict:
                     into = acc.get(kc)
                     if into is None:
                         acc[kc] = (tuple(map(add, a, b)), [[la + t, na * nb]])
-                    else:
-                        add_piece(into[1], la + t, na * nb, w, g)
+                        continue
+                    target = into[1]
+                    if len(target) == 1:
+                        run = target[0]
+                        d = la + t - run[0]
+                        if 0 <= d <= span and not d % g:
+                            run[1] += na * nb << (w * (d // g))
+                            continue
+                    add_piece(target, la + t, na * nb, w, g)
     return acc
 
 
@@ -211,8 +229,11 @@ def _square_packed(xs: list, t: int, w: int, g: int) -> dict:
     runs give m v^s X^{a+b} and m v^-s X^{a+b}, m = n_a n_b, s = aT L b
     (0 when a = b): one piece m + m v^{2|s|} at v^-|s|, packed as one int
     when 2|s| is a multiple of g and at most _SPAN strides, else the two
-    pieces.  Every partial sum of an output coefficient is a sum of some of
-    its contributions, as in _mul_packed, so the caller's W holds it.
+    pieces.  The piece at v^-|s| opens a new key's run, or is added in line
+    as in _mul_packed; the piece at v^|s| of a split pair and a run paired
+    with itself at a key already held go through add_piece.  Every partial
+    sum of an output coefficient is a sum of some of its contributions, as
+    in _mul_packed, so the caller's W holds it.
     """
     span = _SPAN * g
     acc: dict = {}
@@ -224,15 +245,26 @@ def _square_packed(xs: list, t: int, w: int, g: int) -> dict:
             add_piece(into[1], 2 * la + t, na * na, w, g)
         la += t
         for kb, b, vb, lb, nb in xs[i + 1:]:
-            into = acc.get(ka + kb)
-            if into is None:
-                into = acc[ka + kb] = (tuple(map(add, a, b)), [])
             s, m = abs(sum(map(mul, vb, a))), na * nb
+            lo = la + lb - s
+            into = acc.get(ka + kb)
             if 2 * s % g or 2 * s > span:
-                add_piece(into[1], la + lb + s, m, w, g)
-                add_piece(into[1], la + lb - s, m, w, g)
+                if into is None:
+                    into = acc[ka + kb] = (tuple(map(add, a, b)), [])
+                add_piece(into[1], lo + 2 * s, m, w, g)
             else:
-                add_piece(into[1], la + lb - s, m + (m << (w * (2 * s // g))), w, g)
+                m += m << (w * (2 * s // g))
+            if into is None:
+                acc[ka + kb] = (tuple(map(add, a, b)), [[lo, m]])
+                continue
+            target = into[1]
+            if len(target) == 1:
+                run = target[0]
+                d = lo - run[0]
+                if 0 <= d <= span and not d % g:
+                    run[1] += m << (w * (d // g))
+                    continue
+            add_piece(target, lo, m, w, g)
     return acc
 
 
@@ -581,8 +613,11 @@ def exact_left_div(p: TorusElem, q) -> TorusElem:
 
     The remainder stays packed: a TorusElem q is packed once as a PackedSum
     of one product, and the sum of a PackedSum's runs is the remainder as
-    it is.  Only the remainder's leading coefficient is unpacked, once per
-    peel.  Every partial sum of a remainder coefficient is bounded by
+    it is.  A popped key held as one run that has cancelled to 0 is
+    dropped before anything else is done with it; otherwise only the
+    remainder's leading coefficient is unpacked, once per peel, straight
+    from its run when it is one run and through collect when it is
+    several.  Every partial sum of a remainder coefficient is bounded by
     ||q||_1 + ||p||_1 ||s_partial||_1 (the PackedSum's bound standing for
     ||q||_1), so W starts from the PackedSum's 2 ||q||_1, and it is widened
     when that bound grows, or for p's entries; an entry off the stride g
@@ -638,12 +673,14 @@ def exact_left_div(p: TorusElem, q) -> TorusElem:
     while rem:
         kr = max(rem)
         ar, runs = rem.pop(kr)
+        if len(runs) == 1 and not runs[0][1]:
+            continue
         aq = tuple(map(sub, ar, ap))
         shift = sum(map(mul, lead_row, aq))
         if unit:
             d = unit[0] + shift
             runs = [[lo - d, unit[1] * n] for lo, n in runs]
-        lead = collect(runs, w, g)
+        lead = unpack(*runs[0], w, g) if len(runs) == 1 else collect(runs, w, g)
         if not lead:
             continue
         for x, (lo, hi) in zip(aq, box):

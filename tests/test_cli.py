@@ -240,6 +240,28 @@ def test_mutate_rejects_out_of_range(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [["mutate", "--seq", "1"], ["verify", "--depth", "1"]],
+                         ids=["mutate", "verify"])
+@pytest.mark.parametrize("extra", [["--cartan", "CARTAN"], ["--word", "2,1,2"]],
+                         ids=["cartan", "word"])
+def test_a_seed_with_cartan_or_word_is_refused(tmp_path, capsys, monkeypatch, argv, extra):
+    # a seed file holds its own matrix and word: either flag beside it is
+    # refused before any file is read or any cache entry is looked up
+    seed_path = tmp_path / "seed.json"
+    seed_path.write_text(json.dumps(seed_to_json(make_seed("a2"))))
+    inp = write_input(tmp_path, *SEED_CASES["aff"])
+    extra = [inp if arg == "CARTAN" else arg for arg in extra]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a file was opened")
+
+    monkeypatch.setattr("builtins.open", refuse)
+    code, out, err = run(capsys, [*argv, "--seed", str(seed_path), *extra])
+    assert (code, out) == (2, "")
+    assert "--seed and %s cannot be given together" % extra[0] in err
+    assert not (tmp_path / "cache").exists()
+
+
 def test_mutate_refuses_an_exploding_exchange(tmp_path, capsys):
     # on this wild rank-2 word the fourth step would raise a 19-term variable
     # to the power 55; the term bound refuses it before any product

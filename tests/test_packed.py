@@ -302,6 +302,76 @@ def test_a_square_opens_without_the_ordered_loop(monkeypatch):
     assert len(lefts) == 2
 
 
+# pieces that land in their key's one run, on its stride, at or above its
+# lo and at most _SPAN strides above it, are added in line: over L_NEG the
+# pair X^(1,0) X^(0,1) gives v^-1 X^(1,1) before X^(0,1) X^(1,0) gives v;
+# in the square of ALL_JOIN the pairs (X^(1,0), X^(0,1)) and (X^(1,1), 1)
+# meet at X^(1,1), the second one stride above the first
+L_NEG = LMatrix.from_rows([[0, -1], [1, 0]])
+ALL_JOIN = TorusElem(L_ONE, {(1, 0): 1, (0, 1): 1, (1, 1): 1, (0, 0): 1})
+
+
+def test_pieces_in_one_run_are_added_without_add_piece(monkeypatch):
+    pieces = []
+    monkeypatch.setattr(qca.torus, "add_piece", lambda *args: pieces.append(args))
+    x = TorusElem(L_NEG, {(1, 0): {0: 1, 1: -2}, (0, 1): 3})
+    assert (x * TorusElem(L_NEG, dict(x.terms))).terms == schoolbook_mul(x, x)
+    assert (ALL_JOIN * ALL_JOIN).terms == schoolbook_mul(ALL_JOIN, ALL_JOIN)
+    assert pieces == []
+
+
+# every other piece goes through add_piece: each case below takes one way
+# out of the in-line add, for x * y in the ordered loop
+FALLBACKS = [
+    # over L_ONE, v X^(1,1) comes first and v^-1 X^(1,1) starts below it
+    pytest.param(TorusElem(L_ONE, {(1, 0): 1, (0, 1): 1}),
+                 TorusElem(L_ONE, {(1, 0): 1, (0, 1): 1}), id="below_lo"),
+    # stride g = 4 and twist 1: the second piece starts two off the stride
+    pytest.param(TorusElem(L_NEG, {(1, 0): {0: 1, 4: 1}, (0, 1): {0: 1, 4: -1}}),
+                 TorusElem(L_NEG, {(1, 0): {0: 1, 4: 1}, (0, 1): {0: 2}}), id="off_stride"),
+    # twist 300: the second piece starts 600 strides above the first
+    pytest.param(TorusElem(LMatrix.from_rows([[0, -300], [300, 0]]), {(1, 0): 1, (0, 1): 1}),
+                 TorusElem(LMatrix.from_rows([[0, -300], [300, 0]]), {(1, 0): 1, (0, 1): -1}),
+                 id="past_span"),
+    # at X^(1,1) the first two pieces cancel, and the run [0, 0] then takes
+    # a piece three below it and one two above it
+    pytest.param(TorusElem(ZERO_L, {(1, 0): 1, (0, 1): 1, (2, 0): 1, (3, 0): 1}),
+                 TorusElem(ZERO_L, {(0, 1): 1, (1, 0): -1, (-1, 1): {-3: 1}, (-2, 1): {2: 1}}),
+                 id="cancelled_run"),
+]
+
+
+@pytest.mark.parametrize("x, y", FALLBACKS)
+def test_pieces_off_the_one_run_match_schoolbook(x, y):
+    assert (x * y).terms == schoolbook_mul(x, y)
+    assert_runs_hold_their_digits(x, y)
+    for z in (x, y):
+        assert (z * z).terms == schoolbook_mul(z, z)
+        assert_runs_hold_their_digits(z, z)
+
+
+def test_division_skips_cancelled_remainder_keys():
+    # q = (X^(1,0) - 1) s: the peel cancels the keys X^(2,0) and X^(0,1),
+    # one run each, and X^(0,2), two runs.  The dividend is a PackedSum of
+    # q + Z and -Z, where Z puts c = 1 + v^1000, two runs, at X^(5,5),
+    # outside supp q, and 1 at X^(3,0), whose coefficient in q is v^1000:
+    # the first is another two-run key that cancels to 0, the second one
+    # whose first run cancels and whose second does not
+    p = TorusElem(L_ONE, {(1, 0): 1, (0, 0): -1})
+    c = {0: 1, 1000: 1}
+    s = TorusElem(L_ONE, {(2, 0): {1000: 1}, (2, 1): 1, (1, 1): 1, (0, 1): 1,
+                          (2, 2): c, (1, 2): c, (0, 2): c})
+    q = TorusElem(L_ONE, schoolbook_mul(p, s))
+    assert q.terms[(3, 0)] == {1000: 1} and (5, 5) not in q.terms
+    z = TorusElem(L_ONE, {(5, 5): c, (3, 0): 1})
+    div = PackedSum(L_ONE, [(0, [(q + z, 1)]), (0, [(-z, 1)])])
+    rem = div._remainder()
+    runs = {a: runs for a, runs in rem.values()}
+    assert [n for _, n in runs[(5, 5)]] == [0, 0]
+    assert [n for _, n in runs[(3, 0)]] == [0, 1]
+    assert exact_left_div(p, div) == exact_left_div(p, q) == s
+
+
 @PROFILE
 @given(elem_pairs())
 def test_division_recovers_factor(pair):

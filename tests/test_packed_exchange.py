@@ -309,6 +309,15 @@ def test_deep_kronecker_steps_match_the_classical_oracle(first):
             assert compare_q1(seed, shadow) == []
 
 
+def kronecker_recurrence(lam, twist):
+    """(z, c) of the recurrence y_n = y_{n-1} z - c y_{n-2} of the
+    Kronecker chain whose first direction has the given twist."""
+    z = TorusElem(lam, {(-1, -1, 2, 0): {-2 * twist: 1}, (-1, 1, 1, 0): {-2 * twist: 1},
+                        (1, -1, 0, 1): {-2 * twist: 1}})
+    c = TorusElem.monomial(lam, (0, 0, 1, 1), {8 * twist: 1})
+    return z, c
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("first, twist", [(0, 1), (1, -1)])
 def test_the_kronecker_chain_keeps_its_recurrence_past_64_bit_digits(first, twist):
@@ -321,10 +330,7 @@ def test_the_kronecker_chain_keeps_its_recurrence_past_64_bit_digits(first, twis
     # step 24 the numerator's digits need more than 64 bits, so checked
     # mutate runs at W = 72, and the chain goes on to step 28
     seed, ks = kronecker_chain(make_seed("aff").ex[first], 28)
-    lam = seed.l_init
-    z = TorusElem(lam, {(-1, -1, 2, 0): {-2 * twist: 1}, (-1, 1, 1, 0): {-2 * twist: 1},
-                        (1, -1, 0, 1): {-2 * twist: 1}})
-    c = TorusElem.monomial(lam, (0, 0, 1, 1), {8 * twist: 1})
+    z, c = kronecker_recurrence(seed.l_init, twist)
     y = {}
     for n, k in enumerate(ks, 1):
         if n == 24:
@@ -333,3 +339,23 @@ def test_the_kronecker_chain_keeps_its_recurrence_past_64_bit_digits(first, twis
         y[n] = seed.vars[k]
         if n >= 4:
             assert y[n] == y[n - 1] * z - c * y[n - 2]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("first, twist", [(0, 1), (1, -1)])
+def test_exact_division_past_a_thousand_terms(first, twist):
+    # y_1..y_4 from checked mutate, then the recurrence alone, up to the
+    # first y_n of 1,000 terms or more (step 45: 1,036 terms, 50-bit
+    # coefficients).  y_{n-1} divides y_n + c y_{n-2} = y_{n-1} z: a
+    # 991-term divisor, a 1,037-term dividend and three quotient terms,
+    # while the peel drops over 1,000 cancelled remainder keys
+    seed, ks = kronecker_chain(make_seed("aff").ex[first], 4)
+    z, c = kronecker_recurrence(seed.l_init, twist)
+    y = []
+    for k in ks:
+        seed = mutate(seed, k)
+        y.append(seed.vars[k])
+    while y[-1].n_terms() < 1000:
+        y.append(y[-1] * z - c * y[-2])
+    assert len(y) == 45
+    assert exact_left_div(y[-2], y[-1] + c * y[-3]) == z
