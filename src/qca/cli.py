@@ -307,8 +307,9 @@ def cmd_info(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; main never changes it."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The root parser and each subcommand's own parser by name, built once
+    per process; main never changes them."""
     p = argparse.ArgumentParser(
         prog="qca",
         description="Exact quantum cluster algebra engine "
@@ -354,13 +355,28 @@ def _build_parser() -> argparse.ArgumentParser:
     i.add_argument("--seed", help="seed JSON file to summarize")
     i.set_defaults(func=cmd_info)
 
-    return p
+    return p, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command on argv (sys.argv[1:] when None); return its exit code.
+
+    An argv that names a command is parsed once, by that command's own
+    parser.  The root parser would run argparse twice on it, its own parse
+    and then the subcommand's parse of the rest, which more than doubles
+    what a mutate cache hit spends in argparse.  Any other argv (none, -h,
+    an unknown command, a leading --) goes to the root parser, whose parse
+    of it ends in its help or a usage error.
+    """
+    parser, commands = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in commands:
+            args = commands[argv[0]].parse_args(argv[1:])
+            args.command = argv[0]
+        else:
+            args = parser.parse_args(argv)
     except SystemExit as e:
         # argparse exits 2 on bad usage, 0 on --help; keep its codes
         return int(e.code or 0)

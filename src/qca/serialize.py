@@ -239,11 +239,14 @@ def seed_from_json(obj) -> QuantumSeed:
     """Structural inverse of seed_to_json.  Semantic validity (compatibility
     and friends) is deliberately not enforced here; the verify checks and
     mutation re-checks own that.  A history direction outside K_ex, which no
-    mutation takes, is refused with ValueError."""
+    mutation takes, is refused with ValueError, and so is a missing key."""
     if "normalization" in obj:
         raise ValueError(
             "normalized exports are display artifacts, not loadable seeds"
         )
+    for key in ("Linit", "L", "Kex", "B", "D", "Dinit", "vars", "history"):
+        if key not in obj:
+            raise ValueError("seed file has no \"%s\" key" % key)
     l_init = LMatrix.from_rows(obj["Linit"])
     lmat = LMatrix.from_rows(obj["L"])
     ex = tuple(as_int(k) - 1 for k in obj["Kex"])

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -631,6 +632,18 @@ def test_a_seed_with_an_impossible_history_is_refused(tmp_path, capsys, argv):
     assert "history has non-exchangeable direction(s) [99, -5]" in err
 
 
+@pytest.mark.parametrize("argv", [["mutate", "--seq", "1"], ["export"],
+                                  ["verify", "--depth", "1"], ["info"]],
+                         ids=["mutate", "export", "verify", "info"])
+def test_a_seed_file_missing_a_key_is_named(tmp_path, capsys, argv):
+    # a --cartan style file given as --seed has none of a seed's keys; the
+    # first one read is named, not reported as a bare KeyError
+    inp = write_input(tmp_path, *SEED_CASES["a3"])
+    code, out, err = run(capsys, [argv[0], "--seed", inp, *argv[1:]])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == 'error: seed file has no "Linit" key'
+
+
 def _names_after(text, lead):
     # the comma-separated check names that follow lead, across line breaks
     tail = " ".join(text.split()).split(lead, 1)[1]
@@ -812,11 +825,28 @@ def test_the_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypat
 
 
 def test_argparse_exit_codes(capsys):
-    # main converts argparse exits into plain return codes
+    # main converts argparse exits into plain return codes.  Each command's
+    # -h is that command's own help; a usage error keeps argparse's message,
+    # and an unknown flag after a command is reported by that command's parser
     assert main(["--help"]) == 0
     assert main(["build", "--bogus-flag"]) == 2
-    assert main(["mutate"]) == 2  # --seq is required
     capsys.readouterr()
+    _, commands = qca.cli._build_parser()
+    assert sorted(commands) == ["build", "export", "info", "mutate", "verify"]
+    for name, parser in commands.items():
+        code, out, err = run(capsys, [name, "-h"])
+        assert (code, out, err) == (0, parser.format_help(), "")
+    choices = "(choose from 'build', 'mutate', 'verify', 'export', 'info')"
+    for argv, line in [
+        ([], "qca: error: the following arguments are required: command"),
+        (["bogus"], "qca: error: argument command: invalid choice: 'bogus' " + choices),
+        (["--", "info"], "qca: error: argument command: invalid choice: '--' " + choices),
+        (["mutate"], "qca mutate: error: the following arguments are required: --seq"),
+        (["info", "--bogus"], "qca info: error: unrecognized arguments: --bogus"),
+    ]:
+        code, out, err = run(capsys, argv)
+        assert (code, out, err.splitlines()[-1]) == (2, "", line), argv
+    assert err.startswith("usage: qca info ")
 
 
 def test_readme_quotes_the_oracle_counts_that_verify_prints(tmp_path, capsys):
@@ -829,3 +859,50 @@ def test_readme_quotes_the_oracle_counts_that_verify_prints(tmp_path, capsys):
     assert "302 steps, 216 evaluated; " in line
     readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
     assert "`%s`" % line.split("; ", 1)[1] in readme
+
+
+def test_a_known_command_is_parsed_once_by_its_own_parser(tmp_path, capsys, monkeypatch):
+    # argparse runs once per call: a command's argv goes straight to that
+    # command's parser, and the root parser only sees argv naming no command
+    progs = []
+    known = argparse.ArgumentParser.parse_known_args
+
+    def recorded(self, *args, **kwargs):
+        progs.append(self.prog)
+        return known(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recorded)
+    seed_path = tmp_path / "seed.json"
+    seed_path.write_text(json.dumps(seed_to_json(make_seed("a2"))))
+    inp = write_input(tmp_path, *SEED_CASES["a2"])
+    mutate = ["mutate", "--cartan", inp, "--seq", "1"]
+    for argv, prog, want_code, want_err in [
+        (mutate, "qca mutate", 0, "cache store"),
+        (mutate, "qca mutate", 0, "cache hit"),
+        (["export", "--seed", str(seed_path)], "qca export", 0, "exported 3"),
+        ([], "qca", 2, "required: command"),
+        (["--help"], "qca", 0, ""),
+        (["bogus"], "qca", 2, "invalid choice: 'bogus'"),
+        (["--", "info"], "qca", 2, "invalid choice: '--'"),
+    ]:
+        progs.clear()
+        code, _, err = run(capsys, argv)
+        assert code == want_code and want_err in err, argv
+        assert progs == [prog], argv
+
+
+def test_main_without_argv_reads_sys_argv(tmp_path, capsys, monkeypatch):
+    # the console script calls main() with no argument: it parses
+    # sys.argv[1:], hits the entry that main(argv) stored, and leaves
+    # sys.argv as it was
+    inp = write_input(tmp_path, *SEED_CASES["a3"])
+    argv = ["mutate", "--cartan", inp, "--seq", "1"]
+    code1, out1, err1 = run(capsys, argv)
+    console = ["qca", *argv]
+    monkeypatch.setattr(sys, "argv", console)
+    code2, out2, err2 = run(capsys, None)
+    assert (code1, code2) == (0, 0) and out2 == out1
+    key = err1.split("cache store ", 1)[1].split()[0]
+    assert err2 == "cache hit %s\n" % key
+    assert len(os.listdir(tmp_path / "cache")) == 1
+    assert sys.argv is console and console == ["qca", *argv]
