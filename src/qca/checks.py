@@ -458,7 +458,8 @@ def run_suite(seed: QuantumSeed, sequences, checks=None, meta=None) -> CheckRepo
     """Evaluate the selected checks over the given sequences (0-based
     directions).  Unknown check names and an empty selection raise
     ValueError; everything else is reported, not raised.  A step whose
-    exchange numerator could exceed seeds.MAX_EXCHANGE_TERMS terms is not
+    exchange numerator could exceed seeds.MAX_EXCHANGE_TERMS terms, or
+    multiply more factors than that counted with their powers, is not
     taken: like a failed division, it marks the sequences through it "not
     evaluated".
 

@@ -4,7 +4,8 @@ Subcommands: build, mutate, verify, export, info.  JSON results go to
 --out (atomic write) or stdout; human summaries go to stderr.  Exit codes:
 0 all good, 1 a verified identity or mutation invariant failed, 2 bad
 input / parse / IO / unknown names, or a mutate step whose exchange
-numerator could exceed seeds.MAX_EXCHANGE_TERMS terms.
+numerator could exceed seeds.MAX_EXCHANGE_TERMS terms, or has a product
+of more than seeds.MAX_EXCHANGE_TERMS factors counted with their powers.
 """
 
 from __future__ import annotations

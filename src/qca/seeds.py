@@ -479,8 +479,8 @@ def exchange_parts(seed: QuantumSeed, k: int, terms=None) -> ExchangeParts:
 
 
 # `qca mutate` refuses, and run_suite prunes, a step whose exchange numerator
-# could have more terms (_size_witness); qca.mutate is unbounded unless
-# given a refusal
+# could have more terms, or takes more multiplication passes (_size_witness);
+# qca.mutate is unbounded unless given a refusal
 MAX_EXCHANGE_TERMS = 10**6
 
 
@@ -502,9 +502,15 @@ def _term_bound(prods) -> int:
 
 
 def _size_witness(prods) -> str | None:
-    """Why a step is refused, if the exchange numerator with the product
-    list P of _exchange_terms could have more than MAX_EXCHANGE_TERMS
-    terms; None otherwise."""
+    """Why a step is refused, if a product of the product list P of
+    _exchange_terms has more than MAX_EXCHANGE_TERMS factors counted with
+    their powers (PackedSum multiplies in one power at a time), or the
+    exchange numerator could have more than MAX_EXCHANGE_TERMS terms; None
+    otherwise."""
+    powers = max((sum(c for _, c in factors) for _, factors in prods), default=0)
+    if powers > MAX_EXCHANGE_TERMS:
+        return ("a product of the exchange numerator has %d factors counted "
+                "with their powers, over the limit of %d" % (powers, MAX_EXCHANGE_TERMS))
     bound = _term_bound(prods)
     if bound > MAX_EXCHANGE_TERMS:
         return ("the exchange numerator could have up to %d terms, over the "
@@ -565,9 +571,10 @@ def mutate(seed: QuantumSeed, k: int, *, _refusal=None) -> QuantumSeed:
 
     mutate is unbounded.  With a _refusal callable, which `qca mutate`
     passes, a step whose numerator could have more than MAX_EXCHANGE_TERMS
-    terms raises _refusal(witness) instead, the witness taken from the
-    product list that the step would multiply, so the exchange is derived
-    once.
+    terms, or has a product of more than MAX_EXCHANGE_TERMS factors
+    counted with their powers, raises _refusal(witness) instead, the
+    witness taken from the product list that the step would multiply, so
+    the exchange is derived once.
     """
     if not seed._certified:
         seed.validate_full()

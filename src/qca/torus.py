@@ -26,11 +26,10 @@ coefficients.  x * y is a PackedSum of one product of two factors, and
 x.pow(n) one of a single factor taken n times.  The exchange
 relation of seed mutation divides such a sum, v^{t'} prod_i x_i^{c'_i} +
 v^{t''} prod_i x_i^{c''_i}, by X_k: exact_left_div peels the sum of its
-runs as it is, widened first if X_k needs it; a TorusElem numerator is
-packed as a PackedSum of one product.  When the lead of X_k is a unit
-+-v^t (as for every cluster variable), each quotient coefficient is the
-lead's run shifted and signed.  q-commutation with a single-term side
-needs no product.
+runs as it is; a TorusElem numerator is packed as a PackedSum of one
+product.  When the lead of X_k is a unit +-v^t (as for every cluster
+variable), each quotient coefficient is the lead's run shifted and
+signed.  q-commutation with a single-term side needs no product.
 
 Inside a product or a division, an exponent vector is keyed by one int,
 its components as balanced base-2^V digits, with V fixed with W from a
@@ -38,10 +37,8 @@ proven bound (see the comment on exponent keys).  One loop, _mul_packed,
 adds the ordered run pairs of every product and of every peel step of the
 division.  A run pair costs one int add for its key, one list read for
 its twist (each term's twists against the whole other operand come from
-one pass), one bigint multiply and one shift-add.  The shift-add is done
-in line when the key's coefficient is one run and the piece starts on
-its stride, at or above its lo and at most _SPAN strides above it, and by
-add_piece otherwise (a new key opens a run of its own).  A product that
+one pass), one bigint multiply and one shift-add, which lands the piece
+in its key's runs by the rule stated in _mul_packed.  A product that
 opens with a power x^c, c >= 2, starts from x^2, which takes one pair per
 unordered pair of x's n runs, n (n + 1) / 2 instead of n^2
 (_square_packed): coefficients are central, and the twists of X^a X^b
@@ -76,7 +73,6 @@ from .coeffs import (
     qc_str,
     qc_v,
     trim_run,
-    unpack,
 )
 from .errors import NotDivisibleError, as_int
 
@@ -191,13 +187,15 @@ def _mul_packed(xs, ys: list, w: int, g: int, acc: dict) -> dict:
     aT L b, and exact_left_div passes bT L, so it is bT L aq.  Each pair
     of runs costs one int add for its key, one list read for its twist
     (those of a term of x against every run of y come from one pass), one
-    bigint multiply and one shift-add into the runs of its key.  A new key
-    gets the piece as its run.  When the key holds one run and the piece
-    starts on its stride, at or above its lo and at most _SPAN strides
-    above it, the piece is added to that run in line, as the first branch
-    of add_piece would; any other piece goes through add_piece.  The
-    caller's W bounds every partial sum of an output coefficient, and its
-    V every exponent.  Neither operand is changed.
+    bigint multiply and one shift-add into the runs of its key.
+
+    The rule by which a piece lands, which _square_packed follows too: a
+    new key gets the piece as its run.  When the key holds one run and
+    the piece starts on its stride, at or above its lo and at most _SPAN
+    strides above it, the piece is added to that run in line, as the
+    first branch of add_piece would; any other piece goes through
+    add_piece.  The caller's W bounds every partial sum of an output
+    coefficient, and its V every exponent.  Neither operand is changed.
     """
     span = _SPAN * g
     for ka, (a, runs) in xs:
@@ -229,33 +227,27 @@ def _square_packed(xs: list, t: int, w: int, g: int) -> dict:
     runs give m v^s X^{a+b} and m v^-s X^{a+b}, m = n_a n_b, s = aT L b
     (0 when a = b): one piece m + m v^{2|s|} at v^-|s|, packed as one int
     when 2|s| is a multiple of g and at most _SPAN strides, else the two
-    pieces.  The piece at v^-|s| opens a new key's run, or is added in line
-    as in _mul_packed; the piece at v^|s| of a split pair and a run paired
-    with itself at a key already held go through add_piece.  Every partial
-    sum of an output coefficient is a sum of some of its contributions, as
-    in _mul_packed, so the caller's W holds it.
+    pieces, v^|s| first.  Each run's pieces land as in _mul_packed.  Every
+    partial sum of an output coefficient is a sum of some of its
+    contributions, as in _mul_packed, so the caller's W holds it.
     """
     span = _SPAN * g
     acc: dict = {}
     for i, (ka, a, _, la, na) in enumerate(xs):
-        into = acc.get(2 * ka)
-        if into is None:
-            acc[2 * ka] = (tuple([2 * x for x in a]), [[2 * la + t, na * na]])
-        else:
-            add_piece(into[1], 2 * la + t, na * na, w, g)
+        pieces = [(2 * ka, a, a, 2 * la + t, na * na)]
         la += t
         for kb, b, vb, lb, nb in xs[i + 1:]:
             s, m = abs(sum(map(mul, vb, a))), na * nb
             lo = la + lb - s
-            into = acc.get(ka + kb)
             if 2 * s % g or 2 * s > span:
-                if into is None:
-                    into = acc[ka + kb] = (tuple(map(add, a, b)), [])
-                add_piece(into[1], lo + 2 * s, m, w, g)
+                pieces.append((ka + kb, a, b, lo + 2 * s, m))
             else:
                 m += m << (w * (2 * s // g))
+            pieces.append((ka + kb, a, b, lo, m))
+        for kc, a, b, lo, m in pieces:
+            into = acc.get(kc)
             if into is None:
-                acc[ka + kb] = (tuple(map(add, a, b)), [[lo, m]])
+                acc[kc] = (tuple(map(add, a, b)), [[lo, m]])
                 continue
             target = into[1]
             if len(target) == 1:
@@ -530,25 +522,22 @@ class PackedSum:
     __slots__ = ("ambient", "bound", "w", "g", "v", "_runs", "_parts")
 
     def __init__(self, ambient: LMatrix, products):
-        k = ambient.k
-        norms = {}  # id -> (||x||_1, stride, e(x))
         bounds = []
-        e = 0
+        e = g = 0
         for _, factors in products:
             b = 1
             ei = 0
             for x, c in factors:
-                if id(x) not in norms:
-                    if x.ambient != ambient:
-                        raise ValueError("torus elements live in different ambients")
-                    norms[id(x)] = _sizes(x)
-                l1, _, ex = norms[id(x)]
+                if x.ambient != ambient:
+                    raise ValueError("torus elements live in different ambients")
+                l1, stride, ex = _sizes(x)
                 b *= l1 ** c
                 ei += c * ex
+                g = gcd(g, stride)
             bounds.append(b)
             e = max(e, ei)
         bound = sum(bounds)
-        g = gcd(*[stride for _, stride, _ in norms.values()]) or 1
+        g = g or 1
         w, v = digit_width(2 * bound), digit_width(e)
         self._runs = []
         for (t, factors), b in zip(products, bounds):
@@ -564,7 +553,7 @@ class PackedSum:
                     for ka, a, _, lo, n in powers[0]:
                         out.setdefault(ka, (a, []))[1].append([lo + t, n])
                 else:
-                    out[0] = ((0,) * k, [[t, 1]])
+                    out[0] = ((0,) * ambient.k, [[t, 1]])
                 for ys in powers[1:]:
                     out = _mul_packed(out.items(), ys, w, g, {})
             self._runs.append(out)
@@ -615,12 +604,12 @@ def exact_left_div(p: TorusElem, q) -> TorusElem:
     of one product, and the sum of a PackedSum's runs is the remainder as
     it is.  A popped key held as one run that has cancelled to 0 is
     dropped before anything else is done with it; otherwise only the
-    remainder's leading coefficient is unpacked, once per peel, straight
-    from its run when it is one run and through collect when it is
-    several.  Every partial sum of a remainder coefficient is bounded by
+    remainder's leading coefficient is unpacked (collect), once per peel.
+    Every partial sum of a remainder coefficient is bounded by
     ||q||_1 + ||p||_1 ||s_partial||_1 (the PackedSum's bound standing for
     ||q||_1), so W starts from the PackedSum's 2 ||q||_1, and it is widened
-    when that bound grows, or for p's entries; an entry off the stride g
+    when that bound grows.  p is packed only once s_partial has a term,
+    when the bound already covers p's entries; an entry off the stride g
     packs into a run of its own.  When the leading coefficient of p is a
     unit +-v^t, as for every cluster variable, the quotient coefficient is
     the lead's run itself, shifted and signed, and it is subtracted without
@@ -655,8 +644,6 @@ def exact_left_div(p: TorusElem, q) -> TorusElem:
                if (runs[0][1] if len(runs) == 1 else collect(runs, w, g))]
     if not support:
         return TorusElem.zero(p.ambient)
-    if digit_width(p_l1) > w:
-        rem, w = _repacked(rem, w, g, digit_width(p_l1))
     box = [(min(qi) - min(pi), max(qi) - max(pi))
            for qi, pi in zip(zip(*support), zip(*pt))]
     # (t, c0) when cp = c0 v^t is a unit: the quotient coefficient that a
@@ -680,7 +667,7 @@ def exact_left_div(p: TorusElem, q) -> TorusElem:
         if unit:
             d = unit[0] + shift
             runs = [[lo - d, unit[1] * n] for lo, n in runs]
-        lead = unpack(*runs[0], w, g) if len(runs) == 1 else collect(runs, w, g)
+        lead = collect(runs, w, g)
         if not lead:
             continue
         for x, (lo, hi) in zip(aq, box):

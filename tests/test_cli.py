@@ -275,6 +275,31 @@ def test_mutate_refuses_an_exploding_exchange(tmp_path, capsys):
     assert code == 0
 
 
+def test_a_product_of_too_many_powers_is_refused(tmp_path, capsys, monkeypatch):
+    # L = ((0, 1, -1), (-1, 0, 0), (1, 0, 0)) and the column (0, b, b - 2) of
+    # B~ are compatible, and the numerator v^t X2^b X3^(b-2) + v^t' has two
+    # terms, but its first product multiplies in 2b - 2 = 1,019,998 powers
+    # one at a time: mutate and run_suite refuse it before any product
+    b = 510_000
+    lam = qca.LMatrix.from_rows([[0, 1, -1], [-1, 0, 0], [1, 0, 0]])
+    seed = qca.QuantumSeed.initial(
+        lam, qca.BMatrix.from_rows([[0], [b], [b - 2]], (0,)), (qca.Weight.zero(1),) * 3)
+    seed_path = tmp_path / "seed.json"
+    seed_path.write_text(json.dumps(seed_to_json(seed)))
+
+    def no_product(*args):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(qca.torus.PackedSum, "__init__", no_product)
+    witness = ("step 1 (direction 1): a product of the exchange numerator has "
+               "1019998 factors counted with their powers, over the limit of 1000000")
+    code, out, err = run(capsys, ["mutate", "--seed", str(seed_path), "--seq", "1", "--no-cache"])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "error: " + witness
+    report = qca.run_suite(seed, [(), (0,)], ["exchange_identity"])
+    assert [e.witness for e in report.entries] == [None, "not evaluated: " + witness]
+
+
 def test_mutate_derives_each_exchange_once(tmp_path, capsys, monkeypatch):
     # the refusal is read from the product list that the step multiplies,
     # so 8 Kronecker steps derive 8 exchanges, not 16

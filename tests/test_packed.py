@@ -306,18 +306,36 @@ def test_a_square_opens_without_the_ordered_loop(monkeypatch):
 # lo and at most _SPAN strides above it, are added in line: over L_NEG the
 # pair X^(1,0) X^(0,1) gives v^-1 X^(1,1) before X^(0,1) X^(1,0) gives v;
 # in the square of ALL_JOIN the pairs (X^(1,0), X^(0,1)) and (X^(1,1), 1)
-# meet at X^(1,1), the second one stride above the first
+# meet at X^(1,1), the second one stride above the first; in the square of
+# DIAGONAL_JOIN, X^(1,0) paired with itself lands one stride above the
+# pair (1, X^(2,0)) at X^(2,0)
 L_NEG = LMatrix.from_rows([[0, -1], [1, 0]])
 ALL_JOIN = TorusElem(L_ONE, {(1, 0): 1, (0, 1): 1, (1, 1): 1, (0, 0): 1})
+DIAGONAL_JOIN = TorusElem(L_ONE, {(0, 0): 1, (2, 0): 1, (1, 0): {1: 1}})
+# in the square of SPLIT_JOIN, stride 4 and twist 1 split the pairs among
+# X^(1,1), X^(1,0) and X^(0,1) into a v^1 and a v^-1 piece: the v^1 piece
+# of (X^(1,0), X^(0,1)) lands in line at X^(1,1), on the run of the pair
+# (1, X^(1,1)), and the other two open new keys; each v^-1 piece starts
+# two below its v^1 piece, off the stride
+SPLIT_JOIN = TorusElem(L_ONE, {(0, 0): 1, (1, 1): {0: 1, 4: 1}, (1, 0): 1, (0, 1): {-1: 1}})
 
 
 def test_pieces_in_one_run_are_added_without_add_piece(monkeypatch):
-    pieces = []
-    monkeypatch.setattr(qca.torus, "add_piece", lambda *args: pieces.append(args))
+    starts = []
+    real_add_piece = qca.torus.add_piece
+
+    def spy(runs, s, m, w, g):
+        starts.append(s)
+        real_add_piece(runs, s, m, w, g)
+
+    monkeypatch.setattr(qca.torus, "add_piece", spy)
     x = TorusElem(L_NEG, {(1, 0): {0: 1, 1: -2}, (0, 1): 3})
     assert (x * TorusElem(L_NEG, dict(x.terms))).terms == schoolbook_mul(x, x)
-    assert (ALL_JOIN * ALL_JOIN).terms == schoolbook_mul(ALL_JOIN, ALL_JOIN)
-    assert pieces == []
+    for y in (ALL_JOIN, DIAGONAL_JOIN):
+        assert (y * y).terms == schoolbook_mul(y, y)
+    assert starts == []
+    assert (SPLIT_JOIN * SPLIT_JOIN).terms == schoolbook_mul(SPLIT_JOIN, SPLIT_JOIN)
+    assert starts == [-1, -2, -2]
 
 
 # every other piece goes through add_piece: each case below takes one way
@@ -338,6 +356,9 @@ FALLBACKS = [
     pytest.param(TorusElem(ZERO_L, {(1, 0): 1, (0, 1): 1, (2, 0): 1, (3, 0): 1}),
                  TorusElem(ZERO_L, {(0, 1): 1, (1, 0): -1, (-1, 1): {-3: 1}, (-2, 1): {2: 1}}),
                  id="cancelled_run"),
+    # the v^-1 pieces of SPLIT_JOIN's square, and its product with
+    # DIAGONAL_JOIN
+    pytest.param(SPLIT_JOIN, DIAGONAL_JOIN, id="split_square"),
 ]
 
 

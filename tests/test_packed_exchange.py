@@ -264,6 +264,18 @@ def test_a_divisor_that_needs_a_wider_width_divides_as_exact_left_div_does():
     assert (s.bound, s.w, s.g) == (4, 8, 200) and digit_width(400) == 16
     expected = (x1 - x2).scaled({0: 1, 1: -1})
     assert exact_left_div(p, s) == exact_left_div(p, s[0] + s[1]) == expected
+    # (1 - v^200) X1^2 + X1 X2 + X2^2 is not divisible: the first quotient
+    # term (1 - v) X1 widens W and packs p, and the remainder v^200 X1 X2 is
+    # not a multiple of c
+    s = PackedSum(lam, [(0, [(x1.scaled({0: 1, 200: -1}), 1), (x1, 1)]),
+                        (0, [(x1, 1), (x2, 1)]), (0, [(x2, 2)])])
+    assert (s.bound, s.w) == (4, 8)
+    for q in (s, s[0] + s[1] + s[2]):
+        with pytest.raises(NotDivisibleError) as info:
+            exact_left_div(p, q)
+        assert (info.value.reason, str(info.value)) == (
+            "coefficient", "not exactly divisible (coefficient): leading "
+            "coefficient at X^(1, 1) is not divisible")
 
 
 def test_one_stored_numerator_serves_every_divisor():
