@@ -32,6 +32,12 @@ does each job once per distinct key:
   X_k;
 - products: the single products of exchange_identity and involutivity.
 
+A pair or product whose reverse the table holds is answered from it, and
+the answer is not stored: x y = q^gamma y x gives y x = q^-gamma x y, so
+(y, x) is -gamma (and None, no single power, stays None); bar is an
+anti-automorphism, so y x = bar(x y) when x and y are both bar-invariant,
+and only then.  Such an answer counts as reused, as a stored value does.
+
 Every operand is interned by content (a torus element or a q = 1 Laurent
 polynomial by its sorted terms, the two kinds apart; L, B~, a D weight and
 the shadow's rows by themselves; a tuple of them by its items): the first
@@ -73,7 +79,7 @@ from .seeds import (
     parity_witness,
     qcommute_witness,
 )
-from .torus import PackedSum, TorusElem, q_commute_exponent
+from .torus import PackedSum, TorusElem, _is_bar_invariant, q_commute_exponent
 
 __all__ = [
     "STANDARD_CHECKS",
@@ -224,6 +230,9 @@ def _matrix_route_witness(parent: QuantumSeed, node: QuantumSeed, k: int) -> str
 
 # -- one call's table ----------------------------------------------------------
 
+_MISS = object()  # a key that the table does not hold
+
+
 def _content_key(x) -> tuple:
     """x's type and content: two torus elements of one torus or two q = 1
     Laurent polynomials (dicts), by their sorted terms, or two of L, B~,
@@ -267,10 +276,18 @@ class _Walk:
             got = self._seen[id(x)] = (x, self._first.setdefault(key, x))
         return id(got[1])
 
-    def _lookup(self, entry: str, key, compute):
+    def _lookup(self, entry: str, key, compute, reverse=None):
+        """The value of key, computed once.  A key the table lacks is
+        answered by reverse(the value stored under the reversed key), if
+        there is one and reverse does not return _MISS, and is not stored;
+        that answer counts as reused."""
         table, counts = self._tables[entry], self.counts[entry]
-        value = table.get(key, table)  # the table itself marks a miss
-        if value is table:
+        value = table.get(key, _MISS)
+        if value is _MISS and reverse is not None:
+            back = table.get(key[::-1], _MISS)
+            if back is not _MISS:
+                value = reverse(back)
+        if value is _MISS:
             counts[0] += 1
             value = table[key] = compute()
         else:
@@ -285,11 +302,16 @@ class _Walk:
         return self._lookup("steps", key, lambda: _evaluate_step(cur, cs, k, self))
 
     def q_commute_exponent(self, x: TorusElem, y: TorusElem) -> int | None:
+        # y x = q^-gamma x y, so a stored (y, x) answers (x, y) negated
         return self._lookup("pairs", (self._id(x), self._id(y)),
-                            lambda: q_commute_exponent(x, y))
+                            lambda: q_commute_exponent(x, y),
+                            lambda gamma: None if gamma is None else -gamma)
 
     def product(self, x: TorusElem, y: TorusElem) -> TorusElem:
-        return self._lookup("products", (self._id(x), self._id(y)), lambda: x * y)
+        # bar is an anti-automorphism: y x = bar(x y) when both are bar-invariant
+        return self._lookup("products", (self._id(x), self._id(y)), lambda: x * y,
+                            lambda yx: yx.bar() if _is_bar_invariant(x)
+                            and _is_bar_invariant(y) else _MISS)
 
     def terms(self, seed: QuantumSeed, k: int, derived=None) -> tuple:
         """(key, (a', a'', p', p'', N)): seeds._exchange_terms(seed, k), or
@@ -490,6 +512,8 @@ def run_suite(seed: QuantumSeed, sequences, checks=None, meta=None) -> CheckRepo
     walk = _Walk(selected)
     # path -> (seed, shadow, {check: witness}, refusal) after its last step
     paths = {(): (seed, cs0, _node_failures(seed, range(seed.k), walk, cs0), None)}
+    # the paths whose every step was taken and failed no check
+    clean = {()}
     for s in sequences:
         for i in range(1, len(s) + 1):
             if s[:i] in paths:
@@ -497,17 +521,20 @@ def run_suite(seed: QuantumSeed, sequences, checks=None, meta=None) -> CheckRepo
             cur, cs = paths[s[:i - 1]][:2]
             if cur is None:
                 break
-            paths[s[:i]] = walk.step(cur, cs, s[i - 1])
+            step = paths[s[:i]] = walk.step(cur, cs, s[i - 1])
+            if step[0] is not None and not step[2] and s[:i - 1] in clean:
+                clean.add(s[:i])
     elapsed = time.monotonic() - t0
 
     entries = []
+    labels = [tuple(k + 1 for k in s) for s in [()] + sequences]
     for check in selected:
+        tier = _CHECKS[check][0]
         witnesses = [paths[()][2].get(check)] + [
-            _sequence_witness(paths, s, check) for s in sequences]
-        for s, w in zip([()] + sequences, witnesses):
-            entries.append(CheckEntry(
-                check=check, tier=_CHECKS[check][0], sequence=tuple(k + 1 for k in s),
-                status="fail" if w else "pass", witness=w))
+            None if s in clean else _sequence_witness(paths, s, check) for s in sequences]
+        for label, w in zip(labels, witnesses):
+            entries.append(CheckEntry(check=check, tier=tier, sequence=label,
+                                      status="fail" if w else "pass", witness=w))
 
     full_meta = {"checks": selected, "n_sequences": len(sequences)}
     if meta:

@@ -15,6 +15,7 @@ the quantum variables are specialized at v = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 
 __all__ = [
     "ClassicalSeed",
@@ -39,7 +40,7 @@ def cl_mul(f: dict, g: dict) -> dict:
     out: dict = {}
     for a, c in f.items():
         for b, d in g.items():
-            key = tuple(x + y for x, y in zip(a, b))
+            key = tuple(map(add, a, b))
             n = out.get(key, 0) + c * d
             if n:
                 out[key] = n
@@ -50,8 +51,10 @@ def cl_mul(f: dict, g: dict) -> dict:
 
 def cl_pow(f: dict, n: int) -> dict:
     assert n >= 0
-    acc = {(0,) * _rank(f): 1}
-    for _ in range(n):
+    if n == 0:
+        return {(0,) * _rank(f): 1}
+    acc = f
+    for _ in range(n - 1):
         acc = cl_mul(acc, f)
     return acc
 
@@ -83,7 +86,7 @@ def cl_div_exact(num: dict, den: dict) -> dict:
     out: dict = {}
     while rem:
         lt_r = max(rem)
-        key = tuple(x - y for x, y in zip(lt_r, lt_d))
+        key = tuple(map(sub, lt_r, lt_d))
         for x, (lo, hi) in zip(key, ranges):
             if x < lo or x > hi:
                 raise ValueError(
@@ -93,7 +96,7 @@ def cl_div_exact(num: dict, den: dict) -> dict:
             raise ValueError("classical division is not exact")
         out[key] = q
         for b, c in den.items():
-            k2 = tuple(x + y for x, y in zip(b, key))
+            k2 = tuple(map(add, b, key))
             n = rem.get(k2, 0) - c * q
             if n:
                 rem[k2] = n
@@ -128,6 +131,10 @@ def _mutate_rows(rows, ex, k):
     kpos = ex.index(k)
     out = []
     for i in range(len(rows)):
+        if i != k and not rows[i][kpos]:
+            # b_ik = 0 leaves row i as it is
+            out.append(rows[i])
+            continue
         row = []
         for jpos, j in enumerate(ex):
             b = rows[i][jpos]
@@ -142,31 +149,30 @@ def _mutate_rows(rows, ex, k):
     return tuple(out)
 
 
+def _times(acc, f: dict) -> dict:
+    return f if acc is None else cl_mul(acc, f)
+
+
 def classical_mutate(cs: ClassicalSeed, k: int) -> ClassicalSeed:
     if k not in cs.ex:
         raise ValueError("direction %d is frozen" % (k + 1))
     kpos = cs.ex.index(k)
-    one = {(0,) * cs.k: 1}
-    plus = dict(one)
-    minus = dict(one)
+    # each monomial starts from its first factor (None before it)
+    plus = minus = None
     for i in range(cs.k):
         b = cs.rows[i][kpos]
         if b > 0:
-            plus = cl_mul(plus, cl_pow(cs.vars[i], b))
+            plus = _times(plus, cl_pow(cs.vars[i], b))
         elif b < 0:
-            minus = cl_mul(minus, cl_pow(cs.vars[i], -b))
+            minus = _times(minus, cl_pow(cs.vars[i], -b))
+    one = {(0,) * cs.k: 1}
+    plus, minus = (one if m is None else m for m in (plus, minus))
     new_var = cl_div_exact(cl_add(plus, minus), cs.vars[k])
     new_vars = list(cs.vars)
     new_vars[k] = new_var
     return ClassicalSeed(
         rows=_mutate_rows(cs.rows, cs.ex, k), ex=cs.ex, vars=tuple(new_vars)
     )
-
-
-def classical_mutate_seq(cs: ClassicalSeed, ks) -> ClassicalSeed:
-    for k in ks:
-        cs = classical_mutate(cs, k)
-    return cs
 
 
 def compare_q1(qseed, cs: ClassicalSeed) -> list:

@@ -131,8 +131,12 @@ def check_compatible(lmat: LMatrix, bmat: BMatrix) -> int | None:
     if lmat.k != bmat.k:
         raise ValueError("L and B must have the same number of rows")
     for j in bmat.ex:
-        # L is skew-symmetric, so b_j^T L is the row -(L B~)_{.j}
-        for i, r in enumerate(_combine_rows(lmat.rows, bmat.column(j))):
+        # L is skew-symmetric, so b_j^T L is the row -(L B~)_{.j}; it is
+        # scanned for the first failing i only when it is not -2 e_j
+        row = _combine_rows(lmat.rows, bmat.column(j))
+        if row[j] == -2 and row.count(0) == lmat.k - 1:
+            continue
+        for i, r in enumerate(row):
             s = -r
             if i == j:
                 if s != 2:

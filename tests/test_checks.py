@@ -18,7 +18,7 @@ from qca.checks import (
 )
 from qca.classical import classical_shadow
 from qca.serialize import canonical_dumps, report_to_json
-from qca.torus import LMatrix, PackedSum, TorusElem, qc_v
+from qca.torus import LMatrix, PackedSum, TorusElem, q_commute_exponent, qc_v
 
 from conftest import SEED_CASES, exchange_reference, make_seed
 
@@ -340,6 +340,7 @@ FAILING_REPORTS = {
     "negated": ("6d96be1a6bb61085b25e50a26efa0f5766c5ae5aaa5f915ccba66a52b1e50bc4", 6, 2),
     "doubled": ("09421a211e437e6490e82db263057780f4d6908ee6788056d9dad5eeb1d7595c", 6, 2),
     "no_cartan": ("cde8ba8fbf9b93cd9f0f6509622524105d45aaa33707eedca34dd834df730d63", 6, 2),
+    "v_shifted": ("43668230c71b09075b1862b5aaed89f17d2fb757640aa7bbef67f75b0e907335", 6, 2),
     "wild": ("02ced00944bbfeb3c28643f0e127304beb3e020248a214d28df06d56ad98a7e4", 64, 55),
 }
 
@@ -360,6 +361,8 @@ FAILING_SEEDS = {
     "negated": lambda a2: _with_var(a2, 0, a2.vars[0].scaled(-1)),
     "doubled": lambda a2: _with_var(a2, 1, a2.vars[1].scaled(2)),
     "no_cartan": lambda a2: qca.QuantumSeed.initial(a2.lmat, a2.bmat, a2.dvec),
+    # X_1, the variable direction 1 exchanges, is not bar-invariant
+    "v_shifted": lambda a2: _with_var(a2, 0, a2.vars[0].scaled(qc_v(1))),
     "wild": lambda a2: _wild_seed(),
 }
 
@@ -580,7 +583,8 @@ def _content(x):
 
 def test_each_ordered_pair_is_computed_once_per_call(monkeypatch):
     # the 1,989 q-commutations of this tree cover 480 ordered pairs of
-    # variables by content; a second call computes them all again
+    # variables by content, 352 unordered ones: a pair whose reverse is
+    # stored is answered from it.  A second call computes them all again
     seed = a4_seed()
     seqs = default_sequences(seed, depth=3, rng_seed=0)
     real = qca.checks.q_commute_exponent
@@ -595,13 +599,80 @@ def test_each_ordered_pair_is_computed_once_per_call(monkeypatch):
     for _ in range(2):
         calls.clear()
         reports.append(run_suite(seed, seqs))
-        assert len(calls) == len(set(calls)) == 480
+        assert len(calls) == len({frozenset(c) for c in calls}) == 352
     first, second = reports
     assert first.oracles == second.oracles == {
-        "pairs": (480, 1509), "terms": (152, 280),
-        "divisions": (109, 107), "products": (144, 288)}
+        "pairs": (352, 1637), "terms": (152, 280),
+        "divisions": (109, 107), "products": (72, 360)}
     assert canonical_dumps(report_to_json(first, "x")) == canonical_dumps(
         report_to_json(second, "x"))
+
+
+def _answered_by_reverse(monkeypatch, method, entry):
+    """{key: [(x, y, answer), ...]} of the look-ups by _Walk.<method> on
+    A4's longest word at depth 3 that the table answered from the reversed
+    key, which it does not store."""
+    real = getattr(qca.checks._Walk, method)
+    answered = {}
+
+    def recorded(walk, x, y):
+        table = walk._tables[entry]
+        key = (walk._id(x), walk._id(y))
+        from_reverse = key not in table and key[::-1] in table
+        got = real(walk, x, y)
+        if from_reverse:
+            assert key not in table
+            answered.setdefault(key, []).append((x, y, got))
+        return got
+
+    monkeypatch.setattr(qca.checks._Walk, method, recorded)
+    seed = a4_seed()
+    assert run_suite(seed, default_sequences(seed, depth=3, rng_seed=0)).passed
+    return answered
+
+
+def test_a_pair_answered_from_its_reverse_is_its_own_exponent(monkeypatch):
+    # y x = q^-gamma x y, so the table answers (x, y) from a stored (y, x)
+    answered = _answered_by_reverse(monkeypatch, "q_commute_exponent", "pairs")
+    # 128 keys whose reverse is stored, looked up 355 times in all
+    assert len(answered) == 480 - 352
+    assert sum(map(len, answered.values())) == 355
+    assert all(got == q_commute_exponent(x, y)
+               for looked_up in answered.values() for x, y, got in looked_up)
+
+
+def test_a_product_answered_by_bar_is_the_product(monkeypatch):
+    # bar is an anti-automorphism: y x = bar(x y) for bar-invariant x, y
+    answered = _answered_by_reverse(monkeypatch, "product", "products")
+    assert len(answered) == 144 - 72
+    assert sum(map(len, answered.values())) == 216
+    assert all(got == x * y for looked_up in answered.values() for x, y, got in looked_up)
+
+
+def test_a_pair_that_does_not_q_commute_stays_none_both_ways(a2_seed):
+    # X_1 + v X_2 q-commutes neither with X_3 (settled by the torus
+    # relation) nor with the new variable of direction 1 (by products)
+    shifted = a2_seed.vars[0] + a2_seed.vars[1].scaled(qc_v(1))
+    for other in (a2_seed.vars[2], qca.mutate(a2_seed, 0).vars[0]):
+        assert q_commute_exponent(shifted, other) is q_commute_exponent(other, shifted) is None
+        walk = qca.checks._Walk(())
+        assert walk.q_commute_exponent(shifted, other) is None
+        assert walk.q_commute_exponent(other, shifted) is None
+        assert walk.counts["pairs"] == [1, 1]
+
+
+def test_a_product_with_an_operand_off_bar_is_multiplied(a2_seed):
+    # v X_1 is not bar-invariant, so X_2 (v X_1) is not bar((v X_1) X_2):
+    # both orders are multiplied, whichever comes first.  So are X_1 X'_1
+    # and X'_1 X_1 in the v_shifted report, pinned in FAILING_REPORTS
+    shifted, other = a2_seed.vars[0].scaled(qc_v(1)), a2_seed.vars[1]
+    for x, y in ((shifted, other), (other, shifted)):
+        walk = qca.checks._Walk(())
+        assert walk.product(x, y) == x * y
+        assert walk.product(y, x) == y * x != (x * y).bar()
+        assert walk.counts["products"] == [2, 0]
+    bad = FAILING_SEEDS["v_shifted"](a2_seed)
+    assert run_suite(bad, default_sequences(bad)).oracles["products"] == (2, 2)
 
 
 def test_a_reused_pair_is_compared_with_each_nodes_own_l(monkeypatch):

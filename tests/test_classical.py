@@ -10,7 +10,6 @@ from qca.classical import (
     cl_mul,
     cl_pow,
     classical_mutate,
-    classical_mutate_seq,
     classical_shadow,
     compare_q1,
 )
@@ -121,7 +120,9 @@ def test_quantum_specializes_to_classical():
         shadow = classical_shadow(seed)
         for ks in seqs:
             q = mutate_seq(seed, ks)
-            c = classical_mutate_seq(shadow, ks)
+            c = shadow
+            for k in ks:
+                c = classical_mutate(c, k)
             assert q.bmat.rows == c.rows
             assert compare_q1(q, c) == []
             assert tuple(v.specialize_q1() for v in q.vars) == c.vars
