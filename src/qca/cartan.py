@@ -24,6 +24,7 @@ converts to the 1-based convention used in displays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 
 from .errors import NotReducedError, as_int
@@ -134,9 +135,10 @@ class Weight:
         n = len(row) // 2
         return cls(tuple(row[:n]), tuple(row[n:]))
 
-    @property
+    @cached_property
     def row(self) -> tuple[int, ...]:
-        """The integer row m + c, on which weights add like vectors."""
+        """The integer row m + c, on which weights add like vectors; built
+        once per weight (not a field, so == and hash ignore it)."""
         return self.m + self.c
 
     def __add__(self, other: "Weight") -> "Weight":
@@ -155,7 +157,7 @@ class Weight:
         return Weight(tuple(-x for x in self.m), tuple(-x for x in self.c))
 
     def is_root_lattice(self) -> bool:
-        return all(x == 0 for x in self.m)
+        return not any(self.m)
 
     def is_positive_root(self) -> bool:
         """In the root lattice with every alpha coefficient >= 0, not all 0."""

@@ -33,10 +33,11 @@ does each job once per distinct key:
 - products: the single products of exchange_identity and involutivity.
 
 A pair or product whose reverse the table holds is answered from it, and
-the answer is not stored: x y = q^gamma y x gives y x = q^-gamma x y, so
-(y, x) is -gamma (and None, no single power, stays None); bar is an
-anti-automorphism, so y x = bar(x y) when x and y are both bar-invariant,
-and only then.  Such an answer counts as reused, as a stored value does.
+the answer is stored under its own key, so a later look-up reads it:
+x y = q^gamma y x gives y x = q^-gamma x y, so (y, x) is -gamma (and
+None, no single power, stays None); bar is an anti-automorphism, so
+y x = bar(x y) when x and y are both bar-invariant, and only then.  Such
+an answer counts as reused, as a stored value does.
 
 Every operand is interned by content (a torus element or a q = 1 Laurent
 polynomial by its sorted terms, the two kinds apart; L, B~, a D weight and
@@ -61,6 +62,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import cache
+from operator import add, mul
 
 from .classical import classical_shadow, classical_mutate, compare_q1
 from .errors import IncompatibleError, NotDivisibleError, as_int
@@ -69,13 +71,13 @@ from .seeds import (
     QuantumSeed,
     _child,
     _exchange_terms,
+    _mutate_rows,
     _size_witness,
     balance_witness,
     check_compatible,
     exchange_parts,
     homogeneity_witness,
     mutate_dvector,
-    mutate_matrices,
     parity_witness,
     qcommute_witness,
 )
@@ -175,7 +177,10 @@ def ef_matrices(bmat, k: int):
 
     E is K x K and differs from the identity only in column k; F is
     |K_ex| x |K_ex| and differs from the identity only in row k.  E^2 = 1.
+    ValueError for a frozen k.
     """
+    if k not in bmat.ex:
+        raise ValueError("direction %d is frozen" % (k + 1))
     kpos = bmat.pos(k)
     e = list(_identity(bmat.k))
     for i, b in enumerate(bmat.column(k)):
@@ -197,10 +202,10 @@ def _matmul(a, b):
         if row.count(0) == zeros and 1 in row:
             out.append(b[row.index(1)])
             continue
-        acc = [0] * len(b[0])
+        acc = itertools.repeat(0, len(b[0]))
         for x, brow in zip(row, b):
             if x:
-                acc = [s + x * y for s, y in zip(acc, brow)]
+                acc = map(add, acc, brow if x == 1 else map(mul, itertools.repeat(x), brow))
         out.append(tuple(acc))
     return tuple(out)
 
@@ -279,14 +284,16 @@ class _Walk:
     def _lookup(self, entry: str, key, compute, reverse=None):
         """The value of key, computed once.  A key the table lacks is
         answered by reverse(the value stored under the reversed key), if
-        there is one and reverse does not return _MISS, and is not stored;
-        that answer counts as reused."""
+        there is one and reverse does not return _MISS; that answer is
+        stored under key, and counts as reused."""
         table, counts = self._tables[entry], self.counts[entry]
         value = table.get(key, _MISS)
         if value is _MISS and reverse is not None:
             back = table.get(key[::-1], _MISS)
             if back is not _MISS:
                 value = reverse(back)
+                if value is not _MISS:
+                    table[key] = value
         if value is _MISS:
             counts[0] += 1
             value = table[key] = compute()
@@ -385,9 +392,12 @@ def _involutivity_witness(node, idx, shadow, parent, parts, walk) -> str | None:
         return None
     # the torus is a domain, so the back division returns parent.vars[k]
     # exactly when one product equals the back numerator
+    # (L, B~) is compared by its rows, built by the closed forms' kernel
+    # alone: rows equal to the validated parent's are valid, so no check is
+    # lost by building no LMatrix or BMatrix (ex passes unchanged)
     k = parts.k
     _, (a_pos, a_neg, _, _, num) = walk.terms(node, k)
-    if (mutate_matrices(node.lmat, node.bmat, k, a_neg) != (parent.lmat, parent.bmat)
+    if (_mutate_rows(node.lmat, node.bmat, k, a_neg) != (parent.lmat.rows, parent.bmat.rows)
             or mutate_dvector(node.dvec, k, a_pos) != parent.dvec
             or walk.product(node.vars[k], parent.vars[k]) != num[0] + num[1]):
         return "mutating back does not restore the seed"

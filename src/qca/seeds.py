@@ -21,12 +21,16 @@ and returns a witness string or None; mutate, the checks of checks.py and
 the GLS build call the same functions.  mutate certifies every step: it
 checks compatibility of degree 2 and the homogeneity of the new variable
 per mu_k(D), and proves its q-commutation per mu_k(L) from those facts and
-a certified parent (see mutate).  Matrix mutation uses closed forms only:
-row k of mu_k(L) is a''^T L and B~ changes entrywise.  The matrix-product
-route (E^T L E, E B~ F) and the torus arithmetic that re-derives each
-new variable's q-commutation are independent oracles in checks.py.  Every such
-integer identity is a sum of rows of L or of the (flattened) D weights,
-computed by torus._combine_rows.
+a certified parent (see mutate).  Matrix mutation uses closed forms only,
+held by one kernel on raw rows, _mutate_rows: row k of mu_k(L) is a''^T L
+and column k its negative, and B~ changes by one comprehension per row
+i with b_ik != 0.  mutate_matrices wraps the kernel's rows in a validated
+LMatrix and BMatrix; run_suite's involutivity compares the kernel's rows
+with the parent's directly.  The matrix-product route (E^T L E, E B~ F)
+and the torus arithmetic that re-derives each new variable's
+q-commutation are independent oracles in checks.py.  Every such integer
+identity is a sum of rows of L or of the (flattened) D weights, computed
+by torus._combine_rows.
 
 All of this is exact; nothing is floating point.
 """
@@ -34,9 +38,9 @@ All of this is exact; nothing is floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from operator import mul
+from operator import mul, neg
 
 from .cartan import CartanDatum, Weight, coroot_vector
 from .errors import EngineInvariantError, IncompatibleError, as_int
@@ -130,10 +134,10 @@ def check_compatible(lmat: LMatrix, bmat: BMatrix) -> int | None:
     """
     if lmat.k != bmat.k:
         raise ValueError("L and B must have the same number of rows")
-    for j in bmat.ex:
+    for j, col in zip(bmat.ex, bmat._columns):
         # L is skew-symmetric, so b_j^T L is the row -(L B~)_{.j}; it is
         # scanned for the first failing i only when it is not -2 e_j
-        row = _combine_rows(lmat.rows, bmat.column(j))
+        row = _combine_rows(lmat.rows, col)
         if row[j] == -2 and row.count(0) == lmat.k - 1:
             continue
         for i, r in enumerate(row):
@@ -205,8 +209,7 @@ def balance_witness(seed: "QuantumSeed", idx) -> str | None:
     in idx).  A step in direction k changes only column k, the columns
     with b_kj != 0 and d_k, so (k,) re-examines every changed column."""
     drows = [w.row for w in seed.dvec]
-    for j in seed.ex:
-        col = seed.bmat.column(j)
+    for j, col in zip(seed.ex, seed.bmat._columns):
         if j not in idx and not any(col[i] for i in idx):
             continue
         if any(_combine_rows(drows, col)):
@@ -214,42 +217,57 @@ def balance_witness(seed: "QuantumSeed", idx) -> str | None:
     return None
 
 
-def mutate_matrices(lmat: LMatrix, bmat: BMatrix, k: int, a_neg):
-    """(mu_k L, mu_k B~) by the closed forms: row k of mu_k(L) is a''^T L
-    off the diagonal (a'' from exchange_exponents) and column k its
-    negative; B~ changes entrywise, and a row i != k with b_ik = 0 is
-    kept as it is.
+def _mutate_rows(lmat: LMatrix, bmat: BMatrix, k: int, a_neg):
+    """The rows of (mu_k L, mu_k B~), by the closed forms, for a''
+    = a_neg from exchange_exponents (not checked here).
 
-    The matrix-product route (E^T L E, E B~ F) is an independent oracle in
-    checks.py; mutate certifies the result through compatibility.
+    Row k of mu_k(L) is a''^T L off the diagonal and column k is its
+    negative.  Row k and column k of B~ are negated; a row i != k with
+    b_ik = 0 is kept as it is, and any other row gains
+    b_ik max(+-b_kj, 0) at each j != k, the sign that of b_ik, in one
+    comprehension.
     """
     row_k = _combine_rows(lmat.rows, a_neg)
     row_k[k] = 0
-    lp_closed = tuple(
-        tuple(row_k) if i == k else row[:k] + (-row_k[i],) + row[k + 1:]
-        for i, row in enumerate(lmat.rows)
-    )
+    l_rows = [row[:k] + (x,) + row[k + 1:] for row, x in zip(lmat.rows, map(neg, row_k))]
+    l_rows[k] = tuple(row_k)
 
-    n = bmat.k
-    col = bmat.column(k)
-    bp_closed = []
-    for i in range(n):
-        if i != k and not col[i]:
-            # b_ik = 0: the entries below and -b_ik leave the row as it is
-            bp_closed.append(bmat.rows[i])
-            continue
-        row = []
-        for jpos, j in enumerate(bmat.ex):
-            b_ij = bmat.rows[i][jpos]
-            if i == k or j == k:
-                row.append(-b_ij)
-            else:
-                b_ik = col[i]
-                b_kj = bmat.rows[k][jpos]
-                sign = -1 if b_ik < 0 else 1
-                row.append(b_ij + sign * max(b_ik * b_kj, 0))
-        bp_closed.append(tuple(row))
-    return LMatrix(lp_closed), BMatrix(tuple(bp_closed), bmat.ex)
+    kpos = bmat.pos(k)
+    b_k = bmat.rows[k]
+    # max(b_kj, 0) and max(-b_kj, 0); both vanish at j = k, as b_kk = 0
+    b_k_pos = [b if b > 0 else 0 for b in b_k]
+    b_k_neg = [-b if b < 0 else 0 for b in b_k]
+    b_rows = list(bmat.rows)
+    for i, b_ik in enumerate(bmat._columns[kpos]):  # b_kk = 0 skips row k
+        if b_ik:
+            new = [b + b_ik * x for b, x in zip(b_rows[i], b_k_pos if b_ik > 0 else b_k_neg)]
+            new[kpos] = -b_ik
+            b_rows[i] = tuple(new)
+    b_rows[k] = tuple(map(neg, b_k))
+    return tuple(l_rows), tuple(b_rows)
+
+
+def mutate_matrices(lmat: LMatrix, bmat: BMatrix, k: int, a_neg):
+    """(mu_k L, mu_k B~): the rows of _mutate_rows, the one kernel of the
+    closed forms, as a new LMatrix and BMatrix.
+
+    a_neg must be a'' = exchange_exponents(bmat, k)[1]: -1 at k and
+    max(-b_ik, 0) at i != k.  Any other, or a frozen k, is refused with
+    ValueError.  The matrix-product route (E^T L E, E B~ F) is an
+    independent oracle in checks.py; mutate certifies the result through
+    compatibility.
+    """
+    if k not in bmat.ex:
+        raise ValueError("direction %d is frozen" % (k + 1))
+    # compared with column k directly: mutate derives a'' once, by
+    # exchange_exponents, for the exchange, the matrices and D alike
+    expected = [-b if b < 0 else 0 for b in bmat.column(k)]
+    expected[k] = -1
+    if list(a_neg) != expected:
+        raise ValueError("a_neg must be a'' = exchange_exponents(bmat, %d)[1] of "
+                         "direction %d, %s; got %s" % (k, k + 1, tuple(expected), tuple(a_neg)))
+    l_rows, b_rows = _mutate_rows(lmat, bmat, k, a_neg)
+    return LMatrix(l_rows), BMatrix(b_rows, bmat.ex)
 
 
 def mutate_dvector(dvec, k: int, a_pos):
@@ -534,13 +552,16 @@ def _child(seed: QuantumSeed, parts: ExchangeParts) -> QuantumSeed:
     lp, bp = mutate_matrices(seed.lmat, seed.bmat, k, parts.a_neg)
     new_vars = list(seed.vars)
     new_vars[k] = parts.new_var
-    return replace(
-        seed,
+    # the constructor's __post_init__ checks the child's sizes and variables
+    return QuantumSeed(
+        l_init=seed.l_init,
+        d_init=seed.d_init,
         lmat=lp,
         bmat=bp,
         dvec=mutate_dvector(seed.dvec, k, parts.a_pos),
         vars=tuple(new_vars),
         history=seed.history + (k,),
+        cartan=seed.cartan,
     )
 
 

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from math import gcd
 from operator import add, mul, neg, sub
 
@@ -173,7 +174,9 @@ def _combine_rows(rows, a) -> list:
     out = None
     for ai, ri in zip(a, rows):
         if ai:
-            out = [ai * x for x in ri] if out is None else [r + ai * x for r, x in zip(out, ri)]
+            if ai != 1:
+                ri = map(mul, repeat(ai), ri)
+            out = list(ri) if out is None else list(map(add, out, ri))
     if out is None:
         return [0] * len(rows[0]) if rows else []
     return out

@@ -35,6 +35,16 @@ def make_seed(key):
     return qca.build_initial_seed(cartan, qca.WeylWord.from_one_based(word))
 
 
+A4_ROWS = ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2))
+A4_WORD = (1, 2, 1, 3, 2, 1, 4, 3, 2, 1)
+
+
+def a4_seed():
+    """The A4 longest-word seed: 10 indices, 6 exchangeable."""
+    return qca.build_initial_seed(qca.CartanDatum.from_rows(A4_ROWS),
+                                  qca.WeylWord.from_one_based(A4_WORD))
+
+
 def exchange_reference(seed, k):
     """(a', a'', p', p'', v^{p'} M', v^{p''} M'') of the exchange in
     direction k, from cluster_monomial and the commuting shifts

@@ -16,9 +16,11 @@ from qca.errors import EngineInvariantError, IncompatibleError, NotReducedError
 from qca.gls import analyze_word, build_quiver
 from qca.seeds import (
     QuantumSeed,
+    _mutate_rows,
     _pairs,
     balance_witness,
     check_compatible,
+    exchange_exponents,
     exchange_term_bound,
     homogeneity_witness,
     mutate,
@@ -29,7 +31,7 @@ from qca.seeds import (
 from qca.serialize import pretty_dumps, seed_from_json, seed_to_json
 from qca.torus import LMatrix, exact_left_div
 
-from conftest import SEED_CASES, corrupt_a3, gcm_and_word, make_seed
+from conftest import SEED_CASES, a4_seed, corrupt_a3, gcm_and_word, make_seed
 
 WITNESSES = (qcommute_witness, homogeneity_witness, parity_witness, balance_witness)
 
@@ -345,3 +347,32 @@ def test_matrix_route_is_the_full_triple_product(key):
 def test_matrix_route_is_the_full_triple_product_on_random_gcms(case):
     for parent in parents(qca.build_initial_seed(*case)):
         assert_matrix_route(parent)
+
+
+def assert_row_kernel(parent):
+    """_mutate_rows against the dense route in every direction; returns the
+    signs that the entries b_ik, i != k, took."""
+    signs = set()
+    for k in parent.ex:
+        a_neg = exchange_exponents(parent.bmat, k)[1]
+        assert _mutate_rows(parent.lmat, parent.bmat, k, a_neg) == dense_route(parent, k)
+        signs.update((b > 0) - (b < 0) for i, b in enumerate(parent.bmat.column(k)) if i != k)
+    return signs
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(gcm_and_word(2, 5))
+def test_row_kernel_is_the_matrix_route_on_random_gcms(case):
+    seed = qca.build_initial_seed(*case)
+    assume(seed.ex)
+    signs = set().union(*map(assert_row_kernel, parents(seed)))
+    # every exchangeable column has entries of both signs; zero is not
+    # certain in rank 2 and is covered below
+    assert {-1, 1} <= signs
+
+
+def test_row_kernel_is_the_matrix_route_with_b_ik_of_every_sign():
+    signs = set()
+    for parent in parents(mutate_seq(a4_seed(), (0, 3, 5))):
+        signs |= assert_row_kernel(parent)
+    assert signs == {-1, 0, 1}

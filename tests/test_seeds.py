@@ -5,6 +5,8 @@ import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qca
 from qca.cartan import Weight
@@ -27,7 +29,7 @@ from qca.seeds import (
 )
 from qca.torus import LMatrix, TorusElem
 
-from conftest import SEED_CASES, make_seed, scale_weight
+from conftest import SEED_CASES, a4_seed, make_seed, scale_weight
 
 # the A2 word (1,2,1) seed, written out by hand
 A2_L = LMatrix.from_rows([[0, -1, 1], [1, 0, 0], [-1, 0, 0]])
@@ -54,6 +56,78 @@ def test_bmatrix_validation():
         BMatrix.from_rows([[0, -1], [-1, 0], [1, 1]], (0, 1))  # not skew
     with pytest.raises(ValueError):
         BMatrix.from_rows([[0], [-1]], (1,))  # ex index out of range
+
+
+def l_skew_message(rows):
+    """The message LMatrix validation must give for square rows: the first
+    pair (i, j), j >= i, in row order, with l_ij != -l_ji; None if there
+    is none."""
+    k = len(rows)
+    for i in range(k):
+        for j in range(i, k):
+            if rows[i][j] != -rows[j][i]:
+                return "L matrix must be skew-symmetric (entries (%d, %d), (%d, %d))" % (
+                    i + 1, j + 1, j + 1, i + 1)
+    return None
+
+
+def b_skew_message(rows, ex):
+    """The same for the principal part of a BMatrix, its pairs taken
+    column by column."""
+    for jpos, j in enumerate(ex):
+        for ipos, i in enumerate(ex):
+            if rows[i][jpos] != -rows[j][ipos]:
+                return ("principal part of B must be skew-symmetric "
+                        "(entries (%d, %d), (%d, %d))" % (i + 1, j + 1, j + 1, i + 1))
+    return None
+
+
+@st.composite
+def square_rows(draw, n):
+    """An n x n integer matrix: random, or skew-symmetric, or skew-symmetric
+    with one entry perturbed."""
+    entries = st.integers(-3, 3)
+    mode = draw(st.sampled_from(("random", "skew", "perturbed")))
+    if mode == "random":
+        return [[draw(entries) for _ in range(n)] for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            rows[i][j] = draw(entries)
+            rows[j][i] = -rows[i][j]
+    if mode == "perturbed":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] += draw(st.sampled_from((-2, -1, 1, 2)))
+    return rows
+
+
+def assert_validates_as(build, message):
+    if message is None:
+        build()
+    else:
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(1, 5).flatmap(square_rows))
+def test_l_validation_names_the_first_failing_pair(rows):
+    assert_validates_as(lambda: LMatrix.from_rows(rows), l_skew_message(rows))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_b_validation_names_the_first_failing_pair(data):
+    # the principal part is drawn like L; the frozen rows are arbitrary,
+    # which must not matter
+    k = data.draw(st.integers(1, 6))
+    ex = sorted(data.draw(st.sets(st.integers(0, k - 1), min_size=1)))
+    principal = data.draw(square_rows(len(ex)))
+    rows = [principal[ex.index(i)] if i in ex
+            else data.draw(st.lists(st.integers(-3, 3), min_size=len(ex), max_size=len(ex)))
+            for i in range(k)]
+    assert_validates_as(lambda: BMatrix.from_rows(rows, ex), b_skew_message(rows, ex))
 
 
 def test_check_compatible_a2():
@@ -149,6 +223,38 @@ def test_mutate_matrices_involutive():
             l2, b2 = mutate_matrices(seed.lmat, seed.bmat, k, exchange_exponents(seed.bmat, k)[1])
             l3, b3 = mutate_matrices(l2, b2, k, exchange_exponents(b2, k)[1])
             assert l3 == seed.lmat and b3 == seed.bmat
+
+
+def test_mutate_matrices_refuses_an_a_neg_that_is_not_its_directions():
+    # a short a'' used to be cut by zip, and one of another direction used,
+    # giving a skew-symmetric but wrong mu_k(L) with no error
+    seed = mutate_seq(a4_seed(), (0, 3, 5))
+    for k in seed.ex:
+        a_neg = exchange_exponents(seed.bmat, k)[1]
+        others = [exchange_exponents(seed.bmat, j)[1] for j in seed.ex if j != k]
+        for wrong in [a_neg[:-1], a_neg + (0,), a_neg[:-1] + (a_neg[-1] + 1,), *others]:
+            with pytest.raises(ValueError, match="a_neg must be a'' = exchange_exponents"):
+                mutate_matrices(seed.lmat, seed.bmat, k, wrong)
+        # a list is the same a''
+        lp, bp = mutate_matrices(seed.lmat, seed.bmat, k, list(a_neg))
+        assert (lp, bp) == mutate_matrices(seed.lmat, seed.bmat, k, a_neg)
+    # in direction 6 the short a'' drops a nonzero entry
+    a_neg = exchange_exponents(seed.bmat, 5)[1]
+    assert a_neg[-1] == 1
+    assert (qca.seeds._mutate_rows(seed.lmat, seed.bmat, 5, a_neg[:-1])[0]
+            != qca.seeds._mutate_rows(seed.lmat, seed.bmat, 5, a_neg)[0])
+
+
+def test_a_frozen_direction_is_named():
+    seed = a4_seed()
+    frozen = [k for k in range(seed.k) if k not in seed.ex]
+    assert frozen == [6, 7, 8, 9]
+    for k in frozen:
+        message = "direction %d is frozen" % (k + 1)
+        with pytest.raises(ValueError, match=message):
+            mutate_matrices(seed.lmat, seed.bmat, k, (0,) * seed.k)
+        with pytest.raises(ValueError, match=message):
+            ef_matrices(seed.bmat, k)
 
 
 def test_mutated_pair_stays_compatible():
