@@ -29,8 +29,16 @@ does each job once per distinct key:
 - terms: the numerator of an exchange, a torus.PackedSum, keyed by the
   product list that seeds._exchange_terms returns for it;
 - divisions: the new variable of an exchange, keyed by the terms key and
-  X_k;
-- products: the single products of exchange_identity and involutivity.
+  X_k.  This is the one entry that the table also takes from a proof:
+  once involutivity has found X'_k X_k = N_b for the back numerator N_b of
+  a step, it stores X_k under the back step's key (N_b's terms key and
+  X'_k).  The torus is a domain, so exact_left_div(X'_k, N_b) could only
+  return X_k, and the back step reads it instead of dividing;
+- products: the single products of exchange_identity and involutivity;
+- shadows: the new variable of the q = 1 shadow's exchange, keyed by
+  ((x_i, b_ik) for every b_ik != 0, x_k), all that classical_mutate's
+  exchange reads (its products commute).  The shadow's rows are mutated
+  at every step by classical.py's own rule.
 
 A pair or product whose reverse the table holds is answered from it, and
 the answer is stored under its own key, so a later look-up reads it:
@@ -64,7 +72,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from operator import add, mul
 
-from .classical import classical_shadow, classical_mutate, compare_q1
+from .classical import classical_shadow, classical_mutate, compare_q1, with_new_var
 from .errors import IncompatibleError, NotDivisibleError, as_int
 from .seeds import (
     ExchangeParts,
@@ -194,13 +202,13 @@ def ef_matrices(bmat, k: int):
 
 def _matmul(a, b):
     """a b, each row a combination of the rows of b weighted by the nonzero
-    entries of that row of a, so a sparse left factor is cheap; a unit row
-    e_j of a gives row j of b as it is."""
+    entries of that row of a, so a sparse left factor is cheap; row i of a
+    that is e_i, as every unit row of E, E^T and F^T is, gives row i of b
+    as it is."""
     out = []
-    zeros = len(b) - 1
-    for row in a:
-        if row.count(0) == zeros and 1 in row:
-            out.append(b[row.index(1)])
+    for row, unit, brow_i in zip(a, _identity(len(b)), b):
+        if row == unit:
+            out.append(brow_i)
             continue
         acc = itertools.repeat(0, len(b[0]))
         for x, brow in zip(row, b):
@@ -263,7 +271,7 @@ class _Walk:
     def __init__(self, selected):
         self.selected = selected
         self.counts = {name: [0, 0] for name in
-                       ("steps", "pairs", "terms", "divisions", "products")}
+                       ("steps", "pairs", "terms", "divisions", "products", "shadows")}
         self._tables = {name: {} for name in self.counts}
         self._first = {}  # content key -> the first operand met with it
         # id -> (operand, the first one equal to it); holding both keeps
@@ -309,9 +317,13 @@ class _Walk:
         return self._lookup("steps", key, lambda: _evaluate_step(cur, cs, k, self))
 
     def q_commute_exponent(self, x: TorusElem, y: TorusElem) -> int | None:
+        key = (self._id(x), self._id(y))
+        gamma = self._tables["pairs"].get(key, _MISS)
+        if gamma is not _MISS:  # most look-ups: no closures built
+            self.counts["pairs"][1] += 1
+            return gamma
         # y x = q^-gamma x y, so a stored (y, x) answers (x, y) negated
-        return self._lookup("pairs", (self._id(x), self._id(y)),
-                            lambda: q_commute_exponent(x, y),
+        return self._lookup("pairs", key, lambda: q_commute_exponent(x, y),
                             lambda gamma: None if gamma is None else -gamma)
 
     def product(self, x: TorusElem, y: TorusElem) -> TorusElem:
@@ -337,6 +349,30 @@ class _Walk:
                                lambda: exchange_parts(seed, k, terms).new_var)
         return ExchangeParts(k, *terms, new_var)
 
+    def proved_division(self, key, den: TorusElem, quotient: TorusElem) -> None:
+        """Store quotient as the left quotient by den of the numerator N
+        with terms key, once den * quotient = N is proved (see the module
+        docstring).  A value stored before is kept.  Storing counts as
+        neither computed nor reused; a look-up of it counts as reused."""
+        self._tables["divisions"].setdefault((key, self._id(den)), quotient)
+
+    def shadow(self, cs, k: int):
+        """mu_k of the q = 1 shadow cs: classical_mutate(cs, k) once per
+        distinct shadows key, each x as its id, and with_new_var with the
+        stored new variable after that."""
+        kpos = cs.ex.index(k)
+        key = (tuple([(self._id(x), row[kpos]) for x, row in zip(cs.vars, cs.rows)
+                      if row[kpos]]), self._id(cs.vars[k]))
+        table, counts = self._tables["shadows"], self.counts["shadows"]
+        new_var = table.get(key, _MISS)
+        if new_var is not _MISS:
+            counts[1] += 1
+            return with_new_var(cs, k, new_var)
+        counts[0] += 1
+        child = classical_mutate(cs, k)
+        table[key] = child.vars[k]
+        return child
+
 
 # -- the checks at one tree node ----------------------------------------------
 #
@@ -358,7 +394,10 @@ def _exchange_witness(node, idx, shadow, parent, parts, walk) -> str | None:
     if parts is None:
         return None
     lhs = walk.product(parent.vars[parts.k], parts.new_var)
-    rhs = parts.m_pos.v_shift(2 + parts.shift_neg - parts.shift_pos) + parts.m_neg
+    shift = 2 + parts.shift_neg - parts.shift_pos
+    # at shift 0 the right side is the numerator, whose sum is collected
+    # once; any other shift builds v^shift M' + M'', so a wrong one fails
+    rhs = parts.monomials.total if not shift else parts.m_pos.v_shift(shift) + parts.m_neg
     if lhs != rhs:
         return "vars_k * new_var differs from v^{p''}(v^2 M' + M'')"
     return None
@@ -391,16 +430,18 @@ def _involutivity_witness(node, idx, shadow, parent, parts, walk) -> str | None:
     if parts is None:
         return None
     # the torus is a domain, so the back division returns parent.vars[k]
-    # exactly when one product equals the back numerator
+    # exactly when one product equals the back numerator; once proved, the
+    # walk's back step reads it instead of dividing
     # (L, B~) is compared by its rows, built by the closed forms' kernel
     # alone: rows equal to the validated parent's are valid, so no check is
     # lost by building no LMatrix or BMatrix (ex passes unchanged)
     k = parts.k
-    _, (a_pos, a_neg, _, _, num) = walk.terms(node, k)
+    key, (a_pos, a_neg, _, _, num) = walk.terms(node, k)
     if (_mutate_rows(node.lmat, node.bmat, k, a_neg) != (parent.lmat.rows, parent.bmat.rows)
             or mutate_dvector(node.dvec, k, a_pos) != parent.dvec
-            or walk.product(node.vars[k], parent.vars[k]) != num[0] + num[1]):
+            or walk.product(node.vars[k], parent.vars[k]) != num.total):
         return "mutating back does not restore the seed"
+    walk.proved_division(key, node.vars[k], parent.vars[k])
     return None
 
 
@@ -466,7 +507,7 @@ def _evaluate_step(cur: QuantumSeed, cs, k: int, walk: _Walk) -> tuple:
     except NotDivisibleError as e:
         return None, None, {"laurent": str(e)}, None
     child = _child(cur, parts)
-    child_cs = classical_mutate(cs, k) if cs is not None else None
+    child_cs = walk.shadow(cs, k) if cs is not None else None
     return child, child_cs, _node_failures(child, (k,), walk, child_cs, cur, parts), None
 
 
@@ -501,6 +542,8 @@ def run_suite(seed: QuantumSeed, sequences, checks=None, meta=None) -> CheckRepo
     evaluated count the tree steps walked and the distinct ones, and its
     oracles the table's computed and reused values.
     """
+    if isinstance(checks, str):
+        raise ValueError("checks must be a list of names, not the string %r" % checks)
     chosen = ALL_CHECKS if checks is None else list(checks)
     bad = [c for c in chosen if c not in _CHECKS]
     if bad:

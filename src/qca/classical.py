@@ -21,6 +21,7 @@ __all__ = [
     "ClassicalSeed",
     "classical_shadow",
     "classical_mutate",
+    "with_new_var",
     "compare_q1",
 ]
 
@@ -167,7 +168,12 @@ def classical_mutate(cs: ClassicalSeed, k: int) -> ClassicalSeed:
             minus = _times(minus, cl_pow(cs.vars[i], -b))
     one = {(0,) * cs.k: 1}
     plus, minus = (one if m is None else m for m in (plus, minus))
-    new_var = cl_div_exact(cl_add(plus, minus), cs.vars[k])
+    return with_new_var(cs, k, cl_div_exact(cl_add(plus, minus), cs.vars[k]))
+
+
+def with_new_var(cs: ClassicalSeed, k: int, new_var: dict) -> ClassicalSeed:
+    """mu_k(cs) given the new variable of its exchange, as classical_mutate
+    divides it: the rows are mutated here and x_k is replaced."""
     new_vars = list(cs.vars)
     new_vars[k] = new_var
     return ClassicalSeed(

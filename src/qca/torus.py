@@ -500,7 +500,8 @@ class PackedSum:
     exact_left_div takes the sum of the products' runs as its starting
     remainder, so the sum is never unpacked; an exponent whose runs cancel
     stays a key of that remainder.  s[i] is product i as a TorusElem,
-    unpacked when it is first read.
+    unpacked when it is first read, and s.total their sum, collected once
+    from that remainder.
 
     One width W serves the products and their sum, fixed before any
     product.  A partial sum of a coefficient of product i is at most
@@ -518,11 +519,11 @@ class PackedSum:
     TorusElem((v^3)*X^(0, 0))
     >>> x = TorusElem.monomial(lam, (1, 0)) + TorusElem.monomial(lam, (0, 1))
     >>> s = PackedSum(lam, [(0, [(x, 2)]), (1, [(x, 1)])])
-    >>> s[0] == x * x, s[1] == x.v_shift(1)
-    (True, True)
+    >>> s[0] == x * x, s[1] == x.v_shift(1), s.total == x * x + x.v_shift(1)
+    (True, True, True)
     """
 
-    __slots__ = ("ambient", "bound", "w", "g", "v", "_runs", "_parts")
+    __slots__ = ("ambient", "bound", "w", "g", "v", "_runs", "_parts", "_total")
 
     def __init__(self, ambient: LMatrix, products):
         bounds = []
@@ -562,14 +563,26 @@ class PackedSum:
             self._runs.append(out)
         self.ambient, self.bound, self.w, self.g, self.v = ambient, bound, w, g, v
         self._parts = [None] * len(products)
+        self._total = None
 
     def __getitem__(self, i: int) -> TorusElem:
         """Product i; an exponent whose runs cancel is left out."""
         if self._parts[i] is None:
-            w, g = self.w, self.g
-            terms = {a: cf for a, runs in self._runs[i].values() if (cf := collect(runs, w, g))}
-            self._parts[i] = TorusElem(self.ambient, terms, _trusted=True)
+            self._parts[i] = self._collected(self._runs[i])
         return self._parts[i]
+
+    @property
+    def total(self) -> TorusElem:
+        """The sum of the products; an exponent whose runs cancel is left
+        out."""
+        if self._total is None:
+            self._total = self._collected(self._remainder())
+        return self._total
+
+    def _collected(self, runs: dict) -> TorusElem:
+        w, g = self.w, self.g
+        terms = {a: cf for a, rs in runs.values() if (cf := collect(rs, w, g))}
+        return TorusElem(self.ambient, terms, _trusted=True)
 
     def _remainder(self) -> dict:
         """The sum of the products' runs, E(a) -> (a, runs), in lists of

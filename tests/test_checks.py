@@ -16,9 +16,9 @@ from qca.checks import (
     default_sequences,
     run_suite,
 )
-from qca.classical import classical_shadow
+from qca.classical import ClassicalSeed, classical_mutate, classical_shadow
 from qca.serialize import canonical_dumps, report_to_json
-from qca.torus import LMatrix, PackedSum, TorusElem, q_commute_exponent, qc_v
+from qca.torus import LMatrix, PackedSum, TorusElem, exact_left_div, q_commute_exponent, qc_v
 
 from conftest import SEED_CASES, a4_seed, exchange_reference, make_seed
 
@@ -132,6 +132,13 @@ def test_an_empty_sequence_is_the_starting_seed_entry(a2_seed):
 def test_unknown_check_name(a2_seed):
     with pytest.raises(ValueError, match="compatible"):
         run_suite(a2_seed, [(0,)], checks=["compatible", "bogus"])
+
+
+def test_a_string_check_selection_is_refused(a2_seed):
+    # iterated, "compatible" would be a selection of its letters
+    with pytest.raises(ValueError, match="^checks must be a list of names, not the string "
+                                         "'compatible'$"):
+        run_suite(a2_seed, [(0,)], checks="compatible")
 
 
 def test_an_empty_check_selection_is_refused(a2_seed, monkeypatch):
@@ -594,7 +601,7 @@ def test_each_ordered_pair_is_computed_once_per_call(monkeypatch):
     first, second = reports
     assert first.oracles == second.oracles == {
         "pairs": (352, 1637), "terms": (152, 280),
-        "divisions": (109, 107), "products": (72, 360)}
+        "divisions": (76, 140), "products": (72, 360), "shadows": (110, 106)}
     assert canonical_dumps(report_to_json(first, "x")) == canonical_dumps(
         report_to_json(second, "x"))
 
@@ -639,6 +646,64 @@ def test_a_product_answered_by_bar_is_the_product(monkeypatch):
     assert len(answered) == 144 - 72
     assert sum(map(len, answered.values())) == 72
     assert all(got == x * y for looked_up in answered.values() for x, y, got in looked_up)
+
+
+@pytest.mark.parametrize("key, depth", [("a4", 3), ("aff", 5)])
+def test_a_division_proved_by_involutivity_is_the_quotient(monkeypatch, key, depth):
+    # X'_k X_k = N_b and the torus is a domain, so the X_k that involutivity
+    # stores is exact_left_div(X'_k, N_b); the back steps read it
+    seed = a4_seed() if key == "a4" else make_seed(key)
+    proved, read = {}, []
+    store, lookup = qca.checks._Walk.proved_division, qca.checks._Walk._lookup
+
+    def recorded_store(walk, terms_key, den, quotient):
+        key = (terms_key, walk._id(den))
+        if key not in walk._tables["divisions"]:
+            proved[key] = (den, walk._tables["terms"][terms_key], quotient)
+        store(walk, terms_key, den, quotient)
+
+    def recorded_lookup(walk, entry, key, *args):
+        if entry == "divisions" and key in proved:
+            read.append(key)
+        return lookup(walk, entry, key, *args)
+
+    monkeypatch.setattr(qca.checks._Walk, "proved_division", recorded_store)
+    monkeypatch.setattr(qca.checks._Walk, "_lookup", recorded_lookup)
+    assert run_suite(seed, default_sequences(seed, depth=depth)).passed
+    assert read
+    for den, num, quotient in proved.values():
+        assert exact_left_div(den, num) == quotient
+
+
+def test_a_shadow_exchange_read_from_the_table_is_classical_mutate(monkeypatch):
+    # the shadows entry keys the q = 1 exchange by ((x_i, b_ik), x_k): a
+    # child built from a stored new variable is classical_mutate's own
+    real = qca.checks._Walk.shadow
+    read = []
+
+    def recorded(walk, cs, k):
+        reused = walk.counts["shadows"][1]
+        child = real(walk, cs, k)
+        if walk.counts["shadows"][1] > reused:
+            read.append(child == classical_mutate(cs, k))
+        return child
+
+    monkeypatch.setattr(qca.checks._Walk, "shadow", recorded)
+    seed = a4_seed()
+    report = run_suite(seed, default_sequences(seed, depth=3, rng_seed=0))
+    assert report.passed and all(read)
+    assert len(read) == report.oracles["shadows"][1] > 0
+
+
+def test_a_shadow_exchange_is_keyed_by_each_b_ik():
+    # one x_k and the same x_2, x_3 in column k, with other signs or sizes
+    # of b_2k, b_3k: x_2 + x_3, x_2 x_3 + 1 and x_2^2 x_3 + 1 over x_1
+    gens = tuple({tuple(int(i == j) for j in range(3)): 1} for i in range(3))
+    walk = qca.checks._Walk(())
+    for column in ((1, 1), (1, -1), (2, -1), (1, 1)):
+        cs = ClassicalSeed(rows=((0,), *((b,) for b in column)), ex=(0,), vars=gens)
+        assert walk.shadow(cs, 0) == classical_mutate(cs, 0)
+    assert walk.counts["shadows"] == [3, 1]
 
 
 def test_a_pair_that_does_not_q_commute_stays_none_both_ways(a2_seed):

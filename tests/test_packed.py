@@ -393,6 +393,50 @@ def test_division_skips_cancelled_remainder_keys():
     assert exact_left_div(p, div) == exact_left_div(p, q) == s
 
 
+def schoolbook_product(lam, t, factors) -> TorusElem:
+    """v^t x_1^c_1 x_2^c_2 ..., one schoolbook product per power."""
+    out = TorusElem.monomial(lam, (0,) * lam.k, {t: 1})
+    for x, c in factors:
+        for _ in range(c):
+            out = TorusElem(lam, schoolbook_mul(out, x))
+    return out
+
+
+@st.composite
+def product_lists(draw):
+    """One to three products v^t x_1^c_1 ..., of zero to two factors, and
+    the negatives of a drawn subset of them (a factor -1 in front), which
+    cancel them: the sum is zero when every product is negated."""
+    lam = draw(ambients())
+    prods = [(draw(st.integers(-3, 3)),
+              [(draw(elems(lam, max_terms=3)), draw(st.integers(1, 2)))
+               for _ in range(draw(st.integers(0, 2)))])
+             for _ in range(draw(st.integers(1, 3)))]
+    minus_one = TorusElem.monomial(lam, (0,) * lam.k, {0: -1})
+    negated = draw(st.sets(st.sampled_from(range(len(prods)))))
+    return lam, prods + [(prods[i][0], [(minus_one, 1)] + prods[i][1]) for i in sorted(negated)]
+
+
+X_PLUS_Y = TorusElem(L_ONE, {(1, 0): 1, (0, 1): {1: 2}})
+
+
+@PROFILE
+@given(product_lists())
+@example((L_ONE, [(1, [(X_PLUS_Y, 2)]), (1, [(-X_PLUS_Y, 1), (X_PLUS_Y, 1)])]))
+def test_packed_sum_total_is_the_sum_of_its_products(case):
+    # total is collected once from the summed runs that exact_left_div
+    # peels; entries of products that cancel are left out
+    lam, prods = case
+    s = PackedSum(lam, prods)
+    expected = TorusElem.zero(lam)
+    by_parts = TorusElem.zero(lam)
+    for i, (t, factors) in enumerate(prods):
+        expected = expected + schoolbook_product(lam, t, factors)
+        by_parts = by_parts + s[i]
+    assert s.total == by_parts == expected
+    assert s.total is s.total
+
+
 @PROFILE
 @given(elem_pairs())
 def test_division_recovers_factor(pair):
