@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
+from operator import mul, neg
 
 from .errors import NotReducedError, as_int
 
@@ -272,18 +272,39 @@ def weyl_apply(d: CartanDatum, word: WeylWord, mu: Weight) -> Weight:
 
 
 def inversion_roots(d: CartanDatum, word: WeylWord) -> tuple[Weight, ...]:
-    """beta_k = s_{i_1} ... s_{i_{k-1}} (alpha_{i_k}) for k = 1..r.
+    """beta_k = u_{k-1}(alpha_{i_k}) for k = 1..r, u_k = s_{i_1} ... s_{i_k}.
+
+    One pass over the letters keeps, for every simple root alpha_j, the c
+    part of u(alpha_j) (that is, -u(alpha_j) as an integer column) for the
+    prefix u read so far, starting at u = 1, and reads beta_k off column
+    i_k of u_{k-1}.  Since s_i(alpha_j) = alpha_j - a_ij alpha_i,
+
+        u s_i(alpha_j) = u(alpha_j) - a_ij u(alpha_i),
+
+    so letter i negates column i (a_ii = 2) and changes only the columns j
+    with a_ij != 0: the roots cost O(r n deg) integer operations, deg the
+    largest number of neighbours of a node, instead of the r(r-1)/2
+    reflections of applying each prefix to alpha_{i_k} (weyl_apply).
 
     The word is reduced exactly when every beta_k is a positive root; for a
     reduced word the beta_k are pairwise distinct.
+
+    >>> d = CartanDatum.from_rows([[2, -1], [-1, 2]])
+    >>> [b.c for b in inversion_roots(d, WeylWord.from_one_based((1, 2, 1, 2)))]
+    [(-1, 0), (-1, -1), (0, -1), (1, 0)]
     """
     word.validate(d)
+    n = d.n
+    zero = (0,) * n
+    cols = [zero[:j] + (-1,) + zero[j + 1:] for j in range(n)]
+    nbrs = [[(j, a) for j, a in enumerate(row) if a and j != i] for i, row in enumerate(d.a)]
     out = []
-    for k, i in enumerate(word.letters):
-        beta = Weight.simple_root(d.n, i)
-        for j in reversed(word.letters[:k]):
-            beta = reflect(d, j, beta)
-        out.append(beta)
+    for i in word.letters:
+        ci = cols[i]
+        out.append(Weight(zero, ci))
+        for j, a in nbrs[i]:
+            cols[j] = tuple([x - a * y for x, y in zip(cols[j], ci)])
+        cols[i] = tuple(map(neg, ci))
     return tuple(out)
 
 

@@ -3,9 +3,10 @@
 Subcommands: build, mutate, verify, export, info.  JSON results go to
 --out (atomic write) or stdout; human summaries go to stderr.  Exit codes:
 0 all good, 1 a verified identity or mutation invariant failed, 2 bad
-input / parse / IO / unknown names, or a mutate step whose exchange
-numerator could exceed seeds.MAX_EXCHANGE_TERMS terms, or has a product
-of more than seeds.MAX_EXCHANGE_TERMS factors counted with their powers.
+input / parse / IO / unknown names, a word longer than gls.MAX_WORD_LENGTH,
+or a mutate step whose exchange numerator could exceed
+seeds.MAX_EXCHANGE_TERMS terms, or has a product of more than
+seeds.MAX_EXCHANGE_TERMS factors counted with their powers.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
     NotDivisibleError,
     NotReducedError,
 )
-from .gls import _assemble, build_initial_seed
+from .gls import MAX_WORD_LENGTH, _assemble, build_initial_seed
 from .seeds import check_compatible, mutate
 from .serialize import (
     atomic_write_text,
@@ -83,7 +84,8 @@ def _word_letters(args) -> tuple[int, ...] | None:
 
 def _cartan_word(obj, args) -> tuple[CartanDatum, WeylWord]:
     """The Cartan datum and reduced word of a parsed --cartan file: the word
-    of --word if given, else of the file's "word" key."""
+    of --word if given, else of the file's "word" key.  A word longer than
+    gls.MAX_WORD_LENGTH is refused before anything is built from it."""
     if "cartan" not in obj:
         raise ValueError("input file has no \"cartan\" key")
     cartan = CartanDatum.from_rows(obj["cartan"])
@@ -93,6 +95,9 @@ def _cartan_word(obj, args) -> tuple[CartanDatum, WeylWord]:
             raise ValueError("no word given (pass --word or a \"word\" key)")
         letters = obj["word"]
     word = WeylWord.from_one_based(letters)
+    if word.r > MAX_WORD_LENGTH:
+        raise ValueError("word of length %d is longer than the limit of %d letters"
+                         % (word.r, MAX_WORD_LENGTH))
     word.validate(cartan)
     return cartan, word
 

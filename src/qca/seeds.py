@@ -374,10 +374,9 @@ class QuantumSeed:
         q^{lambda_ji} X^{e_i} X^{e_j} is q-commutation per L; and X^{e_i}
         has the one exponent e_i, of weight sum_j (e_i)_j d_j = d_i.
         """
-        gens = tuple(
-            TorusElem.monomial(lmat, tuple(1 if j == i else 0 for j in range(lmat.k)))
-            for i in range(lmat.k)
-        )
+        zero = (0,) * lmat.k
+        gens = tuple(TorusElem(lmat, {zero[:i] + (1,) + zero[i + 1:]: {0: 1}}, _trusted=True)
+                     for i in range(lmat.k))
         seed = cls(
             l_init=lmat,
             d_init=tuple(dvec),
@@ -594,6 +593,9 @@ def mutate(seed: QuantumSeed, k: int, *, _refusal=None) -> QuantumSeed:
     every new variable's q-commutation in the torus, as the independent
     oracle.
 
+    k is a 0-based index of the seed; a k that is not an int, or lies
+    outside 0..K-1, is refused with ValueError before the frozen test.
+
     mutate is unbounded.  With a _refusal callable, which `qca mutate`
     passes, a step whose numerator could have more than MAX_EXCHANGE_TERMS
     terms, or has a product of more than MAX_EXCHANGE_TERMS factors
@@ -601,6 +603,9 @@ def mutate(seed: QuantumSeed, k: int, *, _refusal=None) -> QuantumSeed:
     witness taken from the product list that the step would multiply, so
     the exchange is derived once.
     """
+    k = as_int(k)
+    if not 0 <= k < seed.k:
+        raise ValueError("direction %d outside 1..%d" % (k + 1, seed.k))
     if not seed._certified:
         seed.validate_full()
     derived = _exchange_terms(seed, k)

@@ -1,8 +1,11 @@
 """Cartan data, weights, reflections, and reduced words."""
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qca
 from qca.cartan import (
@@ -19,7 +22,7 @@ from qca.cartan import (
 )
 from qca.errors import NotReducedError
 
-from conftest import A2_ROWS, A3_ROWS, AFF_ROWS, D4_ROWS, SEED_CASES
+from conftest import A2_ROWS, A3_ROWS, AFF_ROWS, D4_ROWS, SEED_CASES, gcm_and_word
 
 ALL_ROWS = [A2_ROWS, A3_ROWS, D4_ROWS, AFF_ROWS]
 
@@ -230,6 +233,53 @@ def test_is_reduced(rows, word, ok):
     else:
         with pytest.raises(NotReducedError):
             check_reduced(d, w)
+
+
+def reflection_chain_roots(d, word):
+    """beta_k = s_{i_1} ... s_{i_{k-1}}(alpha_{i_k}), one weyl_apply per letter:
+    the definition, independent of inversion_roots' column updates."""
+    letters = word.letters
+    return tuple(weyl_apply(d, WeylWord(letters[:k]), Weight.simple_root(d.n, i))
+                 for k, i in enumerate(letters))
+
+
+@st.composite
+def gcm_and_any_word(draw):
+    """A random symmetric GCM of rank 2 to 5 and a word of up to 8 letters
+    drawn without the positivity filter, so many are not reduced."""
+    cartan, _ = draw(gcm_and_word(2, 5))
+    letters = draw(st.lists(st.integers(0, cartan.n - 1), max_size=8))
+    return cartan, WeylWord(tuple(letters))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(gcm_and_word(2, 5))
+def test_inversion_roots_are_the_reflection_chain_on_reduced_words(case):
+    cartan, word = case
+    assert inversion_roots(cartan, word) == reflection_chain_roots(cartan, word)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(gcm_and_any_word())
+def test_check_reduced_refuses_exactly_the_words_with_a_non_positive_root(case):
+    cartan, word = case
+    expected = reflection_chain_roots(cartan, word)
+    assert inversion_roots(cartan, word) == expected
+    if all(b.is_positive_root() for b in expected):
+        assert check_reduced(cartan, word) == expected
+    else:
+        message = "word %s is not reduced" % (word.to_one_based(),)
+        with pytest.raises(NotReducedError, match="^%s$" % re.escape(message)):
+            check_reduced(cartan, word)
+
+
+def test_inversion_roots_of_a_long_kronecker_word():
+    d = CartanDatum.from_rows(AFF_ROWS)
+    word = WeylWord.from_one_based((1, 2) * 100)
+    roots = check_reduced(d, word)
+    assert roots == reflection_chain_roots(d, word)
+    # beta_k = k alpha_1 + (k - 1) alpha_2 for (1, 2, 1, 2, ...)
+    assert [b.c for b in roots] == [(-k, 1 - k) for k in range(1, 201)]
 
 
 def test_reduced_words_of_same_element_agree():

@@ -89,6 +89,26 @@ def test_build_rejects_non_reduced(tmp_path, capsys):
     assert "not reduced" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["build"],
+    ["mutate", "--seq", "1"],  # a miss on a fresh cache
+    ["verify", "--depth", "1"],
+])
+def test_a_word_over_the_length_limit_exits_before_the_build(tmp_path, capsys,
+                                                              monkeypatch, argv):
+    # a 1,001-letter Kronecker word is reduced, and would allocate r^2 entries
+    def never(*args):
+        raise AssertionError("a word over the limit reached the build")
+
+    for name in ("_assemble", "build_initial_seed"):
+        monkeypatch.setattr(qca.cli, name, never)
+    assert qca.gls.MAX_WORD_LENGTH == 1000
+    inp = write_input(tmp_path, SEED_CASES["aff"][0], (1, 2) * 500 + (1,))
+    code, out, err = run(capsys, argv[:1] + ["--cartan", inp] + argv[1:])
+    assert (code, out) == (2, "")
+    assert "word of length 1001 is longer than the limit of 1000 letters" in err
+
+
 def test_build_rejects_bad_cartan(tmp_path, capsys):
     inp = write_input(tmp_path, ((2, 1), (1, 2)), (1, 2))
     code, _, err = run(capsys, ["build", "--cartan", inp])

@@ -1,6 +1,7 @@
 """The initial seed construction from a Cartan matrix and reduced word."""
 
 import pytest
+from hypothesis import given, settings
 
 import qca
 from qca.cartan import CartanDatum, Weight, WeylWord, weyl_apply
@@ -15,7 +16,16 @@ from qca.gls import (
 from qca.seeds import check_compatible
 from qca.torus import LMatrix
 
-from conftest import A2_ROWS, A3_ROWS, AFF_ROWS, D4_ROWS, SEED_CASES, make_seed, scale_weight
+from conftest import (
+    A2_ROWS,
+    A3_ROWS,
+    AFF_ROWS,
+    D4_ROWS,
+    SEED_CASES,
+    gcm_and_word,
+    make_seed,
+    scale_weight,
+)
 
 
 def _analyze(rows, word):
@@ -209,6 +219,28 @@ def test_lambda_entries_from_pairing():
                 expect = qca.pair_weight_root(c, mu, g.d[t])
                 assert lam.rows[s][t] == expect
                 assert lam.rows[t][s] == -expect
+
+
+def assert_lambda_is_the_pairing(c, word):
+    g = analyze_word(c, word)
+    lam = lambda_matrix(c, g)
+    for s, i in enumerate(word.letters):
+        assert lam.rows[s][s] == 0
+        mu = g.lambda_wts[s] + Weight.fundamental(c.n, i)
+        for t in range(s):
+            assert lam.rows[s][t] == qca.pair_weight_root(c, mu, g.d[t])
+            assert lam.rows[t][s] == -lam.rows[s][t]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(gcm_and_word(2, 5))
+def test_lambda_matrix_is_the_pairing_on_random_gcms(case):
+    assert_lambda_is_the_pairing(*case)
+
+
+def test_lambda_matrix_is_the_pairing_on_a_long_kronecker_word():
+    assert_lambda_is_the_pairing(CartanDatum.from_rows(AFF_ROWS),
+                                 WeylWord.from_one_based((1, 2) * 100))
 
 
 def test_seed_assembly_properties():

@@ -442,6 +442,19 @@ def test_mutate_rejects_frozen_direction():
         mutate(seed, 3)
 
 
+@pytest.mark.parametrize("k,message", [
+    (1.0, "expected an integer, got 1.0"),
+    (True, "expected an integer, got True"),
+    (10, "direction 11 outside 1..6"),
+    (-1, "direction 0 outside 1..6"),
+])
+def test_mutate_names_a_bad_direction(a3_seed, k, message):
+    # the A3 longest-word seed has K = 6 indices
+    with pytest.raises(ValueError) as info:
+        mutate(a3_seed, k)
+    assert str(info.value) == message
+
+
 def test_mutation_involutive_on_everything():
     for key in SEED_CASES:
         seed = make_seed(key)
