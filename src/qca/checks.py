@@ -2,8 +2,8 @@
 
 A check is one row of the ordered table _CHECKS: its name, its tier and its
 witness at one tree node.  The row order is the report order, and
-ALL_CHECKS, the tiers and check_tier are read off the table, so a new check
-(the planned shuffle and g_vector checks among them) is one more row.
+ALL_CHECKS and the tiers are read off the table, so a new check (the
+planned shuffle and g_vector checks among them) is one more row.
 run_suite evaluates the selected checks at the starting seed and after
 every step of the requested sequences (a shared prefix is mutated once),
 and returns a CheckReport whose entries never throw: every failure is data.
@@ -470,12 +470,6 @@ _CHECKS = {
 ALL_CHECKS = tuple(_CHECKS)
 STANDARD_CHECKS = tuple(c for c, (tier, _) in _CHECKS.items() if tier == "standard")
 EXTENDED_CHECKS = tuple(c for c, (tier, _) in _CHECKS.items() if tier == "extended")
-
-
-def check_tier(name: str) -> str:
-    if name not in _CHECKS:
-        raise ValueError("unknown check %r; valid names: %s" % (name, ", ".join(ALL_CHECKS)))
-    return _CHECKS[name][0]
 
 
 def _node_failures(node, idx, walk, shadow, parent=None, parts=None) -> dict:

@@ -39,7 +39,6 @@ from .serialize import (
     seed_for_dumps,
     seed_from_json,
 )
-from .torus import KERNEL_BACKEND
 
 CACHE_ENV = "QCA_CACHE_DIR"
 
@@ -56,8 +55,12 @@ def _say(msg: str) -> None:
 
 
 def _parse_csv_ints(text: str, what: str) -> tuple[int, ...]:
+    """The integers of a comma-separated list; a blank text is the empty
+    list, and an empty field anywhere else is refused."""
+    if not text.strip():
+        return ()
     try:
-        return tuple(int(x) for x in text.split(",") if x.strip() != "")
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise ValueError("%s must be a comma-separated integer list" % what)
 
@@ -79,7 +82,7 @@ def _load_json(path: str):
 
 def _word_letters(args) -> tuple[int, ...] | None:
     """The --word list, or None when the word is to come from the file."""
-    return _parse_csv_ints(args.word, "--word") if args.word else None
+    return _parse_csv_ints(args.word, "--word") if args.word is not None else None
 
 
 def _cartan_word(obj, args) -> tuple[CartanDatum, WeylWord]:
@@ -301,8 +304,8 @@ def cmd_export(args) -> int:
 
 def cmd_info(args) -> int:
     _say("qca %s" % __version__)
-    _say("arithmetic: %s; Z[v^+-1] coefficients packed into integers "
-         "(Kronecker substitution, digit width from a proven L1 bound)" % KERNEL_BACKEND)
+    _say("arithmetic: python; Z[v^+-1] coefficients packed into integers "
+         "(Kronecker substitution, digit width from a proven L1 bound)")
     _say("cache dir: %s" % _cache_dir())
     n_entries, n_bytes = _cache_usage(_cache_dir())
     _say("cache: %d entries, %d bytes" % (n_entries, n_bytes))

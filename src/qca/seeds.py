@@ -66,7 +66,6 @@ __all__ = [
     "mutate_dvector",
     "exchange_exponents",
     "exchange_parts",
-    "exchange_term_bound",
     "MAX_EXCHANGE_TERMS",
     "mutate_variable",
     "mutate",
@@ -96,8 +95,10 @@ class BMatrix:
             raise ValueError("exchangeable indices must be strictly increasing")
         if self.ex and not (0 <= self.ex[0] and self.ex[-1] < k):
             raise ValueError("exchangeable index out of range")
+        # the test is symmetric in the pair, so each unordered pair is
+        # compared once, at ipos >= jpos (the diagonal at ipos = jpos)
         for jpos, j in enumerate(self.ex):
-            for ipos, i in enumerate(self.ex):
+            for ipos, i in enumerate(self.ex[jpos:], jpos):
                 if self.rows[i][jpos] != -self.rows[j][ipos]:
                     raise ValueError(
                         "principal part of B must be skew-symmetric "
@@ -247,26 +248,14 @@ def _mutate_rows(lmat: LMatrix, bmat: BMatrix, k: int, a_neg):
     return tuple(l_rows), tuple(b_rows)
 
 
-def mutate_matrices(lmat: LMatrix, bmat: BMatrix, k: int, a_neg):
+def mutate_matrices(lmat: LMatrix, bmat: BMatrix, k: int):
     """(mu_k L, mu_k B~): the rows of _mutate_rows, the one kernel of the
-    closed forms, as a new LMatrix and BMatrix.
-
-    a_neg must be a'' = exchange_exponents(bmat, k)[1]: -1 at k and
-    max(-b_ik, 0) at i != k.  Any other, or a frozen k, is refused with
-    ValueError.  The matrix-product route (E^T L E, E B~ F) is an
-    independent oracle in checks.py; mutate certifies the result through
-    compatibility.
+    closed forms, with a'' = exchange_exponents(bmat, k)[1], as a new
+    LMatrix and BMatrix.  A frozen k is refused with ValueError.  The
+    matrix-product route (E^T L E, E B~ F) is an independent oracle in
+    checks.py; mutate certifies the result through compatibility.
     """
-    if k not in bmat.ex:
-        raise ValueError("direction %d is frozen" % (k + 1))
-    # compared with column k directly: mutate derives a'' once, by
-    # exchange_exponents, for the exchange, the matrices and D alike
-    expected = [-b if b < 0 else 0 for b in bmat.column(k)]
-    expected[k] = -1
-    if list(a_neg) != expected:
-        raise ValueError("a_neg must be a'' = exchange_exponents(bmat, %d)[1] of "
-                         "direction %d, %s; got %s" % (k, k + 1, tuple(expected), tuple(a_neg)))
-    l_rows, b_rows = _mutate_rows(lmat, bmat, k, a_neg)
+    l_rows, b_rows = _mutate_rows(lmat, bmat, k, exchange_exponents(bmat, k)[1])
     return LMatrix(l_rows), BMatrix(b_rows, bmat.ex)
 
 
@@ -505,19 +494,15 @@ def exchange_parts(seed: QuantumSeed, k: int, terms=None) -> ExchangeParts:
 MAX_EXCHANGE_TERMS = 10**6
 
 
-def exchange_term_bound(seed: QuantumSeed, k: int) -> int:
-    """An upper bound on the terms of the exchange numerator in direction k.
+def _term_bound(prods) -> int:
+    """An upper bound on the terms of the exchange numerator with the
+    product list P of _exchange_terms, computed before any product.
 
     A power x^c of a variable with t terms has at most C(c + t - 1, c)
     exponents, one per multiset of c of its terms; exponents add under
-    products, so each product of _exchange_terms' list has at most the
-    product of these over its factors, and the numerator at most their
-    sum.  Computed from that list, before any product.
+    products, so each product of P has at most the product of these over
+    its factors, and the numerator at most their sum.
     """
-    return _term_bound(_exchange_terms(seed, k)[4])
-
-
-def _term_bound(prods) -> int:
     return sum(math.prod(math.comb(c + len(x.terms) - 1, c) for x, c in factors)
                for _, factors in prods)
 
@@ -548,7 +533,7 @@ def _child(seed: QuantumSeed, parts: ExchangeParts) -> QuantumSeed:
     """The seed mutated by the exchange parts of one of its directions,
     without the invariant re-checks."""
     k = parts.k
-    lp, bp = mutate_matrices(seed.lmat, seed.bmat, k, parts.a_neg)
+    lp, bp = mutate_matrices(seed.lmat, seed.bmat, k)
     new_vars = list(seed.vars)
     new_vars[k] = parts.new_var
     # the constructor's __post_init__ checks the child's sizes and variables

@@ -77,12 +77,7 @@ from .coeffs import (
 )
 from .errors import NotDivisibleError, as_int
 
-# the only arithmetic implementation; kept as a constant for callers that
-# stamp results with it
-KERNEL_BACKEND = "python"
-
 __all__ = [
-    "KERNEL_BACKEND",
     "LMatrix",
     "PackedSum",
     "TorusElem",

@@ -1,5 +1,7 @@
 """Shared fixtures: Cartan matrices, reduced words, and prebuilt seeds."""
 
+import importlib
+import pkgutil
 import random
 from dataclasses import replace
 
@@ -8,8 +10,12 @@ from hypothesis import strategies as st
 
 import qca
 from qca.cartan import Weight, weyl_apply
-from qca.seeds import cluster_monomial, exchange_exponents
+from qca.seeds import _exchange_terms, _term_bound, cluster_monomial, exchange_exponents
 from qca.torus import TorusElem
+
+# the package and every module in it, so a new module is covered unasked
+MODULES = [qca] + [importlib.import_module("qca." + m.name)
+                   for m in pkgutil.iter_modules(qca.__path__)]
 
 A2_ROWS = ((2, -1), (-1, 2))
 A3_ROWS = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
@@ -55,6 +61,12 @@ def exchange_reference(seed, k):
     monomials = [cluster_monomial(seed, a[:k] + (0,) + a[k + 1:]).v_shift(p)
                  for a, p in zip((a_pos, a_neg), shifts)]
     return (a_pos, a_neg, *shifts, *monomials)
+
+
+def exchange_term_bound(seed, k):
+    """The bound on the terms of the exchange numerator in direction k that
+    qca mutate and run_suite refuse a step by, computed before any product."""
+    return _term_bound(_exchange_terms(seed, k)[4])
 
 
 def scale_weight(w, k):

@@ -12,7 +12,6 @@ from qca.checks import (
     ALL_CHECKS,
     EXTENDED_CHECKS,
     STANDARD_CHECKS,
-    check_tier,
     default_sequences,
     run_suite,
 )
@@ -42,10 +41,9 @@ def first_failure(report, name):
 
 def test_tiers():
     assert set(STANDARD_CHECKS) | set(EXTENDED_CHECKS) == set(ALL_CHECKS)
-    assert check_tier("compatible") == "standard"
-    assert check_tier("bar_invariance") == "extended"
-    with pytest.raises(ValueError):
-        check_tier("nonsense")
+    assert not set(STANDARD_CHECKS) & set(EXTENDED_CHECKS)
+    assert "compatible" in STANDARD_CHECKS
+    assert EXTENDED_CHECKS == ("bar_invariance",)
 
 
 def test_default_sequences_shape(a2_seed, a3_seed):
@@ -210,8 +208,8 @@ def test_fault_matrix_route(a2_seed, monkeypatch):
     # independent matrix route that lambda_mutation evaluates at each step
     closed = qca.seeds.mutate_matrices
 
-    def drifted(lmat, bmat, k, a_neg):
-        lp, bp = closed(lmat, bmat, k, a_neg)
+    def drifted(lmat, bmat, k):
+        lp, bp = closed(lmat, bmat, k)
         rows = [list(r) for r in bp.rows]
         rows[-1][0] += 1
         return lp, qca.BMatrix.from_rows(rows, bp.ex)
@@ -278,8 +276,8 @@ def test_fault_involutivity(a2_seed, a3_seed, monkeypatch):
     # leaves the back numerator in direction 1 alone but does not round-trip
     closed = qca.seeds.mutate_matrices
 
-    def drifted(lmat, bmat, k, a_neg):
-        lp, bp = closed(lmat, bmat, k, a_neg)
+    def drifted(lmat, bmat, k):
+        lp, bp = closed(lmat, bmat, k)
         rows = [list(r) for r in bp.rows]
         rows[-1][-1] += 1
         return lp, qca.BMatrix.from_rows(rows, bp.ex)

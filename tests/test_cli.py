@@ -82,6 +82,35 @@ def test_build_word_flag_overrides(tmp_path, capsys):
     assert json.loads(out)["gls"]["word"] == [2, 1, 2]
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["mutate", "--seq", "1,,2"], "--seq"),
+    (["mutate", "--seq", ","], "--seq"),
+    (["mutate", "--seq", "1,"], "--seq"),
+    (["build", "--word", "1,,2"], "--word"),
+])
+def test_an_empty_field_in_an_integer_list_is_refused(tmp_path, capsys, argv, flag):
+    # an empty field was once dropped: 1,,2 ran as 1,2 and "," as no step
+    inp = write_input(tmp_path, *SEED_CASES["aff"])
+    code, out, err = run(capsys, argv[:1] + ["--cartan", inp] + argv[1:])
+    assert (code, out) == (2, "")
+    assert "%s must be a comma-separated integer list" % flag in err
+
+
+def test_an_empty_word_flag_is_the_empty_word(tmp_path, capsys):
+    # --word '' once fell back to the file's word 1,2,1
+    inp = write_input(tmp_path, *SEED_CASES["a2"])
+    code, out, _ = run(capsys, ["build", "--cartan", inp, "--word", ""])
+    assert code == 0
+    data = json.loads(out)
+    assert data["gls"]["word"] == [] and data["vars"] == []
+    # as a mutate input too, where the cache key must record the word
+    code, mutated, _ = run(capsys, ["mutate", "--cartan", inp, "--word", "", "--seq", ""])
+    assert code == 0 and json.loads(mutated)["vars"] == []
+    # the same seed as "word": [] in the file
+    empty = write_input(tmp_path, SEED_CASES["a2"][0], ())
+    assert run(capsys, ["build", "--cartan", empty])[:2] == (0, out)
+
+
 def test_build_rejects_non_reduced(tmp_path, capsys):
     inp = write_input(tmp_path, SEED_CASES["a2"][0], (1, 1))
     code, _, err = run(capsys, ["build", "--cartan", inp])

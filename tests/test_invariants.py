@@ -21,7 +21,6 @@ from qca.seeds import (
     balance_witness,
     check_compatible,
     exchange_exponents,
-    exchange_term_bound,
     homogeneity_witness,
     mutate,
     mutate_seq,
@@ -31,7 +30,14 @@ from qca.seeds import (
 from qca.serialize import pretty_dumps, seed_from_json, seed_to_json
 from qca.torus import LMatrix, exact_left_div
 
-from conftest import SEED_CASES, a4_seed, corrupt_a3, gcm_and_word, make_seed
+from conftest import (
+    SEED_CASES,
+    a4_seed,
+    corrupt_a3,
+    exchange_term_bound,
+    gcm_and_word,
+    make_seed,
+)
 
 WITNESSES = (qcommute_witness, homogeneity_witness, parity_witness, balance_witness)
 
@@ -185,8 +191,8 @@ def test_mutate_rechecks_compatibility(monkeypatch):
     seed = make_seed("a3")
     closed = qca.seeds.mutate_matrices
 
-    def drifted(lmat, bmat, k, a_neg):
-        lp, bp = closed(lmat, bmat, k, a_neg)
+    def drifted(lmat, bmat, k):
+        lp, bp = closed(lmat, bmat, k)
         rows = [list(r) for r in lp.rows]
         m = (k + 1) % len(rows)
         rows[k][m] += 2
@@ -263,7 +269,7 @@ def test_word_layer(case):
         analyze_word(cartan, qca.WeylWord(letters + letters[-1:]))
 
 
-# the largest exchange numerator, by seeds.exchange_term_bound, of a step
+# the largest exchange numerator, by conftest.exchange_term_bound, of a step
 # that the product oracle below re-derives
 ORACLE_MAX_TERMS = 1000
 

@@ -27,10 +27,10 @@ from qca.classical import classical_mutate, classical_shadow, compare_q1
 from qca.coeffs import digit_width
 from qca.errors import NotDivisibleError
 from qca.checks import _Walk
-from qca.seeds import exchange_parts, exchange_term_bound, mutate
+from qca.seeds import exchange_parts, mutate
 from qca.torus import LMatrix, PackedSum, TorusElem, exact_left_div
 
-from conftest import exchange_reference, gcm_and_word, make_seed
+from conftest import exchange_reference, exchange_term_bound, gcm_and_word, make_seed
 
 # the largest exchange numerator, by exchange_term_bound, that the random
 # walks below compare with the materialized route

@@ -181,7 +181,7 @@ def test_e_squared_is_identity():
 
 
 def test_mutate_matrices_golden():
-    l2, b2 = mutate_matrices(A2_L, A2_B, 0, exchange_exponents(A2_B, 0)[1])
+    l2, b2 = mutate_matrices(A2_L, A2_B, 0)
     assert l2.rows == ((0, 1, -1), (-1, 0, 0), (1, 0, 0))
     assert b2.rows == ((0,), (1,), (-1,))
     assert b2.ex == (0,)
@@ -195,7 +195,7 @@ def test_mutate_matrices_is_et_l_e():
             e, _ = ef_matrices(seed.bmat, k)
             et = tuple(zip(*e))
             expect = matmul(matmul(et, seed.lmat.rows), e)
-            l2, _ = mutate_matrices(seed.lmat, seed.bmat, k, exchange_exponents(seed.bmat, k)[1])
+            l2, _ = mutate_matrices(seed.lmat, seed.bmat, k)
             assert l2.rows == expect
 
 
@@ -209,7 +209,7 @@ def test_mutate_matrices_is_e_b_f():
             for lmat, bmat in level:
                 for k in bmat.ex:
                     e, f = ef_matrices(bmat, k)
-                    l2, b2 = mutate_matrices(lmat, bmat, k, exchange_exponents(bmat, k)[1])
+                    l2, b2 = mutate_matrices(lmat, bmat, k)
                     assert b2.rows == matmul(matmul(e, bmat.rows), f)
                     assert l2.rows == matmul(matmul(tuple(zip(*e)), lmat.rows), e)
                     nxt.append((l2, b2))
@@ -220,29 +220,9 @@ def test_mutate_matrices_involutive():
     for key in SEED_CASES:
         seed = make_seed(key)
         for k in seed.bmat.ex:
-            l2, b2 = mutate_matrices(seed.lmat, seed.bmat, k, exchange_exponents(seed.bmat, k)[1])
-            l3, b3 = mutate_matrices(l2, b2, k, exchange_exponents(b2, k)[1])
+            l2, b2 = mutate_matrices(seed.lmat, seed.bmat, k)
+            l3, b3 = mutate_matrices(l2, b2, k)
             assert l3 == seed.lmat and b3 == seed.bmat
-
-
-def test_mutate_matrices_refuses_an_a_neg_that_is_not_its_directions():
-    # a short a'' used to be cut by zip, and one of another direction used,
-    # giving a skew-symmetric but wrong mu_k(L) with no error
-    seed = mutate_seq(a4_seed(), (0, 3, 5))
-    for k in seed.ex:
-        a_neg = exchange_exponents(seed.bmat, k)[1]
-        others = [exchange_exponents(seed.bmat, j)[1] for j in seed.ex if j != k]
-        for wrong in [a_neg[:-1], a_neg + (0,), a_neg[:-1] + (a_neg[-1] + 1,), *others]:
-            with pytest.raises(ValueError, match="a_neg must be a'' = exchange_exponents"):
-                mutate_matrices(seed.lmat, seed.bmat, k, wrong)
-        # a list is the same a''
-        lp, bp = mutate_matrices(seed.lmat, seed.bmat, k, list(a_neg))
-        assert (lp, bp) == mutate_matrices(seed.lmat, seed.bmat, k, a_neg)
-    # in direction 6 the short a'' drops a nonzero entry
-    a_neg = exchange_exponents(seed.bmat, 5)[1]
-    assert a_neg[-1] == 1
-    assert (qca.seeds._mutate_rows(seed.lmat, seed.bmat, 5, a_neg[:-1])[0]
-            != qca.seeds._mutate_rows(seed.lmat, seed.bmat, 5, a_neg)[0])
 
 
 def test_a_frozen_direction_is_named():
@@ -252,7 +232,7 @@ def test_a_frozen_direction_is_named():
     for k in frozen:
         message = "direction %d is frozen" % (k + 1)
         with pytest.raises(ValueError, match=message):
-            mutate_matrices(seed.lmat, seed.bmat, k, (0,) * seed.k)
+            mutate_matrices(seed.lmat, seed.bmat, k)
         with pytest.raises(ValueError, match=message):
             ef_matrices(seed.bmat, k)
 
@@ -261,7 +241,7 @@ def test_mutated_pair_stays_compatible():
     for key in SEED_CASES:
         seed = make_seed(key)
         for k in seed.bmat.ex:
-            l2, b2 = mutate_matrices(seed.lmat, seed.bmat, k, exchange_exponents(seed.bmat, k)[1])
+            l2, b2 = mutate_matrices(seed.lmat, seed.bmat, k)
             assert check_compatible(l2, b2) == 2
 
 
@@ -493,22 +473,23 @@ def test_exchange_parts_shape():
     assert seed.vars[0] * parts.new_var == parts.m_pos + parts.m_neg
 
 
-def test_one_exchange_exponents_call_per_mutate(monkeypatch):
-    # a' and a'' are computed once and shared by the exchange, mu_k(L, B~)
-    # and mu_k(D)
+def test_mutate_takes_its_exponents_from_the_seeds_b(monkeypatch):
+    # the exchange (which shares a' with mu_k(D)) and mu_k(L, B~) each
+    # derive a' and a'' from the seed's own B~ in direction k, so the two
+    # cannot disagree
     seed = make_seed("a3")
     calls = []
     exact = qca.seeds.exchange_exponents
 
     def counted(bmat, k):
-        calls.append(k)
+        calls.append((bmat, k))
         return exact(bmat, k)
 
     monkeypatch.setattr(qca.seeds, "exchange_exponents", counted)
     for k in seed.ex:
         calls.clear()
         mutate(seed, k)
-        assert calls == [k]
+        assert calls == [(seed.bmat, k)] * 2
 
 
 def test_homogeneous_weight():

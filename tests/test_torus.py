@@ -9,7 +9,6 @@ from qca.classical import cl_mul
 from qca.errors import NotDivisibleError
 from qca.serialize import torus_from_json, torus_to_json
 from qca.torus import (
-    KERNEL_BACKEND,
     LMatrix,
     PackedSum,
     TorusElem,
@@ -324,6 +323,7 @@ def test_serialization_rejects_duplicates():
 
 
 def test_backend_constant():
-    # one arithmetic implementation, with no switch to select another
-    assert KERNEL_BACKEND == "python"
+    # one arithmetic implementation, with no switch to select another; the
+    # constant has one home, the package
     assert qca.KERNEL_BACKEND == "python"
+    assert not hasattr(qca.torus, "KERNEL_BACKEND")
